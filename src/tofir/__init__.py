@@ -17,7 +17,6 @@ from .calibration import (
 )
 from .container import FrameContainer
 from .errors import (
-    BehindCameraError,
     ContainerFormatError,
     DegenerateGeometryError,
     DimensionMismatchError,
@@ -31,7 +30,6 @@ from .segmentation import (
     build_background,
     flag_invalid,
     foreground_mask,
-    update_median,
 )
 from .simulator import (
     CalibrationTarget,
@@ -47,7 +45,7 @@ from .simulator import (
     render_tof,
     render_tof_sequence,
 )
-from .thermal import IrIntrinsics, ThermalFrame, project_to_ir, sample_temperature
+from .thermal import IrIntrinsics, ThermalFrame, sample_temperature
 from .tof import (
     PointCloud,
     RangeFrame,
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackgroundModel",
-    "BehindCameraError",
     "CalibrationResult",
     "CalibrationTarget",
     "ContainerFormatError",
@@ -105,7 +102,6 @@ __all__ = [
     "locate_peak",
     "make_calibration_set",
     "phase_for_distance",
-    "project_to_ir",
     "projection_error",
     "render_ir",
     "render_tof",
@@ -115,5 +111,4 @@ __all__ = [
     "transform_points",
     "unambiguous_range",
     "undistort_pixel",
-    "update_median",
 ]

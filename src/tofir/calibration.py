@@ -25,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .camera import pixel_rays, project_points
 from .errors import DegenerateGeometryError, InsufficientDataError
 from .thermal import IrIntrinsics
-from .tof import TofIntrinsics, undistort_pixel
+from .tof import TofIntrinsics
 
 BEHIND_CAMERA_PENALTY = 1e6  # pixels; repels the solver instead of aborting
 
@@ -150,18 +151,11 @@ def _observation_arrays(observations: Sequence[TargetObservation]):
 
 def _predict_ir_pixels(rotation, translation, u, v, dist, tof_intr, ir_intr):
     """Project reconstructed targets into the IR image for a candidate rotation."""
-    un = (u - tof_intr.cx) * tof_intr.pixel_pitch / tof_intr.focal_length
-    vn = (v - tof_intr.cy) * tof_intr.pixel_pitch / tof_intr.focal_length
-    uu, vu = undistort_pixel(un, vn, tof_intr.k1, tof_intr.k2)
-    norm = np.sqrt(1.0 + uu * uu + vu * vu)
+    uu, vu, norm = pixel_rays(tof_intr, u, v)
     scale = dist / norm
     points = np.stack([scale * uu, scale * vu, scale], axis=-1)
     q = points @ np.asarray(rotation, dtype=np.float64).T + np.asarray(translation, dtype=np.float64)
-    in_front = q[:, 2] > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = ir_intr.cx + ir_intr.focal_length * q[:, 0] / (q[:, 2] * ir_intr.pixel_pitch)
-        s = ir_intr.cy + ir_intr.focal_length * q[:, 1] / (q[:, 2] * ir_intr.pixel_pitch)
-    return np.stack([r, s], axis=-1), in_front
+    return project_points(q, ir_intr)
 
 
 def _residual_matrix(rotation, translation, u, v, dist, measured, tof_intr, ir_intr):

@@ -63,20 +63,12 @@ def _resolve(cfg: dict, key: str, base: Path) -> Path:
     return (base / value).resolve() if not Path(value).is_absolute() else Path(value)
 
 
-def _load_tof_intrinsics(cfg, base) -> tof.TofIntrinsics:
-    doc = _load_json(_resolve(cfg, "tof_intrinsics", base))
+def _load_intrinsics(cfg, base, key: str, cls):
+    doc = _load_json(_resolve(cfg, key, base))
     try:
-        return tof.TofIntrinsics.from_json_dict(doc)
+        return cls.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"tof_intrinsics: {exc}") from exc
-
-
-def _load_ir_intrinsics(cfg, base) -> thermal.IrIntrinsics:
-    doc = _load_json(_resolve(cfg, "ir_intrinsics", base))
-    try:
-        return thermal.IrIntrinsics.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"ir_intrinsics: {exc}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _load_extrinsics(path: Path) -> fusion.Extrinsics:
@@ -118,8 +110,8 @@ def cmd_simulate(args) -> int:
         scene = simulator.scene_from_json(scene_doc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    tof_intr = _load_tof_intrinsics(cfg, base)
-    ir_intr = _load_ir_intrinsics(cfg, base)
+    tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
+    ir_intr = _load_intrinsics(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
     try:
         noise = simulator.noise_from_json(cfg.get("noise", {}))
     except ValueError as exc:
@@ -189,8 +181,8 @@ def cmd_calibrate(args) -> int:
         observations = calibration.load_observations(obs_path)
     except ValueError as exc:
         raise ConfigError(f"{obs_path}: {exc}") from exc
-    tof_intr = _load_tof_intrinsics(cfg, base)
-    ir_intr = _load_ir_intrinsics(cfg, base)
+    tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
+    ir_intr = _load_intrinsics(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
 
     initial = None
     if "extrinsics" in cfg:
@@ -224,17 +216,23 @@ def cmd_fuse(args) -> int:
     base = Path(args.config).parent
     raw_cont = FrameContainer.read(_resolve(cfg, "raw", base))
     thermal_cont = FrameContainer.read(_resolve(cfg, "thermal", base))
-    tof_intr = _load_tof_intrinsics(cfg, base)
-    ir_intr = _load_ir_intrinsics(cfg, base)
+    tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
+    ir_intr = _load_intrinsics(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
     ext = _load_extrinsics(_resolve(cfg, "extrinsics", base))
     limits = _limits(cfg)
 
     raws = tof.raw_frames_from_container(raw_cont)
-    thermal_frame = thermal.thermal_frames_from_container(thermal_cont)[0]
+    thermal_frames = thermal.thermal_frames_from_container(thermal_cont)
+    if len(thermal_frames) not in (1, len(raws)):
+        raise ConfigError(
+            f"{len(thermal_frames)} thermal frames for {len(raws)} raw frames: "
+            "need 1 or one per raw frame"
+        )
 
     thermograms = []
     for k, raw in enumerate(raws):
         range_frame = tof.demodulate(raw, tof_intr, **limits)
+        thermal_frame = thermal_frames[k if len(thermal_frames) > 1 else 0]
         tg = fusion.fuse(range_frame, thermal_frame, tof_intr, ir_intr, ext)
         thermograms.append(tg)
         stats = fusion.fuse_summary(tg)
@@ -249,7 +247,7 @@ def cmd_fuse(args) -> int:
 def cmd_segment(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
-    tof_intr = _load_tof_intrinsics(cfg, base)
+    tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
     limits = _limits(cfg)
 
     background_cont = FrameContainer.read(_resolve(cfg, "background", base))
@@ -309,26 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# first match wins: the numerical errors subclass ValueError
+_EXIT_CODES = (
+    ((ConfigError, ContainerFormatError, DimensionMismatchError, OSError), EXIT_INPUT),
+    ((InsufficientDataError, DegenerateGeometryError, np.linalg.LinAlgError), EXIT_NUMERICAL),
+    # bad values inside otherwise well-formed documents
+    ((ValueError, KeyError, TypeError), EXIT_INPUT),
+)
+_HANDLED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ContainerFormatError, DimensionMismatchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InsufficientDataError, DegenerateGeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, KeyError, TypeError) as exc:
-        # bad values inside otherwise well-formed documents
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 def entry() -> None:

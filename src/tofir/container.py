@@ -131,7 +131,10 @@ class FrameContainer:
             offset += _NAME_LEN.size
             if offset + length > len(blob):
                 raise ContainerFormatError("truncated channel name table")
-            names.append(blob[offset : offset + length].decode("utf-8"))
+            try:
+                names.append(blob[offset : offset + length].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ContainerFormatError(f"channel name is not UTF-8: {exc}") from None
             offset += length
         expected = width * height * channels * frames * 4
         payload = blob[offset:]

@@ -5,10 +5,6 @@ class DimensionMismatchError(ValueError):
     """Frame dimensions disagree with intrinsics or with another frame."""
 
 
-class BehindCameraError(ValueError):
-    """A point with non-positive depth cannot be projected."""
-
-
 class OutOfFieldError(ValueError):
     """A sample position falls outside the sensor's interpolation domain."""
 

@@ -18,9 +18,10 @@ from enum import IntEnum
 
 import numpy as np
 
+from .camera import project_points
 from .container import FrameContainer
 from .errors import DimensionMismatchError
-from .thermal import IrIntrinsics, ThermalFrame, project_points, sample_temperature_grid
+from .thermal import IrIntrinsics, ThermalFrame, sample_temperature_grid
 from .tof import PointCloud, RangeFrame, TofIntrinsics, backproject
 
 THERMOGRAM_CHANNELS = ("x", "y", "z", "temperature", "validity")

@@ -132,22 +132,6 @@ def _step_median(median, distance, step, active):
     return np.where(active, stepped, median)
 
 
-def update_median(model: BackgroundModel, frame: RangeFrame, step: float) -> BackgroundModel:
-    """One approximate-median step toward a new frame.
-
-    Per valid pixel the median moves by exactly +step, -step, or 0 (when the
-    sample equals it). Mean/std/count are carried over unchanged.
-    """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if frame.distance.shape != model.median.shape:
-        raise DimensionMismatchError(
-            f"frame shape {frame.distance.shape} != model shape {model.median.shape}"
-        )
-    median = _step_median(model.median, frame.distance, step, frame.valid)
-    return BackgroundModel(model.mean, model.std, median, model.count)
-
-
 def foreground_mask(
     frame: RangeFrame,
     model: BackgroundModel,

@@ -36,16 +36,10 @@ import numpy as np
 from scipy import ndimage
 
 from .calibration import TargetObservation
+from .camera import project_points, unit_rays
 from .fusion import Extrinsics
-from .thermal import IrIntrinsics, ThermalFrame, project_points
-from .tof import (
-    RawTofFrame,
-    TofIntrinsics,
-    _unit_rays,
-    phase_for_distance,
-    synthesize_buckets,
-    unit_rays,
-)
+from .thermal import IrIntrinsics, ThermalFrame
+from .tof import RawTofFrame, TofIntrinsics, phase_for_distance, synthesize_buckets
 
 logger = logging.getLogger(__name__)
 
@@ -429,10 +423,7 @@ def render_ir(
     """
     if blur_sigma < 0:
         raise ValueError(f"blur_sigma must be non-negative, got {blur_sigma}")
-    rays = _unit_rays(
-        intr.focal_length, intr.width, intr.height, intr.pixel_pitch, intr.cx, intr.cy
-    )
-    resp = _trace(scene, rays, pose or Extrinsics.identity())
+    resp = _trace(scene, unit_rays(intr), pose or Extrinsics.identity())
     temps = resp.temperature
     if blur_sigma > 0:
         temps = ndimage.gaussian_filter(temps, blur_sigma, mode="reflect")
@@ -566,27 +557,6 @@ def scene_from_json(doc: dict) -> Scene:
         raise ValueError(f"scene: {exc}") from exc
 
 
-def scene_to_json(scene: Scene) -> dict:
-    prims = []
-    for p in scene.primitives:
-        if isinstance(p, Plane):
-            prims.append(
-                {"type": "plane", "axis": p.axis, "offset": p.offset,
-                 "reflectivity": p.reflectivity, "temperature": p.temperature}
-            )
-        else:
-            prims.append(
-                {"type": "sphere", "center": list(p.center), "radius": p.radius,
-                 "reflectivity": p.reflectivity, "temperature": p.temperature}
-            )
-    return {
-        "primitives": prims,
-        "ambient_temperature": scene.ambient_temperature,
-        "background_distance": scene.background_distance,
-        "background_reflectivity": scene.background_reflectivity,
-    }
-
-
 def noise_from_json(doc: dict) -> NoiseConfig:
     if not isinstance(doc, dict):
         raise ValueError("noise document must be a JSON object")
@@ -611,22 +581,3 @@ def noise_from_json(doc: dict) -> NoiseConfig:
         )
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"noise config: {exc}") from exc
-
-
-def noise_to_json(noise: NoiseConfig) -> dict:
-    return {
-        "seed": noise.seed,
-        "phase_noise_scale": noise.phase_noise_scale,
-        "bucket_noise_sigma": noise.bucket_noise_sigma,
-        "saturation_fraction": noise.saturation_fraction,
-        "multipath": {
-            "enabled": noise.multipath.enabled,
-            "extra_distance": noise.multipath.extra_distance,
-            "relative_amplitude": noise.multipath.relative_amplitude,
-        },
-        "scattering": {
-            "enabled": noise.scattering.enabled,
-            "kernel_radius": noise.scattering.kernel_radius,
-            "energy_fraction": noise.scattering.energy_fraction,
-        },
-    }

@@ -1,9 +1,9 @@
-"""Thermal infrared camera: calibrated temperature images and projection.
+"""Thermal infrared camera: calibrated temperature images.
 
 The sensor is abstracted as a grid of absolute temperatures (kelvin); raw
 detector physics happens upstream. Points project through a distortion-free
-pinhole, and temperatures are read back with sub-pixel bilinear interpolation
-between the four nearest pixel centers.
+pinhole (:func:`tofir.camera.project_points`), and temperatures are read back
+with sub-pixel bilinear interpolation between the four nearest pixel centers.
 """
 
 from __future__ import annotations
@@ -13,66 +13,29 @@ from typing import Sequence
 
 import numpy as np
 
+from .camera import Pinhole
 from .container import FrameContainer
-from .errors import BehindCameraError, DimensionMismatchError, OutOfFieldError
+from .errors import DimensionMismatchError, OutOfFieldError
 
 THERMAL_CHANNELS = ("temperature",)
 
 
-@dataclass(frozen=True)
-class IrIntrinsics:
+class IrIntrinsics(Pinhole):
     """Pinhole model of the infrared camera (no distortion term).
 
     ``k1``/``k2`` keys are accepted and ignored when loading JSON so the
     format stays forward compatible with a distorted variant.
     """
 
-    focal_length: float
-    width: int
-    height: int
-    pixel_pitch: float
-    cx: float | None = None
-    cy: float | None = None
-
-    def __post_init__(self):
-        if self.cx is None:
-            object.__setattr__(self, "cx", self.width / 2.0)
-        if self.cy is None:
-            object.__setattr__(self, "cy", self.height / 2.0)
-        if self.focal_length <= 0:
-            raise ValueError(f"focal_length must be positive, got {self.focal_length}")
-        if self.pixel_pitch <= 0:
-            raise ValueError(f"pixel_pitch must be positive, got {self.pixel_pitch}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"sensor must be non-empty, got {self.width}x{self.height}")
-        if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
-            raise ValueError(f"principal point ({self.cx}, {self.cy}) outside sensor")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "f": self.focal_length,
-            "width": self.width,
-            "height": self.height,
-            "pixel_pitch": self.pixel_pitch,
-            "cx": self.cx,
-            "cy": self.cy,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "IrIntrinsics":
-        return cls(
-            focal_length=float(doc["f"]),
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-            pixel_pitch=float(doc["pixel_pitch"]),
-            cx=float(doc["cx"]) if "cx" in doc else None,
-            cy=float(doc["cy"]) if "cy" in doc else None,
-        )
-
 
 @dataclass(frozen=True)
 class ThermalFrame:
-    """Calibrated temperature image, kelvin, shape (height, width)."""
+    """Calibrated temperature image, kelvin, shape (height, width).
+
+    Every temperature must be finite and positive; a NaN or infinite pixel
+    raises ``ValueError`` here, so no later stage can pass it on as a valid
+    measurement.
+    """
 
     temperatures: np.ndarray
 
@@ -80,6 +43,8 @@ class ThermalFrame:
         temps = np.asarray(self.temperatures, dtype=np.float64)
         if temps.ndim != 2 or temps.shape[0] == 0 or temps.shape[1] == 0:
             raise ValueError(f"temperatures must be a non-empty 2-d grid, got {temps.shape}")
+        if not np.all(np.isfinite(temps)):
+            raise ValueError("temperatures must be finite")
         if np.any(temps <= 0):
             raise ValueError("absolute temperatures must be positive")
         object.__setattr__(self, "temperatures", temps)
@@ -93,47 +58,13 @@ class ThermalFrame:
         return self.temperatures.shape[1]
 
 
-def project_to_ir(point, intr: IrIntrinsics) -> tuple[float, float]:
-    """Project one camera-frame point onto the sensor.
-
-    (r, s) = principal point + (f * X / Z, f * Y / Z) / pixel_pitch, in pixel
-    units. Scaling the point by any positive factor leaves (r, s) unchanged.
-    """
-    x, y, z = (float(c) for c in point)
-    if z <= 0:
-        raise BehindCameraError(f"point has depth {z}, must be in front of the camera")
-    r = intr.cx + intr.focal_length * x / (z * intr.pixel_pitch)
-    s = intr.cy + intr.focal_length * y / (z * intr.pixel_pitch)
-    return r, s
-
-
-def project_points(points: np.ndarray, intr: IrIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of (n, 3) points.
-
-    Returns (pixels (n, 2), in_front (n,)); rows with Z <= 0 are NaN and
-    flagged False instead of raising.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    z = points[:, 2]
-    in_front = z > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = intr.cx + intr.focal_length * points[:, 0] / (z * intr.pixel_pitch)
-        s = intr.cy + intr.focal_length * points[:, 1] / (z * intr.pixel_pitch)
-    pixels = np.stack([r, s], axis=-1)
-    pixels[~in_front] = np.nan
-    return pixels, in_front
-
-
-def sample_temperature(frame: ThermalFrame, x: float, y: float, method: str = "bilinear") -> float:
+def sample_temperature(frame: ThermalFrame, x: float, y: float) -> float:
     """Temperature at continuous image coordinates (x, y).
 
     Bilinear interpolation between the four nearest pixel centers; positions
     outside the rectangle spanned by the outermost pixel centers raise
-    :class:`OutOfFieldError`. ``method`` is a dispatch point for future
-    interpolation schemes; only "bilinear" exists.
+    :class:`OutOfFieldError`.
     """
-    if method != "bilinear":
-        raise ValueError(f"unknown interpolation method {method!r}")
     values, in_field = sample_temperature_grid(frame, np.array([x]), np.array([y]))
     if not in_field[0]:
         raise OutOfFieldError(

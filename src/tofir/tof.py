@@ -13,14 +13,8 @@ Distances wrap at ``c / (2 * f_mod)``; scenes are assumed to lie inside that
 range and out-of-range geometry aliases back in (wrap-around is documented,
 not detected).
 
-Conventions used throughout the package:
-
-* Image arrays are indexed ``[row, col]``; x runs along columns, y along rows.
-* Pixel (i, j) has continuous image coordinates (i + 0.5, j + 0.5).
-* Sensor-plane coordinates are metric: ``u = (x - cx) * pixel_pitch``, and the
-  focal length is expressed in the same metric unit.
-* Radial distortion acts on normalized coordinates (u / f, v / f), which keeps
-  k1 and k2 scale-independent.
+Pinhole geometry and the package's image conventions live in
+:mod:`tofir.camera`.
 """
 
 from __future__ import annotations
@@ -31,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .camera import Pinhole, unit_rays
 from .container import FrameContainer
 from .errors import DimensionMismatchError
 
@@ -39,69 +34,24 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, in air
 _TWO_PI = 2.0 * math.pi
 
 RAW_CHANNELS = ("a1", "a2", "a3", "a4")
-RANGE_CHANNELS = ("distance", "amplitude", "offset", "valid")
 
 
 @dataclass(frozen=True)
-class TofIntrinsics:
-    """Pinhole + radial distortion model of the range camera.
+class TofIntrinsics(Pinhole):
+    """Pinhole + radial distortion model of the range camera, modulated at
+    ``f_mod``; see :class:`tofir.camera.Pinhole` for the shared parameters."""
 
-    ``focal_length`` and ``pixel_pitch`` share one metric unit; the principal
-    point (cx, cy) is in pixels and defaults to the image center.
-    """
-
-    focal_length: float
-    width: int
-    height: int
-    pixel_pitch: float
-    cx: float | None = None
-    cy: float | None = None
     k1: float = 0.0
     k2: float = 0.0
     f_mod: float = 21e6
 
     def __post_init__(self):
-        if self.cx is None:
-            object.__setattr__(self, "cx", self.width / 2.0)
-        if self.cy is None:
-            object.__setattr__(self, "cy", self.height / 2.0)
-        if self.focal_length <= 0:
-            raise ValueError(f"focal_length must be positive, got {self.focal_length}")
-        if self.pixel_pitch <= 0:
-            raise ValueError(f"pixel_pitch must be positive, got {self.pixel_pitch}")
+        super().__post_init__()
         if self.f_mod <= 0:
             raise ValueError(f"f_mod must be positive, got {self.f_mod}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"sensor must be non-empty, got {self.width}x{self.height}")
-        if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
-            raise ValueError(f"principal point ({self.cx}, {self.cy}) outside sensor")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "f": self.focal_length,
-            "width": self.width,
-            "height": self.height,
-            "pixel_pitch": self.pixel_pitch,
-            "cx": self.cx,
-            "cy": self.cy,
-            "k1": self.k1,
-            "k2": self.k2,
-            "f_mod": self.f_mod,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TofIntrinsics":
-        return cls(
-            focal_length=float(doc["f"]),
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-            pixel_pitch=float(doc["pixel_pitch"]),
-            cx=float(doc["cx"]) if "cx" in doc else None,
-            cy=float(doc["cy"]) if "cy" in doc else None,
-            k1=float(doc.get("k1", 0.0)),
-            k2=float(doc.get("k2", 0.0)),
-            f_mod=float(doc.get("f_mod", 21e6)),
-        )
+    def undistort(self, u_d, v_d):
+        return undistort_pixel(u_d, v_d, self.k1, self.k2)
 
 
 @dataclass(frozen=True)
@@ -297,33 +247,6 @@ def undistort_pixel(u_d, v_d, k1: float, k2: float):
     return u_d * scale, v_d * scale
 
 
-def unit_rays(intr: TofIntrinsics) -> np.ndarray:
-    """Unit view ray per pixel in the camera frame, after undistortion.
-
-    Shape (height, width, 3); a pixel at distance D backprojects to
-    ``D * unit_rays(intr)[j, i]``.
-    """
-    return _unit_rays(
-        intr.focal_length,
-        intr.width,
-        intr.height,
-        intr.pixel_pitch,
-        intr.cx,
-        intr.cy,
-        intr.k1,
-        intr.k2,
-    )
-
-
-def _unit_rays(f, width, height, pitch, cx, cy, k1=0.0, k2=0.0) -> np.ndarray:
-    x = (np.arange(width, dtype=np.float64) + 0.5 - cx) * pitch
-    y = (np.arange(height, dtype=np.float64) + 0.5 - cy) * pitch
-    u, v = np.meshgrid(x / f, y / f)
-    uu, vu = undistort_pixel(u, v, k1, k2)
-    norm = np.sqrt(1.0 + uu * uu + vu * vu)
-    return np.stack([uu / norm, vu / norm, 1.0 / norm], axis=-1)
-
-
 def backproject(frame: RangeFrame, intr: TofIntrinsics, keep_invalid: bool = True) -> PointCloud:
     """Lift a range frame to metric 3D points along the undistorted view rays.
 
@@ -363,33 +286,3 @@ def raw_frames_from_container(cont: FrameContainer) -> list[RawTofFrame]:
             f"expected channels {RAW_CHANNELS}, got {cont.channel_names}"
         )
     return [RawTofFrame(cont.data[k].astype(np.float64)) for k in range(cont.frames)]
-
-
-def range_frames_to_container(frames: Sequence[RangeFrame]) -> FrameContainer:
-    return FrameContainer.stack(
-        [
-            {
-                "distance": f.distance,
-                "amplitude": f.amplitude,
-                "offset": f.offset,
-                "valid": f.valid.astype(np.float32),
-            }
-            for f in frames
-        ]
-    )
-
-
-def range_frames_from_container(cont: FrameContainer) -> list[RangeFrame]:
-    if tuple(cont.channel_names) != RANGE_CHANNELS:
-        raise DimensionMismatchError(
-            f"expected channels {RANGE_CHANNELS}, got {cont.channel_names}"
-        )
-    return [
-        RangeFrame(
-            cont.channel("distance", k).astype(np.float64),
-            cont.channel("amplitude", k).astype(np.float64),
-            cont.channel("offset", k).astype(np.float64),
-            cont.channel("valid", k) > 0.5,
-        )
-        for k in range(cont.frames)
-    ]

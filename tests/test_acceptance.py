@@ -274,7 +274,7 @@ def test_criterion_8_geometry_property_suite():
     # projective scale invariance
     pts = np.stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), rng.uniform(0.2, 6.0, n)], -1)
     lam = rng.uniform(0.01, 50.0, size=(n, 1))
-    from tofir.thermal import project_points
+    from tofir.camera import project_points
 
     pix_a, _ = project_points(pts, IR)
     pix_b, _ = project_points(pts * lam, IR)

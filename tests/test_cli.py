@@ -178,6 +178,33 @@ class TestFuse:
         })
         assert main(["fuse", "--config", str(workspace / "fuse.json"), "--quiet"]) == 2
 
+    def _fuse_with_thermal_frames(self, workspace, n_thermal):
+        out = _simulate(workspace)  # 3 raw frames
+        FrameContainer.stack(
+            [{"temperature": np.full((120, 160), 300.0 + k)} for k in range(n_thermal)]
+        ).write(workspace / "thermal_seq.tirf")
+        _write_json(workspace / "fuse.json", {
+            "raw": str(out / "raw.tirf"),
+            "thermal": str(workspace / "thermal_seq.tirf"),
+            "tof_intrinsics": "tof.json",
+            "ir_intrinsics": "ir.json",
+            "extrinsics": str(out / "extrinsics.truth.json"),
+            "output": str(workspace / "fused"),
+        })
+        return main(["fuse", "--config", str(workspace / "fuse.json"), "--quiet"])
+
+    def test_one_thermal_frame_per_raw_frame(self, workspace):
+        assert self._fuse_with_thermal_frames(workspace, 3) == 0
+        cont = FrameContainer.read(workspace / "fused" / "thermogram.tirf")
+        for k in range(3):
+            valid = cont.channel("validity", k) == 0
+            assert valid.any()
+            assert np.all(cont.channel("temperature", k)[valid] == 300.0 + k)
+
+    @pytest.mark.parametrize("n_thermal", [2, 4])
+    def test_thermal_frame_count_mismatch_exit_2(self, workspace, n_thermal):
+        assert self._fuse_with_thermal_frames(workspace, n_thermal) == 2
+
 
 class TestSegment:
     def test_background_and_masks(self, workspace, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tofir import ContainerFormatError, FrameContainer
 
@@ -59,6 +61,33 @@ def test_unicode_channel_names():
     cont = FrameContainer(("température",), np.zeros((1, 2, 2, 1), np.float32))
     loaded = FrameContainer.from_bytes(cont.to_bytes())
     assert loaded.channel_names == ("température",)
+
+
+def test_non_utf8_channel_name_rejected():
+    blob = bytearray(_sample_container().to_bytes())
+    blob[24] = 0xFF  # first byte of the first channel name
+    with pytest.raises(ContainerFormatError, match="UTF-8"):
+        FrameContainer.from_bytes(bytes(blob))
+
+
+_VALID_BLOB = _sample_container().to_bytes()
+
+
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 63), st.integers(0, 255)), max_size=6
+    ),  # header, name table and the start of the payload
+    length=st.integers(0, len(_VALID_BLOB)),
+)
+@settings(max_examples=300, deadline=None)
+def test_mutated_or_truncated_blob_raises_only_format_errors(edits, length):
+    blob = bytearray(_VALID_BLOB)
+    for position, value in edits:
+        blob[position] = value
+    try:
+        FrameContainer.from_bytes(bytes(blob[:length]))
+    except ContainerFormatError:
+        pass
 
 
 def test_channel_accessor():

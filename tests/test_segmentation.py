@@ -13,7 +13,6 @@ from tofir import (
     foreground_mask,
     render_tof,
     render_tof_sequence,
-    update_median,
 )
 from tofir.segmentation import (
     BackgroundModel,
@@ -101,54 +100,50 @@ class TestBuildBackground:
 
 
 class TestUpdateMedian:
-    def _model(self, median):
-        median = np.asarray(median, dtype=np.float64)
-        zeros = np.zeros_like(median)
-        return BackgroundModel(zeros, zeros, median, np.full(median.shape, 2, np.int64))
+    """The approximate-median step rule, driven through build_background:
+    the first frame seeds the median, each later valid sample moves it by
+    +step, -step, or 0 when the sample equals it."""
+
+    def _median(self, start, frames, step):
+        seed = _frame(np.asarray(start, dtype=np.float64))
+        return build_background([seed, *frames], median_step=step).median
 
     def test_equal_frame_leaves_median(self):
-        model = self._model(np.full((3, 3), 2.0))
-        updated = update_median(model, _frame(np.full((3, 3), 2.0)), 0.01)
-        assert np.array_equal(updated.median, model.median)
+        median = self._median(np.full((3, 3), 2.0), [_frame(np.full((3, 3), 2.0))], 0.01)
+        assert np.array_equal(median, np.full((3, 3), 2.0))
 
     def test_converges_within_one_step(self):
-        model = self._model(np.zeros((2, 2)))
         target = _frame(np.full((2, 2), 0.1))
-        for _ in range(10):
-            model = update_median(model, target, 0.01)
-        assert np.all(np.abs(model.median - 0.1) <= 0.01 + 1e-12)
+        median = self._median(np.zeros((2, 2)), [target] * 10, 0.01)
+        assert np.all(np.abs(median - 0.1) <= 0.01 + 1e-12)
 
     def test_alternating_frames_oscillate_within_step(self):
         step = 0.01
-        model = self._model(np.full((2, 2), 1.0))
         hi = _frame(np.full((2, 2), 1.3))
         lo = _frame(np.full((2, 2), 0.7))
-        for _ in range(50):
-            model = update_median(model, hi, step)
-            model = update_median(model, lo, step)
-        assert np.all(np.abs(model.median - 1.0) <= step + 1e-12)
+        median = self._median(np.full((2, 2), 1.0), [hi, lo] * 50, step)
+        assert np.all(np.abs(median - 1.0) <= step + 1e-12)
 
     def test_moves_by_exactly_zero_or_step(self):
         rng = np.random.default_rng(2)
-        median = rng.uniform(1, 3, size=(5, 5))
-        model = self._model(median)
-        frame = _frame(rng.uniform(1, 3, size=(5, 5)))
-        updated = update_median(model, frame, 0.02)
-        deltas = np.unique(np.round(updated.median - median, 12))
-        assert set(deltas).issubset({-0.02, 0.0, 0.02})
+        start = rng.uniform(1, 3, size=(5, 5))
+        sample = rng.uniform(1, 3, size=(5, 5))
+        sample[0, 0] = start[0, 0]
+        median = self._median(start, [_frame(sample)], 0.02)
+        deltas = np.round(median - start, 12)
+        assert set(np.unique(deltas)) == {-0.02, 0.0, 0.02}
+        assert deltas[0, 0] == 0.0
 
     def test_invalid_pixels_untouched(self):
-        model = self._model(np.full((1, 2), 1.0))
         frame = _frame(np.full((1, 2), 9.0), np.array([[True, False]]))
-        updated = update_median(model, frame, 0.5)
-        assert updated.median[0, 0] == 1.5
-        assert updated.median[0, 1] == 1.0
+        median = self._median(np.full((1, 2), 1.0), [frame], 0.5)
+        assert median[0, 0] == 1.5
+        assert median[0, 1] == 1.0
 
     @pytest.mark.parametrize("step", [0.0, -0.1])
     def test_non_positive_step_rejected(self, step):
-        model = self._model(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            update_median(model, _frame(np.zeros((2, 2))), step)
+            self._median(np.zeros((2, 2)), [_frame(np.zeros((2, 2)))], step)
 
 
 class TestForegroundMask:

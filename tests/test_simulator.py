@@ -30,9 +30,7 @@ from tofir.simulator import (
     SATURATION_LEVEL,
     _scatter_kernel,
     noise_from_json,
-    noise_to_json,
     scene_from_json,
-    scene_to_json,
 )
 from tofir.tof import SPEED_OF_LIGHT
 
@@ -345,8 +343,19 @@ class TestMakeCalibrationSet:
 
 
 class TestJsonDocuments:
-    def test_scene_round_trip(self, blob_scene):
-        assert scene_from_json(scene_to_json(blob_scene)) == blob_scene
+    def test_scene_from_literal_document(self, blob_scene):
+        doc = {
+            "primitives": [
+                {"type": "plane", "axis": "z", "offset": 3.0, "reflectivity": 1.0,
+                 "temperature": 300.0},
+                {"type": "sphere", "center": [0.0, 0.0, 1.0], "radius": 0.2,
+                 "reflectivity": 1.0, "temperature": 310.0},
+            ],
+        }
+        assert scene_from_json(doc) == blob_scene
+        doc.update(ambient_temperature=280.0, background_distance=9.0,
+                   background_reflectivity=0.25)
+        assert scene_from_json(doc) == Scene(blob_scene.primitives, 280.0, 9.0, 0.25)
 
     def test_scene_errors_name_the_field(self):
         with pytest.raises(ValueError, match="primitives"):
@@ -356,12 +365,17 @@ class TestJsonDocuments:
         with pytest.raises(ValueError, match="unknown type"):
             scene_from_json({"primitives": [{"type": "cone"}]})
 
-    def test_noise_round_trip(self):
+    def test_noise_from_literal_document(self):
+        doc = {"seed": 5, "phase_noise_scale": 0.1, "bucket_noise_sigma": 0.2,
+               "saturation_fraction": 0.01,
+               "multipath": {"enabled": True, "extra_distance": 1.5, "relative_amplitude": 0.3},
+               "scattering": {"enabled": True, "kernel_radius": 3, "energy_fraction": 0.2}}
         noise = NoiseConfig(seed=5, phase_noise_scale=0.1, bucket_noise_sigma=0.2,
                             saturation_fraction=0.01,
                             multipath=MultipathConfig(True, 1.5, 0.3),
                             scattering=ScatteringConfig(True, 3, 0.2))
-        assert noise_from_json(noise_to_json(noise)) == noise
+        assert noise_from_json(doc) == noise
+        assert noise_from_json({}) == NoiseConfig()
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from tofir import (
-    BehindCameraError,
     IrIntrinsics,
     OutOfFieldError,
     ThermalFrame,
-    project_to_ir,
     sample_temperature,
 )
+from tofir.camera import project_points
 from tofir.thermal import (
-    project_points,
     sample_temperature_grid,
     thermal_frames_from_container,
     thermal_frames_to_container,
@@ -22,29 +20,35 @@ def _unit_projection_intrinsics():
     return IrIntrinsics(focal_length=2.0, width=10, height=10, pixel_pitch=1.0, cx=0.0, cy=0.0)
 
 
+def _project(point, intr):
+    pixels, in_front = project_points(np.asarray([point], dtype=np.float64), intr)
+    return tuple(pixels[0]), bool(in_front[0])
+
+
 class TestProjection:
     def test_on_axis_point_hits_principal_point(self, ir_intr):
         for z in (0.1, 1.0, 42.0):
-            assert project_to_ir((0.0, 0.0, z), ir_intr) == (ir_intr.cx, ir_intr.cy)
+            assert _project((0.0, 0.0, z), ir_intr) == ((ir_intr.cx, ir_intr.cy), True)
 
     def test_similar_triangles_example(self):
-        r, s = project_to_ir((1.0, 2.0, 4.0), _unit_projection_intrinsics())
+        (r, s), _ = _project((1.0, 2.0, 4.0), _unit_projection_intrinsics())
         assert (r, s) == pytest.approx((0.5, 1.0), rel=1e-15)
 
     def test_scale_invariance(self, ir_intr):
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            point = np.array([rng.normal(), rng.normal(), rng.uniform(0.2, 5.0)])
-            lam = rng.uniform(0.01, 100.0)
-            r0, s0 = project_to_ir(point, ir_intr)
-            r1, s1 = project_to_ir(lam * point, ir_intr)
-            assert r1 == pytest.approx(r0, rel=1e-12)
-            assert s1 == pytest.approx(s0, rel=1e-12)
+        points = np.column_stack(
+            [rng.normal(size=50), rng.normal(size=50), rng.uniform(0.2, 5.0, size=50)]
+        )
+        lam = rng.uniform(0.01, 100.0, size=(50, 1))
+        pix0, _ = project_points(points, ir_intr)
+        pix1, _ = project_points(lam * points, ir_intr)
+        assert pix1 == pytest.approx(pix0, rel=1e-12)
 
     @pytest.mark.parametrize("z", [0.0, -1.0])
-    def test_behind_camera_raises(self, ir_intr, z):
-        with pytest.raises(BehindCameraError):
-            project_to_ir((0.5, 0.5, z), ir_intr)
+    def test_behind_camera_flagged(self, ir_intr, z):
+        (r, s), in_front = _project((0.5, 0.5, z), ir_intr)
+        assert not in_front
+        assert np.isnan(r) and np.isnan(s)
 
     def test_vectorized_projection_flags_instead_of_raising(self, ir_intr):
         points = np.array([[0.0, 0.0, 2.0], [1.0, 1.0, -1.0]])
@@ -134,11 +138,6 @@ class TestBilinearSampling:
         values, ok = sample_temperature_grid(frame, np.array([np.nan]), np.array([1.0]))
         assert not ok[0] and values[0] == 0.0
 
-    def test_unknown_method_rejected(self):
-        frame = ThermalFrame(np.full((4, 4), 300.0))
-        with pytest.raises(ValueError, match="method"):
-            sample_temperature(frame, 1.0, 1.0, method="bicubic")
-
 
 class TestTypes:
     def test_temperatures_must_be_positive(self):
@@ -146,6 +145,11 @@ class TestTypes:
             ThermalFrame(np.array([[300.0, -1.0]]))
         with pytest.raises(ValueError):
             ThermalFrame(np.array([[300.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_temperatures_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ThermalFrame(np.array([[300.0, bad]]))
 
     def test_json_round_trip(self, ir_intr):
         doc = ir_intr.to_json_dict()

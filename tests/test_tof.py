@@ -19,8 +19,6 @@ from tofir import (
     undistort_pixel,
 )
 from tofir.tof import (
-    range_frames_from_container,
-    range_frames_to_container,
     raw_frames_from_container,
     raw_frames_to_container,
     unit_rays,
@@ -268,12 +266,3 @@ class TestContainers:
         assert len(back) == 3
         for orig, loaded in zip(frames, back):
             assert np.allclose(orig.samples, loaded.samples, rtol=1e-6)
-
-    def test_range_round_trip(self):
-        rng = np.random.default_rng(6)
-        distance = rng.uniform(0, 7, size=(6, 8))
-        valid = rng.uniform(size=(6, 8)) > 0.3
-        frame = RangeFrame(distance, distance * 0.1, distance * 0.2, valid)
-        back = range_frames_from_container(range_frames_to_container([frame]))[0]
-        assert np.array_equal(back.valid, valid)
-        assert np.allclose(back.distance, distance, rtol=1e-6)

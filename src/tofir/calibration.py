@@ -20,6 +20,7 @@ wrong. An analytic Jacobian can replace `_jacobian` behind the same interface.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,7 +41,11 @@ _MAX_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class TargetObservation:
-    """One calibration target: range-camera pixel + known distance + IR pixel."""
+    """One calibration target: range-camera pixel + known distance + IR pixel.
+
+    Every field must be finite: a NaN or infinite value raises ``ValueError``
+    here instead of reaching the solver, which could not converge on it.
+    """
 
     u: float  # range-camera x, pixels
     v: float  # range-camera y, pixels
@@ -49,6 +54,11 @@ class TargetObservation:
     ir_y: float  # measured IR y, pixels
 
     def __post_init__(self):
+        values = (self.u, self.v, self.distance, self.ir_x, self.ir_y)
+        if not all(math.isfinite(value) for value in values):
+            raise ValueError(
+                f"observation values must be finite, got {[float(v) for v in values]}"
+            )
         if self.distance <= 0:
             raise ValueError(f"target distance must be positive, got {self.distance}")
 

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ class Pinhole:
     ``focal_length`` and ``pixel_pitch`` share one metric unit; the principal
     point (cx, cy) is in pixels and defaults to the image center. JSON
     documents store the focal length under ``"f"``; keys that are not fields
-    of the class are ignored when loading.
+    of the class are ignored when loading, and a width or height that is not
+    a whole number raises ``ValueError``.
     """
 
     focal_length: float
@@ -70,8 +72,17 @@ class Pinhole:
         for f in dataclasses.fields(cls):
             key = _JSON_KEYS.get(f.name, f.name)
             if key in doc or f.default is dataclasses.MISSING:
-                kwargs[f.name] = (int if f.name in ("width", "height") else float)(doc[key])
+                convert = _pixel_count if f.name in ("width", "height") else float
+                kwargs[f.name] = convert(doc[key])
         return cls(**kwargs)
+
+
+def _pixel_count(value) -> int:
+    # 64 and 64.0 load as 64; 64.7 is not a sensor size, so it is not truncated
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"sensor width and height must be whole pixel counts, got {value!r}")
+    return int(number)
 
 
 def pixel_rays(intr: Pinhole, x, y):
@@ -87,16 +98,20 @@ def pixel_rays(intr: Pinhole, x, y):
     return uu, vu, np.sqrt(1.0 + uu * uu + vu * vu)
 
 
+@functools.lru_cache(maxsize=1)
 def unit_rays(intr: Pinhole) -> np.ndarray:
     """Unit view ray per pixel in the camera frame, after undistortion.
 
     Shape (height, width, 3); a pixel at distance D backprojects to
-    ``D * unit_rays(intr)[j, i]``.
+    ``D * unit_rays(intr)[j, i]``. The grid depends only on the (frozen)
+    intrinsics, so the last one built is kept and returned read-only.
     """
     x = np.arange(intr.width, dtype=np.float64)[None, :] + 0.5
     y = np.arange(intr.height, dtype=np.float64)[:, None] + 0.5
     uu, vu, norm = pixel_rays(intr, x, y)
-    return np.stack([uu / norm, vu / norm, 1.0 / norm], axis=-1)
+    rays = np.stack([uu / norm, vu / norm, 1.0 / norm], axis=-1)
+    rays.flags.writeable = False
+    return rays
 
 
 def project_points(points: np.ndarray, intr: Pinhole) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +126,14 @@ def project_points(points: np.ndarray, intr: Pinhole) -> tuple[np.ndarray, np.nd
     z = points[:, 2]
     in_front = z > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = intr.cx + intr.focal_length * points[:, 0] / (z * intr.pixel_pitch)
-        s = intr.cy + intr.focal_length * points[:, 1] / (z * intr.pixel_pitch)
+        depth = z * intr.pixel_pitch
+        # c + f * X / depth with in-place steps, rounded as the expression is
+        r = points[:, 0] * intr.focal_length
+        r /= depth
+        r += intr.cx
+        s = points[:, 1] * intr.focal_length
+        s /= depth
+        s += intr.cy
     pixels = np.stack([r, s], axis=-1)
     pixels[~in_front] = np.nan
     return pixels, in_front

@@ -90,19 +90,33 @@ class FrameContainer:
     def stack(cls, frames: Sequence[Mapping[str, np.ndarray]]) -> "FrameContainer":
         """Build a container from per-frame mappings of name -> (H, W) plane.
 
-        All frames must share the same channel names in the same order.
+        All frames must share the same channel names in the same order and
+        every plane the shape of the first one; planes are written straight
+        into the float32 stack.
         """
         if not frames:
             raise ContainerFormatError("at least one frame required")
         names = tuple(frames[0])
-        planes = []
+        if not names:
+            raise ContainerFormatError("at least one channel required")
+        shape = np.shape(frames[0][names[0]])
+        if len(shape) != 2:
+            raise ContainerFormatError(f"planes must be 2-d (height, width), got shape {shape}")
+        data = np.empty((len(frames),) + shape + (len(names),), dtype="<f4")
         for i, frame in enumerate(frames):
             if tuple(frame) != names:
                 raise ContainerFormatError(f"frame {i} channels {tuple(frame)} != {names}")
-            planes.append(np.stack([np.asarray(frame[n]) for n in names], axis=-1))
-        return cls(names, np.stack(planes, axis=0))
+            for c, name in enumerate(names):
+                plane = np.asarray(frame[name])
+                if plane.shape != shape:
+                    raise ContainerFormatError(
+                        f"frame {i} channel {name!r} has shape {plane.shape}, expected {shape}"
+                    )
+                data[i, :, :, c] = plane
+        return cls(names, data)
 
-    def to_bytes(self) -> bytes:
+    def _head(self) -> bytes:
+        """Header and channel name table: everything before the payload."""
         parts = [
             _HEADER.pack(MAGIC, VERSION, self.width, self.height, self.channels, self.frames)
         ]
@@ -110,11 +124,14 @@ class FrameContainer:
             raw = name.encode("utf-8")
             parts.append(_NAME_LEN.pack(len(raw)))
             parts.append(raw)
-        parts.append(self.data.tobytes())
         return b"".join(parts)
+
+    def to_bytes(self) -> bytes:
+        return self._head() + self.data.tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "FrameContainer":
+        blob = bytes(blob)  # a no-op for bytes; the data must not alias a mutable buffer
         if len(blob) < _HEADER.size:
             raise ContainerFormatError(f"blob too short for header ({len(blob)} bytes)")
         magic, version, width, height, channels, frames = _HEADER.unpack_from(blob, 0)
@@ -137,7 +154,7 @@ class FrameContainer:
                 raise ContainerFormatError(f"channel name is not UTF-8: {exc}") from None
             offset += length
         expected = width * height * channels * frames * 4
-        payload = blob[offset:]
+        payload = memoryview(blob)[offset:]  # no copy of the payload
         if len(payload) != expected:
             raise ContainerFormatError(
                 f"payload is {len(payload)} bytes, header implies {expected}"
@@ -146,7 +163,10 @@ class FrameContainer:
         return cls(tuple(names), data)
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        # the payload goes straight from the array, without a bytes copy
+        with open(path, "wb") as fh:
+            fh.write(self._head())
+            fh.write(self.data.data)
 
     @classmethod
     def read(cls, path: str | Path) -> "FrameContainer":

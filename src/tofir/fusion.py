@@ -70,7 +70,10 @@ class Extrinsics:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform (..., 3) points."""
-        return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
+        moved = np.asarray(points, dtype=np.float64) @ self.rotation.T
+        for axis in range(3):  # one long loop per axis, not n loops of length 3
+            moved[..., axis] += self.translation[axis]
+        return moved
 
     def inverse(self) -> "Extrinsics":
         rt = self.rotation.T
@@ -158,23 +161,22 @@ def fuse(
         )
     cloud = backproject(range_frame, tof_intr)  # also checks TOF dimensions
     pts_ir = ext.apply(cloud.points)
-
-    reason = np.full(len(cloud), int(FuseReason.VALID), dtype=np.uint8)
-    reason[~cloud.valid] = FuseReason.INVALID_RANGE
-
-    in_front = pts_ir[:, 2] > 0
-    behind = cloud.valid & ~in_front
-    reason[behind] = FuseReason.BEHIND_IR_CAMERA
-
-    pixels, _ = project_points(pts_ir, ir_intr)
+    pixels, in_front = project_points(pts_ir, ir_intr)
     temps, in_field = sample_temperature_grid(thermal, pixels[:, 0], pixels[:, 1])
-    out_of_field = cloud.valid & in_front & ~in_field
-    reason[out_of_field] = FuseReason.OUT_OF_IR_FIELD
+
+    # later stages overwrite earlier ones: a point behind the camera projects
+    # to NaN and is never in the field, and an invalid range trumps both
+    reason = np.full(len(cloud), int(FuseReason.OUT_OF_IR_FIELD), dtype=np.uint8)
+    reason[in_field] = FuseReason.VALID
+    reason[~in_front] = FuseReason.BEHIND_IR_CAMERA
+    invalid = ~cloud.valid
+    reason[invalid] = FuseReason.INVALID_RANGE
+    temps[invalid] = 0.0  # sampling already zeroed every entry outside the field
 
     shape = (range_frame.height, range_frame.width)
-    valid = reason == FuseReason.VALID
-    temperature = np.where(valid, temps, 0.0).reshape(shape)
-    return Thermogram(cloud.points.reshape(shape + (3,)), temperature, reason.reshape(shape))
+    return Thermogram(
+        cloud.points.reshape(shape + (3,)), temps.reshape(shape), reason.reshape(shape)
+    )
 
 
 def fuse_summary(thermogram: Thermogram) -> dict[str, float]:

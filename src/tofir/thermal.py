@@ -82,31 +82,64 @@ def sample_temperature_grid(
     NaN coordinates count as out of field. Returned values are zero wherever
     the flag is False.
     """
-    temps = frame.temperatures
-    height, width = temps.shape
+    height, width = frame.temperatures.shape
+    temps = frame.temperatures.reshape(-1)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        in_field = (xs >= 0.5) & (xs <= width - 0.5) & (ys >= 0.5) & (ys <= height - 0.5)
-    xc = np.clip(np.nan_to_num(xs, nan=0.5), 0.5, width - 0.5) - 0.5
-    yc = np.clip(np.nan_to_num(ys, nan=0.5), 0.5, height - 0.5) - 0.5
-    i0 = np.minimum(xc.astype(np.int64), width - 2) if width > 1 else np.zeros_like(xc, np.int64)
-    j0 = np.minimum(yc.astype(np.int64), height - 2) if height > 1 else np.zeros_like(yc, np.int64)
-    fx = xc - i0
-    fy = yc - j0
-    i1 = np.minimum(i0 + 1, width - 1)
-    j1 = np.minimum(j0 + 1, height - 1)
-    t00 = temps[j0, i0]
-    t10 = temps[j0, i1]
-    t01 = temps[j1, i0]
-    t11 = temps[j1, i1]
-    values = (
-        (1.0 - fx) * (1.0 - fy) * t00
-        + fx * (1.0 - fy) * t10
-        + (1.0 - fx) * fy * t01
-        + fx * fy * t11
-    )
-    return np.where(in_field, values, 0.0), in_field
+    if xs.shape != ys.shape:
+        xs, ys = np.broadcast_arrays(xs, ys)
+    shape = xs.shape
+    xs = xs.reshape(-1)
+    ys = ys.reshape(-1)
+    in_field = xs >= 0.5
+    in_field &= xs <= width - 0.5
+    in_field &= ys >= 0.5
+    in_field &= ys <= height - 0.5
+    # out-of-field entries read pixel 0 and are zeroed at the end
+    xc = np.where(in_field, xs, 0.5)
+    xc -= 0.5
+    yc = np.where(in_field, ys, 0.5)
+    yc -= 0.5
+    i0 = _lower_index(xc, width)
+    j0 = _lower_index(yc, height)
+    fx = np.subtract(xc, i0, out=xc)
+    fy = np.subtract(yc, j0, out=yc)
+    # one flat index walks the four neighbours: (i0, j0), (i1, j0), (i1, j1), (i0, j1)
+    index = np.multiply(j0, width, out=j0)
+    index += i0
+    step_x = 1 if width > 1 else 0
+    step_y = width if height > 1 else 0
+    t00 = temps.take(index)
+    index += step_x
+    t10 = temps.take(index)
+    index += step_y
+    t11 = temps.take(index)
+    index -= step_x
+    t01 = temps.take(index)
+    # (1-fx)(1-fy) t00 + fx (1-fy) t10 + (1-fx) fy t01 + fx fy t11, summed left to right
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    values = gx * gy
+    values *= t00
+    term = np.multiply(fx, gy, out=gy)
+    term *= t10
+    values += term
+    term = np.multiply(gx, fy, out=term)
+    term *= t01
+    values += term
+    term = np.multiply(fx, fy, out=term)
+    term *= t11
+    values += term
+    values[~in_field] = 0.0
+    return values.reshape(shape), in_field.reshape(shape)
+
+
+def _lower_index(coord: np.ndarray, size: int) -> np.ndarray:
+    """Index of the lower of the two pixel centers bracketing ``coord``."""
+    if size == 1:
+        return np.zeros(coord.shape, dtype=np.int64)
+    index = coord.astype(np.int64)
+    return np.minimum(index, size - 2, out=index)
 
 
 def thermal_frames_to_container(frames: Sequence[ThermalFrame]) -> FrameContainer:

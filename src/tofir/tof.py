@@ -180,7 +180,8 @@ def demodulate(
     """Recover distance, amplitude and offset from the four buckets.
 
     Pixels with zero amplitude (A1 == A3 and A2 == A4) carry no phase
-    information and are marked invalid rather than raising. The optional
+    information and are marked invalid rather than raising, as are pixels
+    with a NaN or infinite bucket (without a RuntimeWarning). The optional
     exposure thresholds apply the same rule as
     :func:`tofir.segmentation.flag_invalid`.
     """
@@ -189,16 +190,26 @@ def demodulate(
             f"raw frame is {raw.width}x{raw.height}, intrinsics say "
             f"{intr.width}x{intr.height}"
         )
-    s = raw.samples
-    d13 = s[..., 0] - s[..., 2]
-    d24 = s[..., 1] - s[..., 3]
-    phase = np.mod(np.arctan2(d13, d24), _TWO_PI)
-    # np.mod can round a tiny negative angle up to exactly 2*pi
+    s0, s1, s2, s3 = (raw.samples[..., k] for k in range(4))
+    d13 = s0 - s2
+    d24 = s1 - s3
+    phase = np.arctan2(d13, d24)
+    # np.mod(phase, 2*pi) in place: negative angles gain 2*pi, the rest gain
+    # +0.0, which turns -0.0 into +0.0 as np.mod does
+    phase += (phase < 0.0) * _TWO_PI
+    # adding 2*pi can round a tiny negative angle up to exactly 2*pi
     phase[phase >= _TWO_PI] = 0.0
-    amplitude = np.hypot(d13, d24) / 2.0
-    offset = s.sum(axis=-1) / 4.0
-    distance = SPEED_OF_LIGHT * phase / (4.0 * math.pi * intr.f_mod)
+    amplitude = np.hypot(d13, d24)
+    amplitude /= 2.0
+    offset = s0 + s1
+    offset += s2
+    offset += s3
+    offset /= 4.0
+    distance = np.multiply(phase, SPEED_OF_LIGHT, out=phase)
+    distance /= 4.0 * math.pi * intr.f_mod
     valid = amplitude > 0.0
+    # buckets are non-negative, so a NaN or inf bucket makes the offset non-finite
+    valid &= np.isfinite(offset)
     valid &= ~exposure_outliers(amplitude, offset, a_min, a_max, b_max)
     return RangeFrame(distance, amplitude, offset, valid)
 
@@ -261,7 +272,10 @@ def backproject(frame: RangeFrame, intr: TofIntrinsics, keep_invalid: bool = Tru
             f"{intr.width}x{intr.height}"
         )
     rays = unit_rays(intr)
-    points = (frame.distance[..., None] * rays).reshape(-1, 3)
+    points = np.empty(rays.shape)
+    for axis in range(3):  # D * ray, one long loop per axis
+        np.multiply(frame.distance, rays[..., axis], out=points[..., axis])
+    points = points.reshape(-1, 3)
     valid = frame.valid.ravel().copy()
     points[~valid] = 0.0
     indices = np.arange(points.shape[0], dtype=np.int64)

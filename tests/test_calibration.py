@@ -316,6 +316,20 @@ class TestObservationIO:
         loaded = load_observations(path)
         assert loaded == obs
 
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_rejected(self, field, bad):
+        values = [10.0, 20.0, 2.0, 80.0, 60.0]
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TargetObservation(*values)
+
+    def test_nan_cell_in_file_rejected(self, tmp_path):
+        path = tmp_path / "obs.txt"
+        path.write_text("10 20 2 80 60\n30 40 3 nan 61\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_observations(path)
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2 3\n4 5 6\n")

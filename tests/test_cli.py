@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from conftest import geodesic_degrees, rotation_about
 
+import tofir
 from tofir import Extrinsics, FrameContainer
 from tofir.cli import main
 
@@ -144,6 +148,26 @@ class TestCalibrate:
     def test_missing_observations_exit_2(self, workspace):
         assert self._calibrate(workspace, observations="nowhere.txt") == 2
 
+    def test_nan_observation_exit_2_without_extrinsics(self, workspace, capsys):
+        _simulate(workspace)
+        path = workspace / "out" / "observations.txt"
+        rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][:4]
+        cells = rows[2].split()
+        cells[3] = "nan"
+        rows[2] = " ".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        assert self._calibrate(workspace) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (workspace / "cal" / "extrinsics.json").exists()
+
+    def test_non_integral_sensor_size_exit_2(self, workspace, capsys):
+        _simulate(workspace)
+        _write_json(workspace / "ir.json", {
+            "f": 4.8e-3, "width": 160, "height": 119.5, "pixel_pitch": 25e-6,
+        })
+        assert self._calibrate(workspace) == 2
+        assert "ir_intrinsics" in capsys.readouterr().err
+
 
 class TestFuse:
     def test_thermogram_outputs(self, workspace, capsys):
@@ -236,6 +260,72 @@ class TestSegment:
             "output": str(workspace / "seg"),
         })
         assert main(["segment", "--config", str(workspace / "seg.json"), "--quiet"]) == 2
+
+
+class TestDeterminism:
+    """fuse and segment write the same bytes in-process and in fresh
+    interpreters with one or four BLAS/OpenMP threads."""
+
+    ARTIFACTS = {
+        "fuse": ("thermogram.tirf", "thermogram.txt"),
+        "segment": ("background.tirf", "masks.tirf", "mask_0000.pbm", "mask_0002.pbm"),
+    }
+
+    def _configs(self, workspace):
+        out = _simulate(workspace)
+        # background frames from the wall alone, so the sphere is foreground
+        scene = json.loads((workspace / "scene.json").read_text())
+        _write_json(workspace / "wall.json", {**scene, "primitives": scene["primitives"][:1]})
+        _write_json(workspace / "sim_bg.json", {
+            **json.loads((workspace / "sim.json").read_text()),
+            "scene": "wall.json", "output": str(workspace / "bg"),
+        })
+        assert main(["simulate", "--config", str(workspace / "sim_bg.json"), "--quiet"]) == 0
+        _write_json(workspace / "fuse.json", {
+            "raw": str(out / "raw.tirf"),
+            "thermal": str(out / "thermal.tirf"),
+            "tof_intrinsics": "tof.json",
+            "ir_intrinsics": "ir.json",
+            "extrinsics": str(out / "extrinsics.truth.json"),
+        })
+        _write_json(workspace / "segment.json", {
+            "background": str(workspace / "bg" / "raw.tirf"),
+            "frames": str(out / "raw.tirf"),
+            "tof_intrinsics": "tof.json",
+            "k": 3.0,
+        })
+
+    def _read(self, command, out):
+        return {name: (out / name).read_bytes() for name in self.ARTIFACTS[command]}
+
+    def test_fuse_and_segment_byte_identical(self, workspace):
+        self._configs(workspace)
+        # the subprocesses import the package from where this process found it
+        pythonpath = os.pathsep.join(
+            filter(None, [str(Path(tofir.__file__).resolve().parents[1]),
+                          os.environ.get("PYTHONPATH")])
+        )
+        for command in ("fuse", "segment"):
+            config = str(workspace / f"{command}.json")
+            runs = []
+            for run in ("a", "b"):
+                out = workspace / f"{command}-{run}"
+                assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 0
+                runs.append(self._read(command, out))
+            for threads in ("1", "4"):
+                out = workspace / f"{command}-threads{threads}"
+                env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                           MKL_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "tofir.cli", command, "--config", config,
+                     "--output", str(out), "--quiet"],
+                    env=env, capture_output=True, text=True,
+                )
+                assert proc.returncode == 0, proc.stderr
+                runs.append(self._read(command, out))
+            assert all(run == runs[0] for run in runs[1:]), command
+        masks = FrameContainer.read(workspace / "segment-a" / "masks.tirf")
+        assert masks.channel("foreground", 0).any()
 
 
 class TestCommonBehavior:

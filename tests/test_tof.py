@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from tofir import (
     DimensionMismatchError,
+    FuseReason,
+    IrIntrinsics,
     RangeFrame,
     RawTofFrame,
     SPEED_OF_LIGHT,
     TofIntrinsics,
     backproject,
+    build_background,
     demodulate,
+    fuse,
     phase_for_distance,
+    render_ir,
     synthesize_buckets,
     unambiguous_range,
     undistort_pixel,
@@ -80,6 +85,35 @@ class TestDemodulate:
         dphi = np.abs(frame.distance.ravel() * 4 * math.pi * 21e6 / SPEED_OF_LIGHT - phase)
         dphi = np.minimum(dphi, 2.0 * math.pi - dphi)
         assert dphi.max() <= 1e-9 * 2.0 * math.pi
+
+
+class TestNonFiniteBuckets:
+    """A NaN or inf bucket makes its pixel invalid, silently, in every stage."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bucket", range(4))
+    def test_pixel_invalid_in_demodulate_fuse_and_background(
+        self, tof_intr, ir_intr, baseline_ext, blob_scene, bucket, bad
+    ):
+        frames = []
+        for k in range(3):
+            buckets = np.tile(np.array([2.0, 1.0 + 0.1 * k, 0.0, 1.0]), (50, 64, 1))
+            buckets[10, 20, bucket] = bad
+            frames.append(demodulate(RawTofFrame(buckets), tof_intr))
+        frame = frames[0]
+        assert not frame.valid[10, 20]
+        assert np.count_nonzero(~frame.valid) == 1
+
+        thermal = render_ir(blob_scene, ir_intr, baseline_ext.inverse())
+        tg = fuse(frame, thermal, tof_intr, ir_intr, baseline_ext)
+        assert tg.reason[10, 20] == FuseReason.INVALID_RANGE
+        assert tg.temperature[10, 20] == 0.0
+        assert np.all(tg.points[10, 20] == 0.0)
+
+        model = build_background(frames)
+        assert model.count[10, 20] == 0
+        assert np.count_nonzero(model.count == 3) == 64 * 50 - 1
 
 
 @given(
@@ -255,6 +289,21 @@ class TestIntrinsicsJson:
         base.update(kwargs)
         with pytest.raises(ValueError):
             TofIntrinsics(**base)
+
+    @pytest.mark.parametrize("cls", [TofIntrinsics, IrIntrinsics])
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_non_integral_sensor_size_rejected(self, cls, key):
+        doc = {"f": 4e-3, "width": 64, "height": 50, "pixel_pitch": 45e-6, key: 64.7}
+        with pytest.raises(ValueError, match="whole pixel"):
+            cls.from_json_dict(doc)
+
+    @pytest.mark.parametrize("cls", [TofIntrinsics, IrIntrinsics])
+    @pytest.mark.parametrize("width", [64, 64.0])
+    def test_integral_sensor_size_loads_as_int(self, cls, width):
+        intr = cls.from_json_dict({"f": 4e-3, "width": width, "height": 50.0,
+                                   "pixel_pitch": 45e-6})
+        assert (intr.width, intr.height) == (64, 50)
+        assert type(intr.width) is int and type(intr.height) is int
 
 
 class TestContainers:

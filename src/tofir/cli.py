@@ -132,19 +132,7 @@ def cmd_simulate(args) -> int:
     raws = [r for r, _ in rendered]
     truths = [t for _, t in rendered]
     tof.raw_frames_to_container(raws).write(out / "raw.tirf")
-    FrameContainer.stack(
-        [
-            {
-                "range": t.range,
-                "x": t.points[:, :, 0],
-                "y": t.points[:, :, 1],
-                "z": t.points[:, :, 2],
-                "temperature": t.temperature,
-                "outlier": t.outlier_mask.astype(np.float32),
-            }
-            for t in truths
-        ]
-    ).write(out / "raw.truth.tirf")
+    simulator.TRUTH_SCHEMA.pack(truths).write(out / "raw.truth.tirf")
 
     ir_frame = simulator.render_ir(scene, ir_intr, ext.inverse(),
                                    blur_sigma=float(cfg.get("ir_blur_sigma", 0.0)))

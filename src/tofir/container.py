@@ -13,19 +13,20 @@ channels. On-disk layout, all integers little-endian:
 
 The payload length must equal width * height * channels * frame_count * 4
 bytes and channel names must be unique. Byte order is little-endian
-regardless of host; big-endian readers must swap.
+regardless of host; big-endian readers must swap. Each record type declares
+its channel layout once, as a :class:`ChannelSchema` beside its class.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContainerFormatError
+from .errors import ContainerFormatError, DimensionMismatchError
 
 MAGIC = b"TIRF"
 VERSION = 1
@@ -80,11 +81,6 @@ class FrameContainer:
         except ValueError:
             raise KeyError(f"no channel {name!r}, have {self.channel_names}") from None
         return self.data[frame, :, :, index]
-
-    @classmethod
-    def single_frame(cls, channels: Mapping[str, np.ndarray]) -> "FrameContainer":
-        """Build a one-frame container from named (height, width) planes."""
-        return cls.stack([channels])
 
     @classmethod
     def stack(cls, frames: Sequence[Mapping[str, np.ndarray]]) -> "FrameContainer":
@@ -171,3 +167,64 @@ class FrameContainer:
     @classmethod
     def read(cls, path: str | Path) -> "FrameContainer":
         return cls.from_bytes(Path(path).read_bytes())
+
+
+@dataclass(frozen=True)
+class ChannelSchema:
+    """How one record type is stored: one container frame per record.
+
+    ``fields`` maps the record's stored attributes, in file order, to their
+    channel names: one name for an (H, W) attribute, n names for an
+    (H, W, n) one. ``integral`` maps an attribute to the closed range of
+    whole numbers its channels may hold; :meth:`unpack` rejects any other
+    value. Unpacked attributes are float32 views of the container, and the
+    record's constructor casts them to the record's dtypes.
+    """
+
+    record: type
+    fields: Mapping[str, tuple[str, ...]]
+    integral: Mapping[str, tuple[int, int]] = field(default_factory=dict)
+
+    @property
+    def channel_names(self) -> tuple[str, ...]:
+        return tuple(name for names in self.fields.values() for name in names)
+
+    def pack(self, records: Sequence) -> FrameContainer:
+        frames = []
+        for record in records:
+            planes = {}
+            for attr, names in self.fields.items():
+                value = getattr(record, attr)
+                if len(names) == 1:
+                    planes[names[0]] = value
+                else:
+                    planes.update((name, value[:, :, k]) for k, name in enumerate(names))
+            frames.append(planes)
+        return FrameContainer.stack(frames)
+
+    def unpack(self, cont: FrameContainer) -> list:
+        if cont.channel_names != self.channel_names:
+            raise DimensionMismatchError(
+                f"expected channels {self.channel_names}, got {cont.channel_names}"
+            )
+        records = []
+        for k in range(cont.frames):
+            values = {}
+            start = 0
+            for attr, names in self.fields.items():
+                stop = start + len(names)
+                view = cont.data[k, :, :, start:stop]
+                if len(names) == 1:
+                    view = view[:, :, 0]
+                if attr in self.integral:
+                    low, high = self.integral[attr]
+                    # NaN fails every comparison
+                    if not np.all((view >= low) & (view <= high) & (np.floor(view) == view)):
+                        raise ContainerFormatError(
+                            f"frame {k} channels {names} must hold whole numbers "
+                            f"in [{low}, {high}]"
+                        )
+                values[attr] = view
+                start = stop
+            records.append(self.record(**values))
+        return records

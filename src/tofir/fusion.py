@@ -12,21 +12,21 @@ to thin silhouette bands; treat it as a documented limitation.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from .camera import project_points
-from .container import FrameContainer
+from .container import ChannelSchema
 from .errors import DimensionMismatchError
 from .thermal import IrIntrinsics, ThermalFrame, sample_temperature_grid
 from .tof import PointCloud, RangeFrame, TofIntrinsics, backproject
 
-THERMOGRAM_CHANNELS = ("x", "y", "z", "temperature", "validity")
-
 _ORTHONORMALITY_TOL = 1e-9
+
+_TEXT_ROW = " ".join(["%.9g"] * 5) + "\n"
+_TEXT_BLOCK_ROWS = 4096  # rows formatted per % operation
 
 
 class FuseReason(IntEnum):
@@ -129,6 +129,15 @@ class Thermogram:
         return self.reason == FuseReason.VALID
 
 
+THERMOGRAM_SCHEMA = ChannelSchema(
+    Thermogram,
+    {"points": ("x", "y", "z"), "temperature": ("temperature",), "reason": ("validity",)},
+    integral={"reason": (int(min(FuseReason)), int(max(FuseReason)))},
+)
+thermograms_to_container = THERMOGRAM_SCHEMA.pack
+thermograms_from_container = THERMOGRAM_SCHEMA.unpack
+
+
 def transform_points(cloud: PointCloud, ext: Extrinsics) -> PointCloud:
     """Map every cloud point through the rigid transform, keeping flags."""
     return PointCloud(
@@ -188,43 +197,12 @@ def fuse_summary(thermogram: Thermogram) -> dict[str, float]:
     }
 
 
-def thermograms_to_container(thermograms) -> FrameContainer:
-    return FrameContainer.stack(
-        [
-            {
-                "x": t.points[:, :, 0],
-                "y": t.points[:, :, 1],
-                "z": t.points[:, :, 2],
-                "temperature": t.temperature,
-                "validity": t.reason.astype(np.float32),
-            }
-            for t in thermograms
-        ]
-    )
-
-
-def thermograms_from_container(cont: FrameContainer) -> list[Thermogram]:
-    if tuple(cont.channel_names) != THERMOGRAM_CHANNELS:
-        raise DimensionMismatchError(
-            f"expected channels {THERMOGRAM_CHANNELS}, got {cont.channel_names}"
-        )
-    out = []
-    for k in range(cont.frames):
-        points = np.stack(
-            [cont.channel(c, k).astype(np.float64) for c in ("x", "y", "z")], axis=-1
-        )
-        out.append(
-            Thermogram(
-                points,
-                cont.channel("temperature", k).astype(np.float64),
-                np.rint(cont.channel("validity", k)).astype(np.uint8),
-            )
-        )
-    return out
-
-
 def thermogram_to_text(thermogram: Thermogram) -> str:
-    """Whitespace-delimited table (x y z temperature reason), one row per pixel."""
+    """Whitespace-delimited table (x y z temperature reason), one row per pixel.
+
+    Each value is formatted with ``%.9g``; the bytes equal those of
+    ``np.savetxt(fmt="%.9g")``, written a block of rows per ``%``.
+    """
     flat = np.column_stack(
         [
             thermogram.points.reshape(-1, 3),
@@ -232,7 +210,8 @@ def thermogram_to_text(thermogram: Thermogram) -> str:
             thermogram.reason.ravel().astype(np.float64),
         ]
     )
-    buf = io.StringIO()
-    buf.write("# x y z temperature reason\n")
-    np.savetxt(buf, flat, fmt="%.9g")
-    return buf.getvalue()
+    parts = ["# x y z temperature reason\n"]
+    for start in range(0, len(flat), _TEXT_BLOCK_ROWS):
+        block = flat[start : start + _TEXT_BLOCK_ROWS]
+        parts.append((_TEXT_ROW * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)

@@ -10,19 +10,17 @@ distance deviates from the mean by more than k standard deviations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .container import FrameContainer
-from .errors import DimensionMismatchError
+from .container import ChannelSchema, FrameContainer
+from .errors import ContainerFormatError, DimensionMismatchError
 from .tof import RangeFrame, exposure_outliers
-
-BACKGROUND_CHANNELS = ("mean", "std", "median", "count")
-MASK_CHANNELS = ("foreground", "score", "valid")
 
 DEFAULT_MEDIAN_STEP = 0.01  # meters
 DEFAULT_SIGMA_FLOOR = 0.001  # meters, keeps scores finite on constant pixels
+_MAX_STORED_COUNT = 2**24  # every whole number up to 2**24 is exact in float32
 
 
 @dataclass(frozen=True)
@@ -66,6 +64,13 @@ class BackgroundModel:
         return self.mean.shape[1]
 
 
+BACKGROUND_SCHEMA = ChannelSchema(
+    BackgroundModel,
+    {"mean": ("mean",), "std": ("std",), "median": ("median",), "count": ("count",)},
+    integral={"count": (0, _MAX_STORED_COUNT)},
+)
+
+
 @dataclass(frozen=True)
 class ForegroundMask:
     """Segmentation result: boolean flags plus the |D - mean| / sigma score."""
@@ -78,6 +83,14 @@ class ForegroundMask:
         object.__setattr__(self, "foreground", np.asarray(self.foreground, dtype=bool))
         object.__setattr__(self, "score", np.asarray(self.score, dtype=np.float64))
         object.__setattr__(self, "valid", np.asarray(self.valid, dtype=bool))
+
+
+MASK_SCHEMA = ChannelSchema(
+    ForegroundMask,
+    {"foreground": ("foreground",), "score": ("score",), "valid": ("valid",)},
+    integral={"foreground": (0, 1), "valid": (0, 1)},
+)
+masks_to_container = MASK_SCHEMA.pack
 
 
 def build_background(
@@ -177,37 +190,10 @@ def mask_to_pbm(mask: ForegroundMask) -> str:
 
 
 def background_to_container(model: BackgroundModel) -> FrameContainer:
-    return FrameContainer.single_frame(
-        {
-            "mean": model.mean,
-            "std": model.std,
-            "median": model.median,
-            "count": model.count.astype(np.float32),
-        }
-    )
+    return BACKGROUND_SCHEMA.pack([model])
 
 
 def background_from_container(cont: FrameContainer) -> BackgroundModel:
-    if tuple(cont.channel_names) != BACKGROUND_CHANNELS:
-        raise DimensionMismatchError(
-            f"expected channels {BACKGROUND_CHANNELS}, got {cont.channel_names}"
-        )
-    return BackgroundModel(
-        cont.channel("mean").astype(np.float64),
-        cont.channel("std").astype(np.float64),
-        cont.channel("median").astype(np.float64),
-        np.rint(cont.channel("count")).astype(np.int64),
-    )
-
-
-def masks_to_container(masks: Sequence[ForegroundMask]) -> FrameContainer:
-    return FrameContainer.stack(
-        [
-            {
-                "foreground": m.foreground.astype(np.float32),
-                "score": m.score,
-                "valid": m.valid.astype(np.float32),
-            }
-            for m in masks
-        ]
-    )
+    if cont.frames != 1:
+        raise ContainerFormatError(f"a background model is one frame, got {cont.frames}")
+    return BACKGROUND_SCHEMA.unpack(cont)[0]

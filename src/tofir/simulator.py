@@ -37,6 +37,7 @@ from scipy import ndimage
 
 from .calibration import TargetObservation
 from .camera import project_points, unit_rays
+from .container import ChannelSchema
 from .fusion import Extrinsics
 from .thermal import IrIntrinsics, ThermalFrame
 from .tof import RawTofFrame, TofIntrinsics, phase_for_distance, synthesize_buckets
@@ -196,6 +197,24 @@ class GroundTruth:
     temperature: np.ndarray  # (height, width) kelvin of the hit surface
     outlier_mask: np.ndarray  # (height, width) bool, injected saturation
     extrinsics: Extrinsics | None = None
+
+    def __post_init__(self):
+        for name in ("range", "points", "temperature"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        object.__setattr__(self, "outlier_mask", np.asarray(self.outlier_mask, dtype=bool))
+
+
+# the extrinsics are not stored; raw.truth.tirf sits beside extrinsics.truth.json
+TRUTH_SCHEMA = ChannelSchema(
+    GroundTruth,
+    {
+        "range": ("range",),
+        "points": ("x", "y", "z"),
+        "temperature": ("temperature",),
+        "outlier_mask": ("outlier",),
+    },
+    integral={"outlier_mask": (0, 1)},
+)
 
 
 @dataclass(frozen=True)

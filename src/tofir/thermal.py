@@ -9,15 +9,12 @@ with sub-pixel bilinear interpolation between the four nearest pixel centers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .camera import Pinhole
-from .container import FrameContainer
-from .errors import DimensionMismatchError, OutOfFieldError
-
-THERMAL_CHANNELS = ("temperature",)
+from .container import ChannelSchema
+from .errors import OutOfFieldError
 
 
 class IrIntrinsics(Pinhole):
@@ -56,6 +53,11 @@ class ThermalFrame:
     @property
     def width(self) -> int:
         return self.temperatures.shape[1]
+
+
+THERMAL_SCHEMA = ChannelSchema(ThermalFrame, {"temperatures": ("temperature",)})
+thermal_frames_to_container = THERMAL_SCHEMA.pack
+thermal_frames_from_container = THERMAL_SCHEMA.unpack
 
 
 def sample_temperature(frame: ThermalFrame, x: float, y: float) -> float:
@@ -140,15 +142,3 @@ def _lower_index(coord: np.ndarray, size: int) -> np.ndarray:
         return np.zeros(coord.shape, dtype=np.int64)
     index = coord.astype(np.int64)
     return np.minimum(index, size - 2, out=index)
-
-
-def thermal_frames_to_container(frames: Sequence[ThermalFrame]) -> FrameContainer:
-    return FrameContainer.stack([{"temperature": f.temperatures} for f in frames])
-
-
-def thermal_frames_from_container(cont: FrameContainer) -> list[ThermalFrame]:
-    if tuple(cont.channel_names) != THERMAL_CHANNELS:
-        raise DimensionMismatchError(
-            f"expected channels {THERMAL_CHANNELS}, got {cont.channel_names}"
-        )
-    return [ThermalFrame(cont.channel("temperature", k).astype(np.float64)) for k in range(cont.frames)]

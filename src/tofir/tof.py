@@ -21,19 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .camera import Pinhole, unit_rays
-from .container import FrameContainer
+from .container import ChannelSchema
 from .errors import DimensionMismatchError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, in air
 
 _TWO_PI = 2.0 * math.pi
-
-RAW_CHANNELS = ("a1", "a2", "a3", "a4")
 
 
 @dataclass(frozen=True)
@@ -81,9 +78,10 @@ class RawTofFrame:
     def width(self) -> int:
         return self.samples.shape[1]
 
-    @classmethod
-    def from_planes(cls, a1, a2, a3, a4) -> "RawTofFrame":
-        return cls(np.stack([a1, a2, a3, a4], axis=-1))
+
+RAW_SCHEMA = ChannelSchema(RawTofFrame, {"samples": ("a1", "a2", "a3", "a4")})
+raw_frames_to_container = RAW_SCHEMA.pack
+raw_frames_from_container = RAW_SCHEMA.unpack
 
 
 @dataclass(frozen=True)
@@ -284,19 +282,3 @@ def backproject(frame: RangeFrame, intr: TofIntrinsics, keep_invalid: bool = Tru
         indices = indices[valid]
         valid = np.ones(points.shape[0], dtype=bool)
     return PointCloud(points, indices, valid, intr.width, intr.height)
-
-
-# --- frame container adapters -------------------------------------------------
-
-def raw_frames_to_container(frames: Sequence[RawTofFrame]) -> FrameContainer:
-    return FrameContainer.stack(
-        [{name: f.samples[:, :, k] for k, name in enumerate(RAW_CHANNELS)} for f in frames]
-    )
-
-
-def raw_frames_from_container(cont: FrameContainer) -> list[RawTofFrame]:
-    if tuple(cont.channel_names) != RAW_CHANNELS:
-        raise DimensionMismatchError(
-            f"expected channels {RAW_CHANNELS}, got {cont.channel_names}"
-        )
-    return [RawTofFrame(cont.data[k].astype(np.float64)) for k in range(cont.frames)]

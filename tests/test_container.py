@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tofir import ContainerFormatError, FrameContainer
+from tofir import ContainerFormatError, DimensionMismatchError, FrameContainer
+from tofir.fusion import THERMOGRAM_SCHEMA, thermograms_from_container
+from tofir.segmentation import BACKGROUND_SCHEMA, MASK_SCHEMA, background_from_container
+from tofir.simulator import TRUTH_SCHEMA
+from tofir.thermal import THERMAL_SCHEMA
+from tofir.tof import RAW_SCHEMA
 
 
 def _sample_container() -> FrameContainer:
@@ -100,7 +105,7 @@ def test_channel_accessor():
 def test_stack_and_single_frame_helpers():
     a = np.ones((3, 4))
     b = np.full((3, 4), 2.0)
-    cont = FrameContainer.single_frame({"a": a, "b": b})
+    cont = FrameContainer.stack([{"a": a, "b": b}])
     assert cont.frames == 1 and cont.channels == 2
     assert np.array_equal(cont.channel("b"), b.astype(np.float32))
     with pytest.raises(ContainerFormatError):
@@ -135,3 +140,81 @@ def test_duplicate_channel_names_rejected():
 def test_name_count_must_match_channels():
     with pytest.raises(ContainerFormatError):
         FrameContainer(("a",), np.zeros((1, 2, 2, 2), np.float32))
+
+
+# --- record schemas -----------------------------------------------------------------------
+
+_SCHEMAS = [RAW_SCHEMA, THERMAL_SCHEMA, THERMOGRAM_SCHEMA, BACKGROUND_SCHEMA, MASK_SCHEMA,
+            TRUTH_SCHEMA]
+
+
+def _schema_container(schema, frames=1, **channels) -> FrameContainer:
+    """A container in the schema's layout: ones, except the channels given."""
+    names = schema.channel_names
+    data = np.ones((frames, 3, 4, len(names)), np.float32)
+    for name, value in channels.items():
+        data[..., names.index(name)] = value
+    return FrameContainer(names, data)
+
+
+@pytest.mark.parametrize("schema", _SCHEMAS, ids=lambda s: s.record.__name__)
+def test_schema_round_trip_and_wrong_channel_names(schema):
+    cont = _schema_container(schema)
+    (record,) = schema.unpack(cont)
+    assert schema.pack([record]).to_bytes() == cont.to_bytes()
+    names = cont.channel_names
+    for wrong in (names[:-1] + ("other",), names[::-1]):
+        if wrong == names:
+            continue
+        with pytest.raises(DimensionMismatchError):
+            schema.unpack(FrameContainer(wrong, cont.data))
+    with pytest.raises(DimensionMismatchError):
+        schema.unpack(FrameContainer(names + ("extra",), np.ones((1, 3, 4, len(names) + 1))))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 300.0, -1.0, 4.0, 0.5, 2.5])
+def test_thermogram_validity_must_be_a_reason_code(value):
+    cont = _schema_container(THERMOGRAM_SCHEMA, validity=0.0)
+    cont.data[0, 1, 2, -1] = value
+    with pytest.raises(ContainerFormatError):
+        thermograms_from_container(cont)
+
+
+def test_thermogram_validity_accepts_every_reason_code():
+    codes = np.array([[0.0, 1.0, 2.0, 3.0]] * 3, np.float32)
+    (tg,) = thermograms_from_container(_schema_container(THERMOGRAM_SCHEMA, validity=codes))
+    assert tg.reason.dtype == np.uint8
+    assert np.array_equal(tg.reason, codes.astype(np.uint8))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -3.0, -0.5, 0.5, 2.0**25])
+def test_background_count_must_be_a_whole_non_negative_number(value):
+    cont = _schema_container(BACKGROUND_SCHEMA, count=2.0)
+    cont.data[0, 2, 3, -1] = value
+    with pytest.raises(ContainerFormatError):
+        background_from_container(cont)
+
+
+def test_background_count_accepts_zero_and_the_largest_exact_count():
+    counts = np.zeros((3, 4), np.float32)
+    counts[1, 1] = 2.0**24
+    model = background_from_container(_schema_container(BACKGROUND_SCHEMA, count=counts))
+    assert model.count.dtype == np.int64
+    assert model.count[1, 1] == 2**24 and model.count.sum() == 2**24
+
+
+@pytest.mark.parametrize("frames", [2, 3])
+def test_background_must_be_one_frame(frames):
+    with pytest.raises(ContainerFormatError):
+        background_from_container(_schema_container(BACKGROUND_SCHEMA, frames=frames))
+
+
+@pytest.mark.parametrize("schema, channel", [
+    (MASK_SCHEMA, "foreground"), (MASK_SCHEMA, "valid"), (TRUTH_SCHEMA, "outlier"),
+])
+@pytest.mark.parametrize("value", [np.nan, 2.0, -1.0, 0.5])
+def test_flag_channels_must_hold_zero_or_one(schema, channel, value):
+    cont = _schema_container(schema, frames=2)
+    cont.data[1, 0, 0, schema.channel_names.index(channel)] = value
+    with pytest.raises(ContainerFormatError):
+        schema.unpack(cont)

@@ -4,27 +4,35 @@ Demodulation, ray building, projection, bilinear sampling, fusion and frame
 stacking are written to avoid temporaries. The reference functions below are
 the plain array expressions those kernels started from; every test demands
 the same bytes, so a rewrite that reorders a floating-point operation fails
-here before it changes a CLI artifact.
+here before it changes a CLI artifact. The same holds for the hand-written
+per-record container adapters that the channel schemas replaced, and for the
+``np.savetxt`` thermogram table.
 """
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from tofir import (
+    BackgroundModel,
     Extrinsics,
+    ForegroundMask,
     FrameContainer,
+    GroundTruth,
     IrIntrinsics,
     RangeFrame,
     RawTofFrame,
     ThermalFrame,
+    Thermogram,
     TofIntrinsics,
     backproject,
     demodulate,
     fuse,
     render_ir,
 )
+from tofir import fusion, segmentation, simulator, thermal, tof
 from tofir.camera import pixel_rays, project_points, unit_rays
 from tofir.errors import ContainerFormatError
 from tofir.fusion import FuseReason
@@ -321,7 +329,7 @@ class TestStack:
         assert cont.channel_names == tuple("abcde")
 
     def test_list_planes_are_accepted(self):
-        cont = FrameContainer.single_frame({"t": [[1.0, 2.0], [3.0, 4.0]]})
+        cont = FrameContainer.stack([{"t": [[1.0, 2.0], [3.0, 4.0]]}])
         assert_same_bytes(cont.data, np.array([[[[1], [2]], [[3], [4]]]], dtype="<f4"))
 
     @pytest.mark.parametrize("bad", [
@@ -347,3 +355,198 @@ class TestStack:
     def test_frame_without_channels_raises(self):
         with pytest.raises(ContainerFormatError):
             FrameContainer.stack([{}])
+
+
+# --- record containers ------------------------------------------------------------------
+# the per-record adapters and the simulate command's ground-truth dict, as
+# they were written before the channel schemas
+
+def ref_raw_to_container(frames):
+    return FrameContainer.stack(
+        [{name: f.samples[:, :, k] for k, name in enumerate(("a1", "a2", "a3", "a4"))}
+         for f in frames]
+    )
+
+
+def ref_raw_from_container(cont):
+    return [RawTofFrame(cont.data[k].astype(np.float64)) for k in range(cont.frames)]
+
+
+def ref_thermal_to_container(frames):
+    return FrameContainer.stack([{"temperature": f.temperatures} for f in frames])
+
+
+def ref_thermal_from_container(cont):
+    return [ThermalFrame(cont.channel("temperature", k).astype(np.float64))
+            for k in range(cont.frames)]
+
+
+def ref_thermograms_to_container(thermograms):
+    return FrameContainer.stack(
+        [
+            {
+                "x": t.points[:, :, 0],
+                "y": t.points[:, :, 1],
+                "z": t.points[:, :, 2],
+                "temperature": t.temperature,
+                "validity": t.reason.astype(np.float32),
+            }
+            for t in thermograms
+        ]
+    )
+
+
+def ref_thermograms_from_container(cont):
+    out = []
+    for k in range(cont.frames):
+        points = np.stack(
+            [cont.channel(c, k).astype(np.float64) for c in ("x", "y", "z")], axis=-1
+        )
+        out.append(
+            Thermogram(
+                points,
+                cont.channel("temperature", k).astype(np.float64),
+                np.rint(cont.channel("validity", k)).astype(np.uint8),
+            )
+        )
+    return out
+
+
+def ref_background_to_container(model):
+    return FrameContainer.stack(
+        [{
+            "mean": model.mean,
+            "std": model.std,
+            "median": model.median,
+            "count": model.count.astype(np.float32),
+        }]
+    )
+
+
+def ref_background_from_container(cont):
+    return BackgroundModel(
+        cont.channel("mean").astype(np.float64),
+        cont.channel("std").astype(np.float64),
+        cont.channel("median").astype(np.float64),
+        np.rint(cont.channel("count")).astype(np.int64),
+    )
+
+
+def ref_masks_to_container(masks):
+    return FrameContainer.stack(
+        [
+            {
+                "foreground": m.foreground.astype(np.float32),
+                "score": m.score,
+                "valid": m.valid.astype(np.float32),
+            }
+            for m in masks
+        ]
+    )
+
+
+def ref_truth_to_container(truths):
+    return FrameContainer.stack(
+        [
+            {
+                "range": t.range,
+                "x": t.points[:, :, 0],
+                "y": t.points[:, :, 1],
+                "z": t.points[:, :, 2],
+                "temperature": t.temperature,
+                "outlier": t.outlier_mask.astype(np.float32),
+            }
+            for t in truths
+        ]
+    )
+
+
+def _records(kind, rng, shape=(7, 9), n=3):
+    def plane(low=-5.0, high=5.0):
+        values = rng.uniform(low, high, shape)
+        values[0, :3] = [-0.0, 1e-300, 3.3e38]  # signed zero, float32 underflow, near max
+        return values
+
+    def flags():
+        return rng.random(shape) < 0.5
+
+    if kind == "raw":
+        return [RawTofFrame(rng.uniform(0.0, 4095.0, shape + (4,))) for _ in range(n)]
+    if kind == "thermal":
+        return [ThermalFrame(rng.uniform(250.0, 350.0, shape)) for _ in range(n)]
+    if kind == "thermogram":
+        return [Thermogram(np.stack([plane(), plane(), plane()], axis=-1), plane(),
+                           rng.integers(0, 4, shape)) for _ in range(n)]
+    if kind == "background":
+        return [BackgroundModel(plane(), rng.uniform(0.0, 1.0, shape), plane(),
+                                rng.integers(0, 1000, shape))]
+    if kind == "mask":
+        return [ForegroundMask(flags(), plane(0.0, 10.0), flags()) for _ in range(n)]
+    return [GroundTruth(plane(0.0, 10.0), np.stack([plane(), plane(), plane()], axis=-1),
+                        plane(250.0, 350.0), flags()) for _ in range(n)]
+
+
+_PACKERS = {
+    "raw": (tof.raw_frames_to_container, ref_raw_to_container),
+    "thermal": (thermal.thermal_frames_to_container, ref_thermal_to_container),
+    "thermogram": (fusion.thermograms_to_container, ref_thermograms_to_container),
+    "background": (lambda models: segmentation.background_to_container(models[0]),
+                   lambda models: ref_background_to_container(models[0])),
+    "mask": (segmentation.masks_to_container, ref_masks_to_container),
+    "truth": (simulator.TRUTH_SCHEMA.pack, ref_truth_to_container),
+}
+
+_UNPACKERS = {
+    "raw": (tof.raw_frames_from_container, ref_raw_from_container),
+    "thermal": (thermal.thermal_frames_from_container, ref_thermal_from_container),
+    "thermogram": (fusion.thermograms_from_container, ref_thermograms_from_container),
+    "background": (lambda cont: [segmentation.background_from_container(cont)],
+                   lambda cont: [ref_background_from_container(cont)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PACKERS))
+def test_schema_pack_matches_old_adapter(kind):
+    records = _records(kind, np.random.default_rng(11))
+    pack, ref_pack = _PACKERS[kind]
+    assert pack(records).to_bytes() == ref_pack(records).to_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_UNPACKERS))
+def test_schema_unpack_matches_old_adapter(kind):
+    cont = _PACKERS[kind][1](_records(kind, np.random.default_rng(12)))
+    unpack, ref_unpack = _UNPACKERS[kind]
+    got, expected = unpack(cont), ref_unpack(cont)
+    assert len(got) == len(expected) == cont.frames
+    for record, ref_record in zip(got, expected):
+        for name in vars(ref_record):
+            assert_same_bytes(getattr(record, name), getattr(ref_record, name))
+
+
+# --- thermogram text table ----------------------------------------------------------------
+
+def ref_thermogram_to_text(thermogram):
+    flat = np.column_stack(
+        [
+            thermogram.points.reshape(-1, 3),
+            thermogram.temperature.ravel(),
+            thermogram.reason.ravel().astype(np.float64),
+        ]
+    )
+    buf = io.StringIO()
+    buf.write("# x y z temperature reason\n")
+    np.savetxt(buf, flat, fmt="%.9g")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64), (70, 65)])
+def test_thermogram_text_matches_savetxt(shape):
+    rng = np.random.default_rng(13)
+    points = rng.normal(scale=3.0, size=shape + (3,))
+    temperature = rng.uniform(250.0, 350.0, shape)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308,
+               123456789.0, 0.1]
+    points.reshape(-1)[: len(special)] = special[: points.size]
+    temperature.reshape(-1)[-len(special):] = special[-temperature.size:]
+    tg = Thermogram(points, temperature, rng.integers(0, 4, shape))
+    assert fusion.thermogram_to_text(tg) == ref_thermogram_to_text(tg)

@@ -219,14 +219,13 @@ def estimate_rotation(
     initial_rotation=None,
     *,
     robust: bool = False,
-    max_iterations: int = _MAX_ITERATIONS,
 ) -> CalibrationResult:
     """Find the rotation minimizing the summed IR projection error.
 
     Starts from ``initial_rotation`` (identity by default, the nominal
     parallel-mounted configuration) and iterates damped Gauss-Newton steps on
     axis-angle increments until the step norm drops below 1e-10 rad, the
-    relative cost decrease drops below 1e-12, or ``max_iterations`` is hit.
+    relative cost decrease drops below 1e-12, or 200 iterations are done.
     The returned rotation is re-orthonormalized.
     """
     _check_geometry(observations)
@@ -254,7 +253,7 @@ def estimate_rotation(
     stop_reason = "max_iterations"
     converged = False
 
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         jac = _jacobian(residuals, rotation, weights)
         flat = (weights[:, None] * res).ravel()
         gradient = jac.T @ flat
@@ -291,10 +290,6 @@ def estimate_rotation(
         cost = float(np.sum((weights[:, None] * res) ** 2))
         if decrease < _COST_TOL:
             stop_reason = "cost_tolerance"
-            converged = True
-            break
-        if np.linalg.norm(delta) < _STEP_TOL:
-            stop_reason = "step_tolerance"
             converged = True
             break
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .document import read, whole
+
 _JSON_KEYS = {"focal_length": "f"}  # field name -> JSON key, where they differ
 
 
@@ -68,21 +70,13 @@ class Pinhole:
 
     @classmethod
     def from_json_dict(cls, doc: dict):
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            key = _JSON_KEYS.get(f.name, f.name)
-            if key in doc or f.default is dataclasses.MISSING:
-                convert = _pixel_count if f.name in ("width", "height") else float
-                kwargs[f.name] = convert(doc[key])
-        return cls(**kwargs)
-
-
-def _pixel_count(value) -> int:
-    # 64 and 64.0 load as 64; 64.7 is not a sensor size, so it is not truncated
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"sensor width and height must be whole pixel counts, got {value!r}")
-    return int(number)
+        fields = [(f, _JSON_KEYS.get(f.name, f.name)) for f in dataclasses.fields(cls)]
+        values = read(doc, "intrinsics (width and height in whole pixel counts)",
+                      **{key: whole if f.name in ("width", "height") else float
+                         for f, key in fields})
+        # a missing required key raises KeyError naming it
+        return cls(**{f.name: values[key] for f, key in fields
+                      if key in values or f.default is dataclasses.MISSING})
 
 
 def pixel_rays(intr: Pinhole, x, y):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, fusion, segmentation, simulator, thermal, tof
+from . import calibration, document, fusion, segmentation, simulator, thermal, tof
 from .container import FrameContainer
 from .errors import (
     ContainerFormatError,
@@ -86,13 +86,15 @@ def _output_dir(args, cfg) -> Path:
     return path
 
 
-def _limits(cfg) -> dict:
-    limits = cfg.get("limits", {})
-    return {
-        "a_min": float(limits.get("a_min", 0.0)),
-        "a_max": float(limits.get("a_max", float("inf"))),
-        "b_max": float(limits.get("b_max", float("inf"))),
-    }
+def _limits(cfg: dict) -> dict:
+    """Keyword arguments of ``tof.demodulate`` from the optional "limits" object."""
+    settings = document.read(cfg, "config", limits=lambda limits: document.read(
+        limits, "limits", a_min=float, a_max=float, b_max=float))
+    return settings.get("limits", {})
+
+
+def _targets(points) -> list:
+    return [simulator.CalibrationTarget(tuple(p)) for p in points]
 
 
 def _say(args, message: str) -> None:
@@ -105,56 +107,46 @@ def _say(args, message: str) -> None:
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
-    scene_doc = _load_json(_resolve(cfg, "scene", base))
-    try:
-        scene = simulator.scene_from_json(scene_doc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    settings = document.read(cfg, "config", frames=document.whole, seed=document.whole,
+                             ir_blur_sigma=float)
+    scene = simulator.scene_from_json(_load_json(_resolve(cfg, "scene", base)))
     tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
     ir_intr = _load_intrinsics(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
-    try:
-        noise = simulator.noise_from_json(cfg.get("noise", {}))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    noise = simulator.noise_from_json(cfg.get("noise", {}))
+    seed = args.seed if args.seed is not None else settings.get("seed")
     if seed is not None:
-        noise = dataclasses.replace(noise, seed=int(seed))
-    frames = int(cfg.get("frames", 1))
-    if frames < 1:
-        raise ConfigError(f"frames must be >= 1, got {frames}")
+        noise = dataclasses.replace(noise, seed=seed)
+    targets = None
+    if "calibration_targets" in cfg:
+        targets = document.read(cfg["calibration_targets"], "calibration_targets",
+                                points=_targets, pixel_noise_sigma=float)
+        _require(targets, "points", "calibration_targets")
 
     ext = fusion.Extrinsics.identity()
     if "extrinsics" in cfg:
         ext = _load_extrinsics(_resolve(cfg, "extrinsics", base))
 
-    out = _output_dir(args, cfg)
-    rendered = simulator.render_tof_sequence(scene, tof_intr, None, noise, frames, extrinsics=ext)
-    raws = [r for r, _ in rendered]
-    truths = [t for _, t in rendered]
-    tof.raw_frames_to_container(raws).write(out / "raw.tirf")
-    simulator.TRUTH_SCHEMA.pack(truths).write(out / "raw.truth.tirf")
+    # everything is computed before the first file is written
+    rendered = simulator.render_tof_sequence(scene, tof_intr, None, noise,
+                                             settings.get("frames", 1), extrinsics=ext)
+    blur = {"blur_sigma": settings["ir_blur_sigma"]} if "ir_blur_sigma" in settings else {}
+    ir_frame = simulator.render_ir(scene, ir_intr, ext.inverse(), **blur)
+    observations = None
+    if targets is not None:
+        observations = simulator.make_calibration_set(
+            targets.pop("points"), ext, tof_intr, ir_intr, seed=noise.seed, **targets
+        )
 
-    ir_frame = simulator.render_ir(scene, ir_intr, ext.inverse(),
-                                   blur_sigma=float(cfg.get("ir_blur_sigma", 0.0)))
+    out = _output_dir(args, cfg)
+    tof.raw_frames_to_container([r for r, _ in rendered]).write(out / "raw.tirf")
+    simulator.TRUTH_SCHEMA.pack([t for _, t in rendered]).write(out / "raw.truth.tirf")
     thermal.thermal_frames_to_container([ir_frame]).write(out / "thermal.tirf")
     _write_json(out / "extrinsics.truth.json", ext.to_json_dict())
-
-    if "calibration_targets" in cfg:
-        tgt_cfg = cfg["calibration_targets"]
-        points = _require(tgt_cfg, "points", "calibration_targets")
-        targets = [simulator.CalibrationTarget(tuple(p)) for p in points]
-        observations = simulator.make_calibration_set(
-            targets,
-            ext,
-            tof_intr,
-            ir_intr,
-            pixel_noise_sigma=float(tgt_cfg.get("pixel_noise_sigma", 0.0)),
-            seed=noise.seed,
-        )
+    if observations is not None:
         calibration.save_observations(out / "observations.txt", observations)
         _say(args, f"wrote {len(observations)} calibration observations")
 
-    _say(args, f"simulated {frames} frame(s) at {tof_intr.width}x{tof_intr.height} "
+    _say(args, f"simulated {len(rendered)} frame(s) at {tof_intr.width}x{tof_intr.height} "
                f"(seed {noise.seed}) into {out}")
     return EXIT_OK
 
@@ -162,6 +154,7 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
+    settings = document.read(cfg, "config", robust=document.flag)
     obs_path = _resolve(cfg, "observations", base)
     if not obs_path.exists():
         raise ConfigError(f"missing file: {obs_path}")
@@ -186,7 +179,7 @@ def cmd_calibrate(args) -> int:
         tof_intr,
         ir_intr,
         initial,
-        robust=bool(cfg.get("robust", False)),
+        **settings,
     )
 
     out = _output_dir(args, cfg)
@@ -202,12 +195,12 @@ def cmd_calibrate(args) -> int:
 def cmd_fuse(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
+    limits = _limits(cfg)
     raw_cont = FrameContainer.read(_resolve(cfg, "raw", base))
     thermal_cont = FrameContainer.read(_resolve(cfg, "thermal", base))
     tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
     ir_intr = _load_intrinsics(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
     ext = _load_extrinsics(_resolve(cfg, "extrinsics", base))
-    limits = _limits(cfg)
 
     raws = tof.raw_frames_from_container(raw_cont)
     thermal_frames = thermal.thermal_frames_from_container(thermal_cont)
@@ -235,20 +228,18 @@ def cmd_fuse(args) -> int:
 def cmd_segment(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
-    tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
     limits = _limits(cfg)
+    background_settings = document.read(cfg, "config", median_step=float)
+    mask_settings = document.read(cfg, "config", k=float, sigma_floor=float)
+    k = mask_settings.pop("k", 3.0)
+    tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
 
     background_cont = FrameContainer.read(_resolve(cfg, "background", base))
     bg_frames = [
         tof.demodulate(r, tof_intr, **limits)
         for r in tof.raw_frames_from_container(background_cont)
     ]
-    try:
-        model = segmentation.build_background(
-            bg_frames, median_step=float(cfg.get("median_step", segmentation.DEFAULT_MEDIAN_STEP))
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = segmentation.build_background(bg_frames, **background_settings)
 
     if "frames" in cfg:
         test_cont = FrameContainer.read(_resolve(cfg, "frames", base))
@@ -259,9 +250,7 @@ def cmd_segment(args) -> int:
     else:
         test_frames = bg_frames
 
-    k = float(cfg.get("k", 3.0))
-    sigma_floor = float(cfg.get("sigma_floor", segmentation.DEFAULT_SIGMA_FLOOR))
-    masks = [segmentation.foreground_mask(f, model, k, sigma_floor) for f in test_frames]
+    masks = [segmentation.foreground_mask(f, model, k, **mask_settings) for f in test_frames]
 
     out = _output_dir(args, cfg)
     segmentation.background_to_container(model).write(out / "background.tirf")
@@ -288,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="JSON config document")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--output", default=None, help="override the output directory")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         p.set_defaults(func=func)

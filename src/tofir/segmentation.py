@@ -104,17 +104,12 @@ def build_background(
     """
     if median_step <= 0:
         raise ValueError(f"median_step must be positive, got {median_step}")
-    mean = m2 = median = count = seen = None
     n_frames = 0
-    shape = None
     for frame in frames:
-        if shape is None:
+        if n_frames == 0:
             shape = frame.distance.shape
-            mean = np.zeros(shape)
-            m2 = np.zeros(shape)
-            median = np.zeros(shape)
+            mean, m2, median = np.zeros(shape), np.zeros(shape), np.zeros(shape)
             count = np.zeros(shape, dtype=np.int64)
-            seen = np.zeros(shape, dtype=bool)
         elif frame.distance.shape != shape:
             raise DimensionMismatchError(
                 f"frame {n_frames} has shape {frame.distance.shape}, expected {shape}"
@@ -122,27 +117,20 @@ def build_background(
         n_frames += 1
         v = frame.valid
         d = frame.distance
-        count = count + v
-        with np.errstate(invalid="ignore", divide="ignore"):
-            delta = d - mean
-            mean = np.where(v, mean + delta / np.maximum(count, 1), mean)
-            m2 = np.where(v, m2 + delta * (d - mean), m2)
-        first = v & ~seen
-        median = np.where(first, d, median)
-        update = v & seen
-        median = _step_median(median, d, median_step, update)
-        seen |= v
+        first = v & (count == 0)
+        later = v & ~first
+        median[first] = d[first]
+        median[later] += median_step * np.sign(d[later] - median[later])
+        count += v
+        delta = d[v] - mean[v]
+        mean[v] += delta / count[v]
+        m2[v] += delta * (d[v] - mean[v])
     if n_frames < 2:
         raise ValueError(f"need at least 2 frames to model the background, got {n_frames}")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var = np.where(count >= 2, m2 / np.maximum(count - 1, 1), 0.0)
-    std = np.sqrt(np.maximum(var, 0.0))
+    std = np.zeros(count.shape)
+    spread = count >= 2
+    std[spread] = np.sqrt(np.maximum(m2[spread] / (count[spread] - 1), 0.0))
     return BackgroundModel(mean, std, median, count)
-
-
-def _step_median(median, distance, step, active):
-    stepped = median + step * np.sign(distance - median)
-    return np.where(active, stepped, median)
 
 
 def foreground_mask(

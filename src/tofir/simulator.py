@@ -5,7 +5,7 @@ reflectivity and a surface temperature, so every rendered value is
 hand-checkable. The range render casts one undistorted ray per pixel, finds
 the nearest hit, and inverts the demodulation model: the return is a phasor
 ``a * exp(i * phase(D))`` with amplitude following an inverse-square law
-``a = reflectivity * amplitude_ref / D^2``.
+``a = reflectivity * DEFAULT_AMPLITUDE_REF / D^2``.
 
 Error injection, all off by default except phase noise:
 
@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
+from . import document
 from .calibration import TargetObservation
 from .camera import project_points, unit_rays
 from .container import ChannelSchema
@@ -310,21 +311,19 @@ def _render_from_response(
     intr: TofIntrinsics,
     noise: NoiseConfig,
     frame_index: int,
-    amplitude_ref: float,
-    offset_ref: float,
     extrinsics: Extrinsics | None,
     amplitude_law: str,
 ) -> tuple[RawTofFrame, GroundTruth]:
     dist = resp.distance
     if amplitude_law == "inverse_square":
-        amplitude = resp.reflectivity * amplitude_ref / (dist * dist)
+        amplitude = resp.reflectivity * DEFAULT_AMPLITUDE_REF / (dist * dist)
     elif amplitude_law == "constant":
         # distance-independent radiometry, for controlled phase experiments
-        amplitude = resp.reflectivity * amplitude_ref * np.ones_like(dist)
+        amplitude = resp.reflectivity * DEFAULT_AMPLITUDE_REF * np.ones_like(dist)
     else:
         raise ValueError(f"unknown amplitude law {amplitude_law!r}")
     phasor = amplitude * np.exp(1j * phase_for_distance(dist, intr.f_mod))
-    offset = offset_ref + amplitude
+    offset = DEFAULT_OFFSET_REF + amplitude
 
     mp = noise.multipath
     if mp.enabled:
@@ -381,8 +380,6 @@ def render_tof(
     noise: NoiseConfig | None = None,
     *,
     frame_index: int = 0,
-    amplitude_ref: float = DEFAULT_AMPLITUDE_REF,
-    offset_ref: float = DEFAULT_OFFSET_REF,
     extrinsics: Extrinsics | None = None,
     amplitude_law: str = "inverse_square",
 ) -> tuple[RawTofFrame, GroundTruth]:
@@ -398,9 +395,7 @@ def render_tof(
     """
     noise = noise or NoiseConfig()
     resp = _trace_tof(scene, intr, pose)
-    return _render_from_response(
-        resp, intr, noise, frame_index, amplitude_ref, offset_ref, extrinsics, amplitude_law
-    )
+    return _render_from_response(resp, intr, noise, frame_index, extrinsics, amplitude_law)
 
 
 def render_tof_sequence(
@@ -410,8 +405,6 @@ def render_tof_sequence(
     noise: NoiseConfig,
     n_frames: int,
     *,
-    amplitude_ref: float = DEFAULT_AMPLITUDE_REF,
-    offset_ref: float = DEFAULT_OFFSET_REF,
     extrinsics: Extrinsics | None = None,
     amplitude_law: str = "inverse_square",
 ) -> list[tuple[RawTofFrame, GroundTruth]]:
@@ -420,9 +413,7 @@ def render_tof_sequence(
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     resp = _trace_tof(scene, intr, pose)
     return [
-        _render_from_response(
-            resp, intr, noise, k, amplitude_ref, offset_ref, extrinsics, amplitude_law
-        )
+        _render_from_response(resp, intr, noise, k, extrinsics, amplitude_law)
         for k in range(n_frames)
     ]
 
@@ -486,19 +477,18 @@ def make_calibration_set(
     ir_intr: IrIntrinsics,
     pixel_noise_sigma: float = 0.0,
     *,
-    tof_pixel_noise_sigma: float = 0.0,
     seed: int = 0,
 ) -> list[TargetObservation]:
     """Project targets into both sensors and emit calibration observations.
 
-    The known distance is the exact point norm. ``pixel_noise_sigma``
-    perturbs the measured IR position (the quantity a real pipeline extracts
-    from the image); ``tof_pixel_noise_sigma`` optionally perturbs the range
-    camera position as well. Targets behind either camera or outside either
-    sensor are dropped; the count is logged as a warning.
+    The known distance is the exact point norm and the range-camera position
+    is exact. ``pixel_noise_sigma`` perturbs the measured IR position (the
+    quantity a real pipeline extracts from the image). Targets behind either
+    camera or outside either sensor are dropped; the count is logged as a
+    warning.
     """
-    if pixel_noise_sigma < 0 or tof_pixel_noise_sigma < 0:
-        raise ValueError("noise sigmas must be non-negative")
+    if pixel_noise_sigma < 0:
+        raise ValueError(f"pixel_noise_sigma must be non-negative, got {pixel_noise_sigma}")
     rng = np.random.Generator(np.random.Philox(seed))
     positions = np.array([t.position for t in targets], dtype=np.float64).reshape(-1, 3)
     if positions.shape[0] == 0:
@@ -528,9 +518,6 @@ def make_calibration_set(
     for i in np.flatnonzero(usable):
         u, v = tof_pix[i]
         r, s = ir_pix[i]
-        if tof_pixel_noise_sigma > 0:
-            u += tof_pixel_noise_sigma * rng.standard_normal()
-            v += tof_pixel_noise_sigma * rng.standard_normal()
         if pixel_noise_sigma > 0:
             r += pixel_noise_sigma * rng.standard_normal()
             s += pixel_noise_sigma * rng.standard_normal()
@@ -542,61 +529,54 @@ def make_calibration_set(
 
 def scene_from_json(doc: dict) -> Scene:
     """Build a scene from its JSON document, naming the offending field on error."""
-    if not isinstance(doc, dict):
-        raise ValueError("scene document must be a JSON object")
+    settings = document.read(doc, "scene", ambient_temperature=float,
+                             background_distance=float, background_reflectivity=float)
     raw_prims = doc.get("primitives")
     if not isinstance(raw_prims, list) or not raw_prims:
         raise ValueError("scene field 'primitives' must be a non-empty array")
-    prims = []
-    for i, p in enumerate(raw_prims):
-        kind = p.get("type")
-        try:
-            if kind == "plane":
-                prims.append(
-                    Plane(p["axis"], float(p["offset"]), float(p["reflectivity"]),
-                          float(p["temperature"]))
-                )
-            elif kind == "sphere":
-                prims.append(
-                    Sphere(tuple(p["center"]), float(p["radius"]), float(p["reflectivity"]),
-                           float(p["temperature"]))
-                )
-            else:
-                raise ValueError(f"unknown type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"scene primitive {i}: {exc}") from exc
+    prims = tuple(_primitive_from_json(p, f"scene primitive {i}") for i, p in enumerate(raw_prims))
+    return _build(Scene, "scene", prims, **settings)
+
+
+_PRIMITIVE_FIELDS = {
+    "plane": (Plane, dict(axis=str, offset=float, reflectivity=float, temperature=float)),
+    "sphere": (Sphere, dict(center=tuple, radius=float, reflectivity=float, temperature=float)),
+}
+
+
+def _primitive_from_json(doc, where: str):
+    kind = document.read(doc, where, type=str).get("type")
+    if kind not in _PRIMITIVE_FIELDS:
+        raise ValueError(f"{where}: unknown type {kind!r}")
+    cls, convert = _PRIMITIVE_FIELDS[kind]
+    return _build(cls, where, **document.read(doc, where, **convert))
+
+
+def _build(cls, where: str, *args, **kwargs):
+    # a missing field or a value the class rejects, reported with its document
     try:
-        return Scene(
-            tuple(prims),
-            ambient_temperature=float(doc.get("ambient_temperature", 293.0)),
-            background_distance=float(doc.get("background_distance", 6.0)),
-            background_reflectivity=float(doc.get("background_reflectivity", 0.5)),
-        )
+        return cls(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"scene: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _part(cls, where: str, **convert):
+    """Converter for a nested settings object."""
+    return lambda doc: _build(cls, where, **document.read(doc, where, **convert))
 
 
 def noise_from_json(doc: dict) -> NoiseConfig:
-    if not isinstance(doc, dict):
-        raise ValueError("noise document must be a JSON object")
-    try:
-        mp = doc.get("multipath", {})
-        sc = doc.get("scattering", {})
-        return NoiseConfig(
-            seed=int(doc.get("seed", 0)),
-            phase_noise_scale=float(doc.get("phase_noise_scale", DEFAULT_PHASE_NOISE_SCALE)),
-            bucket_noise_sigma=float(doc.get("bucket_noise_sigma", 0.0)),
-            saturation_fraction=float(doc.get("saturation_fraction", 0.0)),
-            multipath=MultipathConfig(
-                enabled=bool(mp.get("enabled", False)),
-                extra_distance=float(mp.get("extra_distance", 1.0)),
-                relative_amplitude=float(mp.get("relative_amplitude", 0.2)),
-            ),
-            scattering=ScatteringConfig(
-                enabled=bool(sc.get("enabled", False)),
-                kernel_radius=int(sc.get("kernel_radius", 4)),
-                energy_fraction=float(sc.get("energy_fraction", 0.1)),
-            ),
-        )
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"noise config: {exc}") from exc
+    """Build the error model from its JSON document; absent keys keep the
+    dataclass defaults."""
+    settings = document.read(
+        doc, "noise",
+        seed=document.whole,
+        phase_noise_scale=float,
+        bucket_noise_sigma=float,
+        saturation_fraction=float,
+        multipath=_part(MultipathConfig, "multipath", enabled=document.flag,
+                        extra_distance=float, relative_amplitude=float),
+        scattering=_part(ScatteringConfig, "scattering", enabled=document.flag,
+                         kernel_radius=document.whole, energy_fraction=float),
+    )
+    return _build(NoiseConfig, "noise", **settings)

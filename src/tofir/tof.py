@@ -256,13 +256,12 @@ def undistort_pixel(u_d, v_d, k1: float, k2: float):
     return u_d * scale, v_d * scale
 
 
-def backproject(frame: RangeFrame, intr: TofIntrinsics, keep_invalid: bool = True) -> PointCloud:
+def backproject(frame: RangeFrame, intr: TofIntrinsics) -> PointCloud:
     """Lift a range frame to metric 3D points along the undistorted view rays.
 
     Each valid pixel yields (X, Y, Z) = D / d * (u, v, f) with
     d = sqrt(f^2 + u^2 + v^2), so the point norm equals the measured distance.
-    With ``keep_invalid`` (default) invalid pixels yield zero placeholder rows,
-    preserving the grid; otherwise they are dropped.
+    Invalid pixels yield zero placeholder rows, preserving the grid.
     """
     if (frame.height, frame.width) != (intr.height, intr.width):
         raise DimensionMismatchError(
@@ -277,8 +276,4 @@ def backproject(frame: RangeFrame, intr: TofIntrinsics, keep_invalid: bool = Tru
     valid = frame.valid.ravel().copy()
     points[~valid] = 0.0
     indices = np.arange(points.shape[0], dtype=np.int64)
-    if not keep_invalid:
-        points = points[valid]
-        indices = indices[valid]
-        valid = np.ones(points.shape[0], dtype=bool)
     return PointCloud(points, indices, valid, intr.width, intr.height)

@@ -337,3 +337,59 @@ class TestCommonBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestMalformedSettings:
+    """A setting of the wrong kind exits 2 naming its key, before any artifact
+    is written."""
+
+    def _rejected(self, workspace, capsys, command, doc, key):
+        _write_json(workspace / "bad.json", doc)
+        out = workspace / "rejected"
+        rc = main([command, "--config", str(workspace / "bad.json"), "--output", str(out),
+                   "--quiet"])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, key", [
+        ({"frames": 2.5}, "frames"),
+        ({"seed": 1.5}, "seed"),
+        ({"noise": {"seed": 1.5}}, "seed"),
+        ({"noise": {"scattering": {"enabled": True, "kernel_radius": 4.7}}}, "kernel_radius"),
+        ({"noise": {"multipath": {"enabled": "false"}}}, "enabled"),
+        ({"calibration_targets": {"points": [5]}}, "points"),
+        ({"ir_blur_sigma": -1.0}, "blur_sigma"),
+    ])
+    def test_simulate(self, workspace, capsys, change, key):
+        sim = json.loads((workspace / "sim.json").read_text())
+        self._rejected(workspace, capsys, "simulate", {**sim, **change}, key)
+
+    def test_primitive_not_an_object(self, workspace, capsys):
+        _write_json(workspace / "scene.json", {"primitives": [5]})
+        sim = json.loads((workspace / "sim.json").read_text())
+        self._rejected(workspace, capsys, "simulate", sim, "primitive 0")
+
+    def test_robust_as_string(self, workspace, capsys):
+        _simulate(workspace)
+        self._rejected(workspace, capsys, "calibrate", {
+            "observations": str(workspace / "out" / "observations.txt"),
+            "tof_intrinsics": "tof.json", "ir_intrinsics": "ir.json",
+            "translation": [0.05, 0.0, 0.0], "robust": "false",
+        }, "robust")
+
+    @pytest.mark.parametrize("command", ["fuse", "segment"])
+    def test_limits_not_an_object(self, workspace, capsys, command):
+        out = _simulate(workspace)
+        self._rejected(workspace, capsys, command, {
+            "raw": str(out / "raw.tirf"), "thermal": str(out / "thermal.tirf"),
+            "background": str(out / "raw.tirf"),
+            "tof_intrinsics": "tof.json", "ir_intrinsics": "ir.json",
+            "extrinsics": str(out / "extrinsics.truth.json"), "limits": [1, 2],
+        }, "limits")
+
+    @pytest.mark.parametrize("command", ["calibrate", "fuse", "segment"])
+    def test_seed_flag_only_on_simulate(self, workspace, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(workspace / "sim.json"), "--seed", "1"])
+        assert exc.value.code == 2

@@ -1,11 +1,12 @@
 """The per-frame kernels against the straightforward formulas they replaced.
 
 Demodulation, ray building, projection, bilinear sampling, fusion and frame
-stacking are written to avoid temporaries. The reference functions below are
-the plain array expressions those kernels started from; every test demands
-the same bytes, so a rewrite that reorders a floating-point operation fails
-here before it changes a CLI artifact. The same holds for the hand-written
-per-record container adapters that the channel schemas replaced, and for the
+stacking are written to avoid temporaries, and the background model updates
+in place through masks. The reference functions below are the plain array
+expressions those kernels started from; every test demands the same bytes,
+so a rewrite that reorders a floating-point operation fails here before it
+changes a CLI artifact. The same holds for the hand-written per-record
+container adapters that the channel schemas replaced, and for the
 ``np.savetxt`` thermogram table.
 """
 
@@ -293,6 +294,52 @@ def test_fuse_matches_reference(tof_intr, ir_intr, blob_scene):
     assert_same_bytes(tg.temperature.ravel(), temperature)
     assert_same_bytes(tg.reason.ravel(), reason)
     assert set(np.unique(tg.reason)) == set(int(r) for r in FuseReason)
+
+
+# --- background model ---------------------------------------------------------------
+
+def ref_build_background(frames, median_step):
+    mean = m2 = median = count = seen = None
+    for frame in frames:
+        if mean is None:
+            shape = frame.distance.shape
+            mean = np.zeros(shape)
+            m2 = np.zeros(shape)
+            median = np.zeros(shape)
+            count = np.zeros(shape, dtype=np.int64)
+            seen = np.zeros(shape, dtype=bool)
+        v = frame.valid
+        d = frame.distance
+        count = count + v
+        with np.errstate(invalid="ignore", divide="ignore"):
+            delta = d - mean
+            mean = np.where(v, mean + delta / np.maximum(count, 1), mean)
+            m2 = np.where(v, m2 + delta * (d - mean), m2)
+        median = np.where(v & ~seen, d, median)
+        stepped = median + median_step * np.sign(d - median)
+        median = np.where(v & seen, stepped, median)
+        seen |= v
+    with np.errstate(invalid="ignore", divide="ignore"):
+        var = np.where(count >= 2, m2 / np.maximum(count - 1, 1), 0.0)
+    return mean, np.sqrt(np.maximum(var, 0.0)), median, count
+
+
+@pytest.mark.parametrize("case", range(50))
+def test_build_background_matches_reference(case):
+    rng = np.random.default_rng(100 + case)
+    shape = tuple(rng.integers(1, 12, 2))
+    frames = []
+    for _ in range(rng.integers(2, 8)):
+        # coarse distances make equal samples, where the median step is zero
+        distance = np.round(rng.uniform(0.5, 6.0, shape), int(rng.integers(0, 3)))
+        valid = rng.random(shape) > rng.uniform(0.0, 0.8)
+        distance[~valid & (rng.random(shape) > 0.5)] = np.nan
+        frames.append(RangeFrame(distance, np.ones(shape), np.ones(shape), valid))
+    step = float(rng.choice([0.01, 0.25]))
+    model = segmentation.build_background(frames, median_step=step)
+    for actual, expected in zip((model.mean, model.std, model.median, model.count),
+                                ref_build_background(frames, step)):
+        assert_same_bytes(actual, expected)
 
 
 def test_extrinsics_apply_matches_reference():

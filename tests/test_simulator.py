@@ -377,6 +377,10 @@ class TestJsonDocuments:
         assert noise_from_json(doc) == noise
         assert noise_from_json({}) == NoiseConfig()
 
+    def test_noise_seed_is_kept_exactly(self):
+        # seeds are drawn below 2**62; a detour through float rounds this one up to 2**62
+        assert noise_from_json({"seed": 2**62 - 1}).seed == 2**62 - 1
+
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             NoiseConfig(saturation_fraction=1.5)

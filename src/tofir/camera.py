@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .document import read, whole
+from .document import number, read, whole
 
 _JSON_KEYS = {"focal_length": "f"}  # field name -> JSON key, where they differ
 
@@ -72,7 +72,7 @@ class Pinhole:
     def from_json_dict(cls, doc: dict):
         fields = [(f, _JSON_KEYS.get(f.name, f.name)) for f in dataclasses.fields(cls)]
         values = read(doc, "intrinsics (width and height in whole pixel counts)",
-                      **{key: whole if f.name in ("width", "height") else float
+                      **{key: whole if f.name in ("width", "height") else number
                          for f, key in fields})
         # a missing required key raises KeyError naming it
         return cls(**{f.name: values[key] for f, key in fields

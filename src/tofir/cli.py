@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, document, fusion, segmentation, simulator, thermal, tof
-from .container import FrameContainer
+from .container import Counted, FrameContainer
 from .errors import (
     ContainerFormatError,
     DegenerateGeometryError,
@@ -89,7 +90,8 @@ def _output_dir(args, cfg) -> Path:
 def _limits(cfg: dict) -> dict:
     """Keyword arguments of ``tof.demodulate`` from the optional "limits" object."""
     settings = document.read(cfg, "config", limits=lambda limits: document.read(
-        limits, "limits", a_min=float, a_max=float, b_max=float))
+        limits, "limits", a_min=document.number, a_max=document.number,
+        b_max=document.number))
     return settings.get("limits", {})
 
 
@@ -108,7 +110,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
     settings = document.read(cfg, "config", frames=document.whole, seed=document.whole,
-                             ir_blur_sigma=float)
+                             ir_blur_sigma=document.number)
     scene = simulator.scene_from_json(_load_json(_resolve(cfg, "scene", base)))
     tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
     ir_intr = _load_intrinsics(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
@@ -119,7 +121,7 @@ def cmd_simulate(args) -> int:
     targets = None
     if "calibration_targets" in cfg:
         targets = document.read(cfg["calibration_targets"], "calibration_targets",
-                                points=_targets, pixel_noise_sigma=float)
+                                points=_targets, pixel_noise_sigma=document.number)
         _require(targets, "points", "calibration_targets")
 
     ext = fusion.Extrinsics.identity()
@@ -192,6 +194,32 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _range_frame(cont: FrameContainer, k: int, tof_intr, limits: dict) -> tof.RangeFrame:
+    # a function of its own, so the float64 raw frame is freed on return, not
+    # held by a loop variable while the next one is unpacked
+    (raw,) = tof.raw_frames_from_container(cont.frame(k))
+    return tof.demodulate(raw, tof_intr, **limits)
+
+
+def _range_frames(cont: FrameContainer, tof_intr, limits: dict) -> Counted:
+    """The demodulated frames of a raw container, one raw frame in float64
+    at a time."""
+    frames = (_range_frame(cont, k, tof_intr, limits) for k in range(cont.frames))
+    return Counted(frames, cont.frames)
+
+
+def _thermograms(args, raw_cont, thermal_frames, tof_intr, ir_intr, ext, limits):
+    """Fuse raw frame k with its thermal frame as the caller asks for it,
+    printing the frame's summary line."""
+    for k in range(raw_cont.frames):
+        thermal_frame = thermal_frames[k if len(thermal_frames) > 1 else 0]
+        tg = fusion.fuse(_range_frame(raw_cont, k, tof_intr, limits), thermal_frame,
+                         tof_intr, ir_intr, ext)
+        stats = fusion.fuse_summary(tg)
+        _say(args, f"frame {k}: " + "  ".join(f"{k_}={v:.4f}" for k_, v in stats.items()))
+        yield tg
+
+
 def cmd_fuse(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
@@ -202,26 +230,23 @@ def cmd_fuse(args) -> int:
     ir_intr = _load_intrinsics(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
     ext = _load_extrinsics(_resolve(cfg, "extrinsics", base))
 
-    raws = tof.raw_frames_from_container(raw_cont)
     thermal_frames = thermal.thermal_frames_from_container(thermal_cont)
-    if len(thermal_frames) not in (1, len(raws)):
+    if len(thermal_frames) not in (1, raw_cont.frames):
         raise ConfigError(
-            f"{len(thermal_frames)} thermal frames for {len(raws)} raw frames: "
+            f"{len(thermal_frames)} thermal frames for {raw_cont.frames} raw frames: "
             "need 1 or one per raw frame"
         )
 
-    thermograms = []
-    for k, raw in enumerate(raws):
-        range_frame = tof.demodulate(raw, tof_intr, **limits)
-        thermal_frame = thermal_frames[k if len(thermal_frames) > 1 else 0]
-        tg = fusion.fuse(range_frame, thermal_frame, tof_intr, ir_intr, ext)
-        thermograms.append(tg)
-        stats = fusion.fuse_summary(tg)
-        _say(args, f"frame {k}: " + "  ".join(f"{k_}={v:.4f}" for k_, v in stats.items()))
+    # each thermogram goes into the float32 stack as it is fused; only the
+    # first is kept whole, for the text table
+    thermograms = _thermograms(args, raw_cont, thermal_frames, tof_intr, ir_intr, ext, limits)
+    first = next(thermograms)
+    stacked = fusion.thermograms_to_container(
+        Counted(itertools.chain([first], thermograms), raw_cont.frames))
 
     out = _output_dir(args, cfg)
-    fusion.thermograms_to_container(thermograms).write(out / "thermogram.tirf")
-    (out / "thermogram.txt").write_text(fusion.thermogram_to_text(thermograms[0]))
+    stacked.write(out / "thermogram.tirf")
+    (out / "thermogram.txt").write_text(fusion.thermogram_to_text(first))
     return EXIT_OK
 
 
@@ -229,33 +254,30 @@ def cmd_segment(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
     limits = _limits(cfg)
-    background_settings = document.read(cfg, "config", median_step=float)
-    mask_settings = document.read(cfg, "config", k=float, sigma_floor=float)
+    background_settings = document.read(cfg, "config", median_step=document.number)
+    mask_settings = document.read(cfg, "config", k=document.number,
+                                  sigma_floor=document.number)
     k = mask_settings.pop("k", 3.0)
     tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
 
     background_cont = FrameContainer.read(_resolve(cfg, "background", base))
-    bg_frames = [
-        tof.demodulate(r, tof_intr, **limits)
-        for r in tof.raw_frames_from_container(background_cont)
-    ]
-    model = segmentation.build_background(bg_frames, **background_settings)
+    model = segmentation.build_background(
+        _range_frames(background_cont, tof_intr, limits), **background_settings)
 
+    # without "frames" the background frames are demodulated a second time
+    test_cont = background_cont
     if "frames" in cfg:
         test_cont = FrameContainer.read(_resolve(cfg, "frames", base))
-        test_frames = [
-            tof.demodulate(r, tof_intr, **limits)
-            for r in tof.raw_frames_from_container(test_cont)
-        ]
-    else:
-        test_frames = bg_frames
-
-    masks = [segmentation.foreground_mask(f, model, k, **mask_settings) for f in test_frames]
+    masks = segmentation.masks_to_container(Counted(
+        (segmentation.foreground_mask(f, model, k, **mask_settings)
+         for f in _range_frames(test_cont, tof_intr, limits)),
+        test_cont.frames))
 
     out = _output_dir(args, cfg)
     segmentation.background_to_container(model).write(out / "background.tirf")
-    segmentation.masks_to_container(masks).write(out / "masks.tirf")
-    for i, mask in enumerate(masks):
+    masks.write(out / "masks.tirf")
+    for i in range(masks.frames):
+        (mask,) = segmentation.masks_from_container(masks.frame(i))
         (out / f"mask_{i:04d}.pbm").write_text(segmentation.mask_to_pbm(mask))
         _say(args, f"frame {i}: {int(mask.foreground.sum())} foreground pixels")
     return EXIT_OK

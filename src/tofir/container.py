@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -82,24 +82,40 @@ class FrameContainer:
             raise KeyError(f"no channel {name!r}, have {self.channel_names}") from None
         return self.data[frame, :, :, index]
 
+    def frame(self, k: int) -> "FrameContainer":
+        """Frame ``k`` alone: a one-frame container that is a view of ``data``."""
+        if not 0 <= k < self.frames:
+            raise IndexError(f"frame {k} out of range for {self.frames} frames")
+        return FrameContainer(self.channel_names, self.data[k : k + 1])
+
     @classmethod
-    def stack(cls, frames: Sequence[Mapping[str, np.ndarray]]) -> "FrameContainer":
+    def stack(cls, frames: Collection[Mapping[str, np.ndarray]]) -> "FrameContainer":
         """Build a container from per-frame mappings of name -> (H, W) plane.
 
-        All frames must share the same channel names in the same order and
-        every plane the shape of the first one; planes are written straight
-        into the float32 stack.
+        ``frames`` is iterated once, a frame at a time, so it may make each
+        mapping as it is asked for; its ``len()`` sizes the float32 stack and
+        must equal the number of frames it yields. All frames must share the
+        same channel names in the same order and every plane the shape of
+        the first one; planes are written straight into the stack.
         """
-        if not frames:
+        count = len(frames)
+        if count == 0:
             raise ContainerFormatError("at least one frame required")
-        names = tuple(frames[0])
-        if not names:
-            raise ContainerFormatError("at least one channel required")
-        shape = np.shape(frames[0][names[0]])
-        if len(shape) != 2:
-            raise ContainerFormatError(f"planes must be 2-d (height, width), got shape {shape}")
-        data = np.empty((len(frames),) + shape + (len(names),), dtype="<f4")
+        data = None
+        made = 0
         for i, frame in enumerate(frames):
+            if i == count:
+                raise ContainerFormatError(f"more frames than the {count} announced")
+            if data is None:
+                names = tuple(frame)
+                if not names:
+                    raise ContainerFormatError("at least one channel required")
+                shape = np.shape(frame[names[0]])
+                if len(shape) != 2:
+                    raise ContainerFormatError(
+                        f"planes must be 2-d (height, width), got shape {shape}"
+                    )
+                data = np.empty((count,) + shape + (len(names),), dtype="<f4")
             if tuple(frame) != names:
                 raise ContainerFormatError(f"frame {i} channels {tuple(frame)} != {names}")
             for c, name in enumerate(names):
@@ -109,6 +125,10 @@ class FrameContainer:
                         f"frame {i} channel {name!r} has shape {plane.shape}, expected {shape}"
                     )
                 data[i, :, :, c] = plane
+            made = i + 1
+        if made != count:
+            # the rows past ``made`` were never written
+            raise ContainerFormatError(f"{made} frames, {count} announced")
         return cls(names, data)
 
     def _head(self) -> bytes:
@@ -170,6 +190,24 @@ class FrameContainer:
 
 
 @dataclass(frozen=True)
+class Counted:
+    """``count`` items made one at a time by ``items``, for a consumer that
+    reads a length before it iterates, such as :meth:`FrameContainer.stack`.
+
+    Iterating it iterates ``items``; a one-shot iterator can be iterated once.
+    """
+
+    items: Iterable
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return iter(self.items)
+
+
+@dataclass(frozen=True)
 class ChannelSchema:
     """How one record type is stored: one container frame per record.
 
@@ -189,18 +227,19 @@ class ChannelSchema:
     def channel_names(self) -> tuple[str, ...]:
         return tuple(name for names in self.fields.values() for name in names)
 
-    def pack(self, records: Sequence) -> FrameContainer:
-        frames = []
-        for record in records:
-            planes = {}
-            for attr, names in self.fields.items():
-                value = getattr(record, attr)
-                if len(names) == 1:
-                    planes[names[0]] = value
-                else:
-                    planes.update((name, value[:, :, k]) for k, name in enumerate(names))
-            frames.append(planes)
-        return FrameContainer.stack(frames)
+    def pack(self, records: Collection) -> FrameContainer:
+        """One container frame per record, each record read as it is iterated."""
+        return FrameContainer.stack(Counted(map(self._planes, records), len(records)))
+
+    def _planes(self, record) -> dict:
+        planes = {}
+        for attr, names in self.fields.items():
+            value = getattr(record, attr)
+            if len(names) == 1:
+                planes[names[0]] = value
+            else:
+                planes.update((name, value[:, :, k]) for k, name in enumerate(names))
+        return planes
 
     def unpack(self, cont: FrameContainer) -> list:
         if cont.channel_names != self.channel_names:

@@ -4,11 +4,13 @@ Every setting the package takes from a JSON document goes through
 :func:`read`. It converts only the keys a document holds, so a default is
 declared once, in the dataclass or the signature the settings are passed to.
 A value of the wrong kind raises ``ValueError`` naming the document and the
-key; JSON's loose spots are closed: ``2.5`` is not a frame count and
-``"false"`` is not false.
+key; JSON's loose spots are closed: ``2.5`` is not a frame count,
+``"false"`` is not false and ``NaN`` is not a number.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def read(doc, where: str, **convert) -> dict:
@@ -40,6 +42,23 @@ def whole(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"expected a whole number, got {value!r}")
+
+
+def number(value) -> float:
+    """A finite number as a ``float``: ``3`` and ``3.0`` read as 3.0.
+
+    Python's ``json`` reads the ``NaN`` and ``Infinity`` literals, which pass
+    every range check written ``x < 0``; they raise here, as do booleans and
+    strings.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            converted = float(value)
+        except OverflowError:  # an integer too large for a float
+            converted = math.inf
+        if math.isfinite(converted):
+            return converted
+    raise ValueError(f"expected a finite number, got {value!r}")
 
 
 def flag(value) -> bool:

@@ -91,6 +91,7 @@ MASK_SCHEMA = ChannelSchema(
     integral={"foreground": (0, 1), "valid": (0, 1)},
 )
 masks_to_container = MASK_SCHEMA.pack
+masks_from_container = MASK_SCHEMA.unpack
 
 
 def build_background(

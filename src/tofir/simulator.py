@@ -529,8 +529,9 @@ def make_calibration_set(
 
 def scene_from_json(doc: dict) -> Scene:
     """Build a scene from its JSON document, naming the offending field on error."""
-    settings = document.read(doc, "scene", ambient_temperature=float,
-                             background_distance=float, background_reflectivity=float)
+    settings = document.read(doc, "scene", ambient_temperature=document.number,
+                             background_distance=document.number,
+                             background_reflectivity=document.number)
     raw_prims = doc.get("primitives")
     if not isinstance(raw_prims, list) or not raw_prims:
         raise ValueError("scene field 'primitives' must be a non-empty array")
@@ -539,8 +540,10 @@ def scene_from_json(doc: dict) -> Scene:
 
 
 _PRIMITIVE_FIELDS = {
-    "plane": (Plane, dict(axis=str, offset=float, reflectivity=float, temperature=float)),
-    "sphere": (Sphere, dict(center=tuple, radius=float, reflectivity=float, temperature=float)),
+    "plane": (Plane, dict(axis=str, offset=document.number, reflectivity=document.number,
+                          temperature=document.number)),
+    "sphere": (Sphere, dict(center=tuple, radius=document.number,
+                            reflectivity=document.number, temperature=document.number)),
 }
 
 
@@ -571,12 +574,13 @@ def noise_from_json(doc: dict) -> NoiseConfig:
     settings = document.read(
         doc, "noise",
         seed=document.whole,
-        phase_noise_scale=float,
-        bucket_noise_sigma=float,
-        saturation_fraction=float,
+        phase_noise_scale=document.number,
+        bucket_noise_sigma=document.number,
+        saturation_fraction=document.number,
         multipath=_part(MultipathConfig, "multipath", enabled=document.flag,
-                        extra_distance=float, relative_amplitude=float),
+                        extra_distance=document.number,
+                        relative_amplitude=document.number),
         scattering=_part(ScatteringConfig, "scattering", enabled=document.flag,
-                         kernel_radius=document.whole, energy_fraction=float),
+                         kernel_radius=document.whole, energy_fraction=document.number),
     )
     return _build(NoiseConfig, "noise", **settings)

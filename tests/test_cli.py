@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +330,68 @@ class TestDeterminism:
         assert masks.channel("foreground", 0).any()
 
 
+class TestStreamedMemory:
+    """fuse and segment hold one raw frame in float64 at a time: per extra
+    frame, their peak grows by the frame's float32 input payload and output
+    stack only. tracemalloc counts numpy's buffers; RSS would follow glibc's
+    heap thresholds as much as live memory."""
+
+    WIDTH, HEIGHT = 160, 120
+    FRAME_COUNTS = (2, 12)
+    # allowance over a frame's float32 bytes: at 2 frames thermogram 0 and the
+    # last one fused are one object, from 3 on they are two
+    SLACK = 0.2
+    # float32 channels per frame read and written
+    CHANNELS = {
+        "fuse": 4 + 5,  # raw a1..a4; thermogram x, y, z, temperature, validity
+        "segment": 4 + 4 + 3,  # background and test raw; foreground, score, valid
+    }
+
+    def _configs(self, workspace, frames: int) -> dict:
+        _write_json(workspace / "tof_160.json", {
+            "f": 4e-3, "width": self.WIDTH, "height": self.HEIGHT, "pixel_pitch": 18e-6,
+        })
+        out = workspace / f"sim{frames}"
+        sim = json.loads((workspace / "sim.json").read_text())
+        del sim["calibration_targets"]
+        _write_json(workspace / "sim_160.json", {
+            **sim, "tof_intrinsics": "tof_160.json", "frames": frames, "output": str(out),
+        })
+        assert main(["simulate", "--config", str(workspace / "sim_160.json"), "--quiet"]) == 0
+        docs = {
+            "fuse": {"raw": str(out / "raw.tirf"), "thermal": str(out / "thermal.tirf"),
+                     "tof_intrinsics": "tof_160.json", "ir_intrinsics": "ir.json",
+                     "extrinsics": str(out / "extrinsics.truth.json")},
+            "segment": {"background": str(out / "raw.tirf"), "frames": str(out / "raw.tirf"),
+                        "tof_intrinsics": "tof_160.json"},
+        }
+        configs = {}
+        for command, doc in docs.items():
+            configs[command] = workspace / f"{command}{frames}.json"
+            _write_json(configs[command], {**doc, "output": str(workspace / f"{command}-out")})
+        return configs
+
+    @staticmethod
+    def _peak(argv) -> int:
+        assert main(argv) == 0  # untraced first: imports and the ray cache are warm
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_by_the_float32_frames_only(self, workspace):
+        configs = {n: self._configs(workspace, n) for n in self.FRAME_COUNTS}
+        low, high = self.FRAME_COUNTS
+        for command, channels in self.CHANNELS.items():
+            peaks = [self._peak([command, "--config", str(configs[n][command]), "--quiet"])
+                     for n in self.FRAME_COUNTS]
+            per_frame = (peaks[1] - peaks[0]) / (high - low)
+            float32_bytes = self.WIDTH * self.HEIGHT * channels * 4
+            assert per_frame <= (1 + self.SLACK) * float32_bytes, (command, peaks)
+
+
 class TestCommonBehavior:
     def test_quiet_suppresses_stdout(self, workspace, capsys):
         _simulate(workspace)
@@ -349,8 +413,10 @@ class TestMalformedSettings:
         rc = main([command, "--config", str(workspace / "bad.json"), "--output", str(out),
                    "--quiet"])
         assert rc == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
         assert not out.exists()
+        return err
 
     @pytest.mark.parametrize("change, key", [
         ({"frames": 2.5}, "frames"),
@@ -387,6 +453,61 @@ class TestMalformedSettings:
             "tof_intrinsics": "tof.json", "ir_intrinsics": "ir.json",
             "extrinsics": str(out / "extrinsics.truth.json"), "limits": [1, 2],
         }, "limits")
+
+    # (command, document holding the setting, path to it, value)
+    NON_FINITE = [
+        ("simulate", "sim.json", ("ir_blur_sigma",), math.nan),
+        ("simulate", "sim.json", ("calibration_targets", "pixel_noise_sigma"), math.nan),
+        ("simulate", "sim.json", ("noise", "phase_noise_scale"), math.nan),
+        ("simulate", "sim.json", ("noise", "bucket_noise_sigma"), math.inf),
+        ("simulate", "sim.json", ("noise", "saturation_fraction"), math.nan),
+        ("simulate", "sim.json", ("noise", "multipath", "extra_distance"), math.nan),
+        ("simulate", "sim.json", ("noise", "multipath", "relative_amplitude"), math.inf),
+        ("simulate", "sim.json", ("noise", "scattering", "energy_fraction"), math.nan),
+        ("simulate", "scene.json", ("ambient_temperature",), math.nan),
+        ("simulate", "scene.json", ("background_distance",), math.inf),
+        ("simulate", "scene.json", ("background_reflectivity",), math.nan),
+        ("simulate", "scene.json", ("primitives", 0, "offset"), math.nan),
+        ("simulate", "scene.json", ("primitives", 0, "reflectivity"), math.nan),
+        ("simulate", "scene.json", ("primitives", 0, "temperature"), math.inf),
+        ("simulate", "scene.json", ("primitives", 1, "radius"), math.nan),
+        ("simulate", "scene.json", ("primitives", 1, "reflectivity"), -math.inf),
+        ("simulate", "scene.json", ("primitives", 1, "temperature"), math.nan),
+        ("simulate", "tof.json", ("f",), math.nan),
+        ("simulate", "tof.json", ("pixel_pitch",), math.nan),
+        ("simulate", "tof.json", ("cx",), math.nan),
+        ("simulate", "tof.json", ("cy",), math.inf),
+        ("simulate", "tof.json", ("k1",), math.nan),
+        ("simulate", "tof.json", ("k2",), math.inf),
+        ("simulate", "tof.json", ("f_mod",), math.nan),
+        ("fuse", "config", ("limits", "a_min"), math.nan),
+        ("fuse", "config", ("limits", "a_max"), math.nan),
+        ("fuse", "config", ("limits", "b_max"), math.inf),
+        ("segment", "config", ("median_step",), math.nan),
+        ("segment", "config", ("k",), math.nan),
+        ("segment", "config", ("sigma_floor",), math.nan),
+    ]
+
+    @pytest.mark.parametrize("command, name, path, value", NON_FINITE,
+                             ids=[f"{c}-{'.'.join(map(str, p))}" for c, _, p, _ in NON_FINITE])
+    def test_non_finite_number(self, workspace, capsys, command, name, path, value):
+        if command == "simulate":
+            doc = json.loads((workspace / name).read_text())
+        else:
+            out = _simulate(workspace)
+            doc = {"raw": str(out / "raw.tirf"), "thermal": str(out / "thermal.tirf"),
+                   "background": str(out / "raw.tirf"),
+                   "tof_intrinsics": "tof.json", "ir_intrinsics": "ir.json",
+                   "extrinsics": str(out / "extrinsics.truth.json")}
+        node = doc
+        for key in path[:-1]:
+            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+        node[path[-1]] = value
+        if name != "sim.json" and command == "simulate":  # a document the config names
+            _write_json(workspace / name, doc)
+            doc = json.loads((workspace / "sim.json").read_text())
+        err = self._rejected(workspace, capsys, command, doc, repr(path[-1]))
+        assert "finite" in err
 
     @pytest.mark.parametrize("command", ["calibrate", "fuse", "segment"])
     def test_seed_flag_only_on_simulate(self, workspace, command):

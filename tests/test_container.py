@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tofir import ContainerFormatError, DimensionMismatchError, FrameContainer
+from tofir.container import Counted
 from tofir.fusion import THERMOGRAM_SCHEMA, thermograms_from_container
 from tofir.segmentation import BACKGROUND_SCHEMA, MASK_SCHEMA, background_from_container
 from tofir.simulator import TRUTH_SCHEMA
@@ -110,6 +111,50 @@ def test_stack_and_single_frame_helpers():
     assert np.array_equal(cont.channel("b"), b.astype(np.float32))
     with pytest.raises(ContainerFormatError):
         FrameContainer.stack([{"a": a}, {"b": b}])
+
+
+def test_frame_is_a_one_frame_view():
+    cont = _sample_container()
+    for k in range(cont.frames):
+        one = cont.frame(k)
+        assert one.frames == 1 and one.channel_names == cont.channel_names
+        assert np.shares_memory(one.data, cont.data)
+        assert np.array_equal(one.data[0], cont.data[k])
+    for k in (-1, cont.frames):
+        with pytest.raises(IndexError):
+            cont.frame(k)
+
+
+# --- stacking from a sized iterable ---------------------------------------------------
+
+def _planes(count):
+    return [{"a": np.full((3, 4), float(k)), "b": np.full((3, 4), -float(k))}
+            for k in range(count)]
+
+
+def test_stack_takes_frames_as_they_are_made():
+    made = []
+
+    def frames():
+        for planes in _planes(3):
+            made.append(len(made))
+            yield planes
+
+    cont = FrameContainer.stack(Counted(frames(), 3))
+    assert made == [0, 1, 2]
+    assert cont.to_bytes() == FrameContainer.stack(_planes(3)).to_bytes()
+
+
+@pytest.mark.parametrize("yielded, announced", [(2, 3), (0, 1), (4, 3), (1, 0)])
+def test_stack_rejects_a_frame_count_other_than_announced(yielded, announced):
+    with pytest.raises(ContainerFormatError):
+        FrameContainer.stack(Counted(iter(_planes(yielded)), announced))
+
+
+def test_stack_still_rejects_no_frames_no_channels_and_mismatched_planes():
+    for frames in ([], [{}], [{"a": np.zeros((3, 4))}, {"a": np.zeros((3, 5))}]):
+        with pytest.raises(ContainerFormatError):
+            FrameContainer.stack(Counted(iter(frames), len(frames)))
 
 
 def test_bad_magic_rejected():

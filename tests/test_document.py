@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tofir.document import flag, read, whole
+from tofir.document import flag, number, read, whole
 
 
 @pytest.mark.parametrize("value", [0, 4, 4.0, -3.0, 2**62 - 1, 2**80])
@@ -15,6 +15,19 @@ def test_whole_keeps_whole_numbers_exactly(value):
 def test_whole_rejects_everything_else(value):
     with pytest.raises(ValueError, match="whole number"):
         whole(value)
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, 1e-300, -1.7976931348623157e308, 2**62])
+def test_number_reads_finite_numbers_as_floats(value):
+    converted = number(value)
+    assert type(converted) is float and converted == value
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, True, "3.0",
+                                   "nan", None, [1.0]])
+def test_number_rejects_everything_else(value):
+    with pytest.raises(ValueError, match="finite number"):
+        number(value)
 
 
 @pytest.mark.parametrize("value", [True, False])

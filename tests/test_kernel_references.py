@@ -6,12 +6,15 @@ in place through masks. The reference functions below are the plain array
 expressions those kernels started from; every test demands the same bytes,
 so a rewrite that reorders a floating-point operation fails here before it
 changes a CLI artifact. The same holds for the hand-written per-record
-container adapters that the channel schemas replaced, and for the
-``np.savetxt`` thermogram table.
+container adapters that the channel schemas replaced, for the
+``np.savetxt`` thermogram table, and for the ``fuse`` and ``segment``
+commands as they were before they streamed their frames.
 """
 
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from tofir import (
     fuse,
     render_ir,
 )
-from tofir import fusion, segmentation, simulator, thermal, tof
+from tofir import cli, document, fusion, segmentation, simulator, thermal, tof
 from tofir.camera import pixel_rays, project_points, unit_rays
 from tofir.errors import ContainerFormatError
 from tofir.fusion import FuseReason
@@ -597,3 +600,146 @@ def test_thermogram_text_matches_savetxt(shape):
     temperature.reshape(-1)[-len(special):] = special[-temperature.size:]
     tg = Thermogram(points, temperature, rng.integers(0, 4, shape))
     assert fusion.thermogram_to_text(tg) == ref_thermogram_to_text(tg)
+
+
+# --- streamed fuse and segment commands -----------------------------------------------------
+# cmd_fuse and cmd_segment as they were before they streamed: every raw frame
+# unpacked to float64 up front, and every range frame, thermogram and mask
+# kept until the artifacts are written
+
+def ref_cmd_fuse(args):
+    cfg = cli._load_json(args.config)
+    base = Path(args.config).parent
+    limits = cli._limits(cfg)
+    raw_cont = FrameContainer.read(cli._resolve(cfg, "raw", base))
+    thermal_cont = FrameContainer.read(cli._resolve(cfg, "thermal", base))
+    tof_intr = cli._load_intrinsics(cfg, base, "tof_intrinsics", TofIntrinsics)
+    ir_intr = cli._load_intrinsics(cfg, base, "ir_intrinsics", IrIntrinsics)
+    ext = cli._load_extrinsics(cli._resolve(cfg, "extrinsics", base))
+
+    raws = tof.raw_frames_from_container(raw_cont)
+    thermal_frames = thermal.thermal_frames_from_container(thermal_cont)
+    thermograms = []
+    for k, raw in enumerate(raws):
+        range_frame = tof.demodulate(raw, tof_intr, **limits)
+        thermal_frame = thermal_frames[k if len(thermal_frames) > 1 else 0]
+        tg = fusion.fuse(range_frame, thermal_frame, tof_intr, ir_intr, ext)
+        thermograms.append(tg)
+        stats = fusion.fuse_summary(tg)
+        cli._say(args, f"frame {k}: " + "  ".join(f"{k_}={v:.4f}" for k_, v in stats.items()))
+
+    out = cli._output_dir(args, cfg)
+    fusion.thermograms_to_container(thermograms).write(out / "thermogram.tirf")
+    (out / "thermogram.txt").write_text(fusion.thermogram_to_text(thermograms[0]))
+    return cli.EXIT_OK
+
+
+def ref_cmd_segment(args):
+    cfg = cli._load_json(args.config)
+    base = Path(args.config).parent
+    limits = cli._limits(cfg)
+    background_settings = document.read(cfg, "config", median_step=document.number)
+    mask_settings = document.read(cfg, "config", k=document.number,
+                                  sigma_floor=document.number)
+    k = mask_settings.pop("k", 3.0)
+    tof_intr = cli._load_intrinsics(cfg, base, "tof_intrinsics", TofIntrinsics)
+
+    background_cont = FrameContainer.read(cli._resolve(cfg, "background", base))
+    bg_frames = [
+        tof.demodulate(r, tof_intr, **limits)
+        for r in tof.raw_frames_from_container(background_cont)
+    ]
+    model = segmentation.build_background(bg_frames, **background_settings)
+
+    if "frames" in cfg:
+        test_cont = FrameContainer.read(cli._resolve(cfg, "frames", base))
+        test_frames = [
+            tof.demodulate(r, tof_intr, **limits)
+            for r in tof.raw_frames_from_container(test_cont)
+        ]
+    else:
+        test_frames = bg_frames
+
+    masks = [segmentation.foreground_mask(f, model, k, **mask_settings) for f in test_frames]
+
+    out = cli._output_dir(args, cfg)
+    segmentation.background_to_container(model).write(out / "background.tirf")
+    segmentation.masks_to_container(masks).write(out / "masks.tirf")
+    for i, mask in enumerate(masks):
+        (out / f"mask_{i:04d}.pbm").write_text(segmentation.mask_to_pbm(mask))
+        cli._say(args, f"frame {i}: {int(mask.foreground.sum())} foreground pixels")
+    return cli.EXIT_OK
+
+
+_RAW_FRAMES = 4
+
+
+@pytest.fixture
+def cli_inputs(tmp_path, tof_intr, ir_intr, wall_scene, blob_scene):
+    """Noisy raw frames of the wall and of the warm sphere, one thermal frame
+    and one per raw frame, and the rig documents, for the 64x50 rig."""
+    ext = Extrinsics(
+        np.array([[math.cos(0.05), 0.0, math.sin(0.05)], [0.0, 1.0, 0.0],
+                  [-math.sin(0.05), 0.0, math.cos(0.05)]]),
+        np.array([0.05, 0.0, 0.0]),
+    )
+    for name, scene, seed in (("background", wall_scene, 3), ("raw", blob_scene, 4)):
+        rendered = simulator.render_tof_sequence(
+            scene, tof_intr, None, simulator.NoiseConfig(seed=seed, bucket_noise_sigma=0.2),
+            _RAW_FRAMES, extrinsics=ext)
+        tof.raw_frames_to_container([raw for raw, _ in rendered]).write(tmp_path / f"{name}.tirf")
+    ir_frame = render_ir(blob_scene, ir_intr, ext.inverse())
+    thermal.thermal_frames_to_container([ir_frame]).write(tmp_path / "thermal.tirf")
+    thermal.thermal_frames_to_container(
+        [ThermalFrame(ir_frame.temperatures + k) for k in range(_RAW_FRAMES)]
+    ).write(tmp_path / "thermal_seq.tirf")
+    for name, doc in (("tof.json", tof_intr.to_json_dict()), ("ir.json", ir_intr.to_json_dict()),
+                      ("ext.json", ext.to_json_dict())):
+        (tmp_path / name).write_text(json.dumps(doc))
+    return tmp_path
+
+
+def _run_both(capsys, workspace, command, doc, reference):
+    """The command through ``main`` and through its reference: artifacts and
+    stdout of each."""
+    (workspace / "cmd.json").write_text(json.dumps(doc))
+    results = []
+    for run, label in ((None, "streamed"), (reference, "reference")):
+        argv = [command, "--config", str(workspace / "cmd.json"),
+                "--output", str(workspace / label)]
+        if run is None:
+            assert cli.main(argv) == 0
+        else:
+            assert run(cli.build_parser().parse_args(argv)) == 0
+        files = {p.name: p.read_bytes() for p in sorted((workspace / label).iterdir())}
+        results.append((files, capsys.readouterr().out))
+    return results
+
+
+_LIMITS = {"a_min": 1e-3, "a_max": 1e3, "b_max": 1e3}
+
+
+@pytest.mark.parametrize("thermal_file", ["thermal.tirf", "thermal_seq.tirf"])
+def test_fuse_command_matches_eager_reference(cli_inputs, capsys, thermal_file):
+    doc = {"raw": "raw.tirf", "thermal": thermal_file, "tof_intrinsics": "tof.json",
+           "ir_intrinsics": "ir.json", "extrinsics": "ext.json", "limits": _LIMITS}
+    (files, printed), (ref_files, ref_printed) = _run_both(
+        capsys, cli_inputs, "fuse", doc, ref_cmd_fuse)
+    assert sorted(files) == ["thermogram.tirf", "thermogram.txt"]
+    assert files == ref_files
+    assert printed == ref_printed and printed.count("valid=") == _RAW_FRAMES
+
+
+@pytest.mark.parametrize("frames", [{"frames": "raw.tirf"}, {}], ids=["frames", "no-frames"])
+def test_segment_command_matches_eager_reference(cli_inputs, capsys, frames):
+    doc = {"background": "background.tirf", "tof_intrinsics": "tof.json", "k": 3.0,
+           "sigma_floor": 0.002, "median_step": 0.02, "limits": _LIMITS, **frames}
+    (files, printed), (ref_files, ref_printed) = _run_both(
+        capsys, cli_inputs, "segment", doc, ref_cmd_segment)
+    pbms = [f"mask_{i:04d}.pbm" for i in range(_RAW_FRAMES)]
+    assert sorted(files) == sorted(["background.tirf", "masks.tirf"] + pbms)
+    assert files == ref_files
+    assert printed == ref_printed and printed.count("foreground pixels") == _RAW_FRAMES
+    if frames:  # the sphere in front of the wall is foreground
+        masks = FrameContainer.read(cli_inputs / "streamed" / "masks.tirf")
+        assert masks.channel("foreground", 0).any()

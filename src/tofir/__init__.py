@@ -13,7 +13,6 @@ from .calibration import (
     TargetObservation,
     estimate_rotation,
     locate_peak,
-    projection_error,
 )
 from .container import FrameContainer
 from .errors import (
@@ -21,14 +20,12 @@ from .errors import (
     DegenerateGeometryError,
     DimensionMismatchError,
     InsufficientDataError,
-    OutOfFieldError,
 )
 from .fusion import Extrinsics, FuseReason, Thermogram, fuse, transform_points
 from .segmentation import (
     BackgroundModel,
     ForegroundMask,
     build_background,
-    flag_invalid,
     foreground_mask,
 )
 from .simulator import (
@@ -45,7 +42,7 @@ from .simulator import (
     render_tof,
     render_tof_sequence,
 )
-from .thermal import IrIntrinsics, ThermalFrame, sample_temperature
+from .thermal import IrIntrinsics, ThermalFrame
 from .tof import (
     PointCloud,
     RangeFrame,
@@ -78,7 +75,6 @@ __all__ = [
     "IrIntrinsics",
     "MultipathConfig",
     "NoiseConfig",
-    "OutOfFieldError",
     "PeakEstimate",
     "Plane",
     "PointCloud",
@@ -96,17 +92,14 @@ __all__ = [
     "build_background",
     "demodulate",
     "estimate_rotation",
-    "flag_invalid",
     "foreground_mask",
     "fuse",
     "locate_peak",
     "make_calibration_set",
     "phase_for_distance",
-    "projection_error",
     "render_ir",
     "render_tof",
     "render_tof_sequence",
-    "sample_temperature",
     "synthesize_buckets",
     "transform_points",
     "unambiguous_range",

@@ -151,47 +151,29 @@ def _parabola_vertex(values) -> tuple[float, bool]:
 
 # --- projection error -----------------------------------------------------------
 
-def _observation_arrays(observations: Sequence[TargetObservation]):
+def _observation_arrays(observations: Sequence[TargetObservation], tof_intr: TofIntrinsics):
+    """Range-camera target points (no rotation moves them) and measured IR pixels."""
     u = np.array([o.u for o in observations])
     v = np.array([o.v for o in observations])
     dist = np.array([o.distance for o in observations])
-    measured = np.array([[o.ir_x, o.ir_y] for o in observations])
-    return u, v, dist, measured
-
-
-def _predict_ir_pixels(rotation, translation, u, v, dist, tof_intr, ir_intr):
-    """Project reconstructed targets into the IR image for a candidate rotation."""
     uu, vu, norm = pixel_rays(tof_intr, u, v)
     scale = dist / norm
     points = np.stack([scale * uu, scale * vu, scale], axis=-1)
+    measured = np.array([[o.ir_x, o.ir_y] for o in observations])
+    return points, measured
+
+
+def _residual_matrix(rotation, translation, points, measured, ir_intr):
+    """Projected minus measured IR pixels, (n, 2), for a candidate rotation.
+
+    Points landing behind the IR camera get the large constant penalty
+    instead of raising, so line searches can step through bad poses.
+    """
     q = points @ np.asarray(rotation, dtype=np.float64).T + np.asarray(translation, dtype=np.float64)
-    return project_points(q, ir_intr)
-
-
-def _residual_matrix(rotation, translation, u, v, dist, measured, tof_intr, ir_intr):
-    predicted, in_front = _predict_ir_pixels(
-        rotation, translation, u, v, dist, tof_intr, ir_intr
-    )
+    predicted, in_front = project_points(q, ir_intr)
     res = predicted - measured
     res[~in_front] = (BEHIND_CAMERA_PENALTY, 0.0)
     return res
-
-
-def projection_error(
-    obs: TargetObservation,
-    rotation,
-    translation,
-    tof_intr: TofIntrinsics,
-    ir_intr: IrIntrinsics,
-) -> float:
-    """Pixel distance between the measured and the projected IR position.
-
-    Points landing behind the IR camera return the large constant penalty
-    instead of raising, so line searches can step through bad poses.
-    """
-    u, v, dist, measured = _observation_arrays([obs])
-    res = _residual_matrix(rotation, translation, u, v, dist, measured, tof_intr, ir_intr)
-    return float(np.hypot(res[0, 0], res[0, 1]))
 
 
 # --- rotation estimation --------------------------------------------------------
@@ -229,13 +211,13 @@ def estimate_rotation(
     The returned rotation is re-orthonormalized.
     """
     _check_geometry(observations)
-    u, v, dist, measured = _observation_arrays(observations)
+    points, measured = _observation_arrays(observations, tof_intr)
     translation = np.asarray(translation, dtype=np.float64).reshape(3)
 
     rotation = np.eye(3) if initial_rotation is None else orthonormalize_rotation(initial_rotation)
 
     def residuals(rot):
-        return _residual_matrix(rot, translation, u, v, dist, measured, tof_intr, ir_intr)
+        return _residual_matrix(rot, translation, points, measured, ir_intr)
 
     def weights_for(res):
         if not robust:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .document import number, read, whole
+from .document import check, number, read, whole
 
 _JSON_KEYS = {"focal_length": "f"}  # field name -> JSON key, where they differ
 
@@ -51,10 +51,8 @@ class Pinhole:
             object.__setattr__(self, "cx", self.width / 2.0)
         if self.cy is None:
             object.__setattr__(self, "cy", self.height / 2.0)
-        if self.focal_length <= 0:
-            raise ValueError(f"focal_length must be positive, got {self.focal_length}")
-        if self.pixel_pitch <= 0:
-            raise ValueError(f"pixel_pitch must be positive, got {self.pixel_pitch}")
+        check("focal_length", self.focal_length, "positive")
+        check("pixel_pitch", self.pixel_pitch, "positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"sensor must be non-empty, got {self.width}x{self.height}")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):

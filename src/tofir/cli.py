@@ -64,20 +64,13 @@ def _resolve(cfg: dict, key: str, base: Path) -> Path:
     return (base / value).resolve() if not Path(value).is_absolute() else Path(value)
 
 
-def _load_intrinsics(cfg, base, key: str, cls):
+def _load_document(cfg, base, key: str, cls):
+    """``cls.from_json_dict`` of the JSON file the config's ``key`` names."""
     doc = _load_json(_resolve(cfg, key, base))
     try:
         return cls.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _load_extrinsics(path: Path) -> fusion.Extrinsics:
-    doc = _load_json(path)
-    try:
-        return fusion.Extrinsics.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"extrinsics: {exc}") from exc
 
 
 def _output_dir(args, cfg) -> Path:
@@ -96,7 +89,7 @@ def _limits(cfg: dict) -> dict:
 
 
 def _targets(points) -> list:
-    return [simulator.CalibrationTarget(tuple(p)) for p in points]
+    return [simulator.CalibrationTarget(document.triple(p)) for p in points]
 
 
 def _say(args, message: str) -> None:
@@ -112,8 +105,8 @@ def cmd_simulate(args) -> int:
     settings = document.read(cfg, "config", frames=document.whole, seed=document.whole,
                              ir_blur_sigma=document.number)
     scene = simulator.scene_from_json(_load_json(_resolve(cfg, "scene", base)))
-    tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
-    ir_intr = _load_intrinsics(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
+    tof_intr = _load_document(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
+    ir_intr = _load_document(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
     noise = simulator.noise_from_json(cfg.get("noise", {}))
     seed = args.seed if args.seed is not None else settings.get("seed")
     if seed is not None:
@@ -126,7 +119,7 @@ def cmd_simulate(args) -> int:
 
     ext = fusion.Extrinsics.identity()
     if "extrinsics" in cfg:
-        ext = _load_extrinsics(_resolve(cfg, "extrinsics", base))
+        ext = _load_document(cfg, base, "extrinsics", fusion.Extrinsics)
 
     # everything is computed before the first file is written
     rendered = simulator.render_tof_sequence(scene, tof_intr, None, noise,
@@ -164,16 +157,18 @@ def cmd_calibrate(args) -> int:
         observations = calibration.load_observations(obs_path)
     except ValueError as exc:
         raise ConfigError(f"{obs_path}: {exc}") from exc
-    tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
-    ir_intr = _load_intrinsics(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
+    tof_intr = _load_document(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
+    ir_intr = _load_document(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
 
     initial = None
     if "extrinsics" in cfg:
-        guess = _load_extrinsics(_resolve(cfg, "extrinsics", base))
+        guess = _load_document(cfg, base, "extrinsics", fusion.Extrinsics)
         translation = guess.translation
         initial = guess.rotation
     else:
-        translation = np.asarray(_require(cfg, "translation", "config"), dtype=np.float64)
+        _require(cfg, "translation", "config")
+        translation = np.array(document.read(cfg, "config", translation=document.triple)
+                               ["translation"])
 
     result = calibration.estimate_rotation(
         observations,
@@ -190,7 +185,8 @@ def cmd_calibrate(args) -> int:
     (out / "calibration_report.txt").write_text(calibration.format_report(result))
     _say(args, f"calibrated rotation from {len(observations)} observations: "
                f"total error {result.total_error:.6g} px, "
-               f"{result.iterations} iterations, {result.stop_reason}")
+               f"{result.iterations} iterations, {result.stop_reason}"
+               + ("" if result.converged else ", not converged"))
     return EXIT_OK
 
 
@@ -226,9 +222,9 @@ def cmd_fuse(args) -> int:
     limits = _limits(cfg)
     raw_cont = FrameContainer.read(_resolve(cfg, "raw", base))
     thermal_cont = FrameContainer.read(_resolve(cfg, "thermal", base))
-    tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
-    ir_intr = _load_intrinsics(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
-    ext = _load_extrinsics(_resolve(cfg, "extrinsics", base))
+    tof_intr = _load_document(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
+    ir_intr = _load_document(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
+    ext = _load_document(cfg, base, "extrinsics", fusion.Extrinsics)
 
     thermal_frames = thermal.thermal_frames_from_container(thermal_cont)
     if len(thermal_frames) not in (1, raw_cont.frames):
@@ -258,7 +254,7 @@ def cmd_segment(args) -> int:
     mask_settings = document.read(cfg, "config", k=document.number,
                                   sigma_floor=document.number)
     k = mask_settings.pop("k", 3.0)
-    tof_intr = _load_intrinsics(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
+    tof_intr = _load_document(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
 
     background_cont = FrameContainer.read(_resolve(cfg, "background", base))
     model = segmentation.build_background(

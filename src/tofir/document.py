@@ -5,7 +5,8 @@ Every setting the package takes from a JSON document goes through
 declared once, in the dataclass or the signature the settings are passed to.
 A value of the wrong kind raises ``ValueError`` naming the document and the
 key; JSON's loose spots are closed: ``2.5`` is not a frame count,
-``"false"`` is not false and ``NaN`` is not a number.
+``"false"`` is not false and ``NaN`` is not a number. :func:`check` holds
+the library's own classes and functions to the same rule.
 """
 
 from __future__ import annotations
@@ -61,8 +62,35 @@ def number(value) -> float:
     raise ValueError(f"expected a finite number, got {value!r}")
 
 
+def triple(value) -> tuple[float, float, float]:
+    """Three finite numbers, as a tuple of floats: a point or a translation."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(f"expected 3 numbers, got {value!r}")
+    return tuple(number(x) for x in value)
+
+
 def flag(value) -> bool:
     """JSON ``true`` or ``false``; anything else, ``"false"`` included, raises."""
     if isinstance(value, bool):
         return value
     raise ValueError(f"expected true or false, got {value!r}")
+
+
+_RULES = {
+    "finite": lambda x: True,
+    "positive": lambda x: x > 0,
+    "non-negative": lambda x: x >= 0,
+}
+
+
+def check(name: str, value, rule: str = "finite") -> None:
+    """Raise ``ValueError`` unless ``value``, a number or a sequence of
+    numbers, is finite and meets ``rule``: "finite", "positive" or
+    "non-negative".
+
+    NaN and infinity fail every rule, where a test written ``x <= 0`` lets
+    NaN through.
+    """
+    values = value if isinstance(value, (tuple, list)) else (value,)
+    if not all(math.isfinite(x) and _RULES[rule](x) for x in values):
+        raise ValueError(f"{name} must be {rule}, got {value}")

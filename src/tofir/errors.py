@@ -5,10 +5,6 @@ class DimensionMismatchError(ValueError):
     """Frame dimensions disagree with intrinsics or with another frame."""
 
 
-class OutOfFieldError(ValueError):
-    """A sample position falls outside the sensor's interpolation domain."""
-
-
 class InsufficientDataError(ValueError):
     """Too few observations to pose the estimation problem."""
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .camera import project_points
 from .container import ChannelSchema
+from .document import check
 from .errors import DimensionMismatchError
 from .thermal import IrIntrinsics, ThermalFrame, sample_temperature_grid
 from .tof import PointCloud, RangeFrame, TofIntrinsics, backproject
@@ -43,8 +44,8 @@ class Extrinsics:
     """Rigid transform between the range and IR camera frames.
 
     Maps range-frame points into the IR frame: p_ir = R @ p_tof + T.
-    Orthonormality is checked at construction so per-point code can assume a
-    proper rotation.
+    Finiteness and orthonormality are checked at construction so per-point
+    code can assume a proper rotation.
     """
 
     rotation: np.ndarray  # (3, 3), orthonormal, det +1
@@ -55,11 +56,15 @@ class Extrinsics:
         translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if rotation.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {rotation.shape}")
-        defect = np.linalg.norm(rotation.T @ rotation - np.eye(3))
-        if defect > _ORTHONORMALITY_TOL:
+        check("rotation", rotation.ravel().tolist())
+        check("translation", translation.tolist())
+        # huge finite entries overflow to inf or NaN, which the tests reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.linalg.norm(rotation.T @ rotation - np.eye(3))
+            det = np.linalg.det(rotation)
+        if not defect <= _ORTHONORMALITY_TOL:
             raise ValueError(f"rotation is not orthonormal (defect {defect:.3e})")
-        det = np.linalg.det(rotation)
-        if abs(det - 1.0) > _ORTHONORMALITY_TOL:
+        if not abs(det - 1.0) <= _ORTHONORMALITY_TOL:
             raise ValueError(f"rotation must have determinant +1, got {det!r}")
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)

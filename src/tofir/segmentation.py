@@ -15,8 +15,9 @@ from typing import Iterable
 import numpy as np
 
 from .container import ChannelSchema, FrameContainer
+from .document import check
 from .errors import ContainerFormatError, DimensionMismatchError
-from .tof import RangeFrame, exposure_outliers
+from .tof import RangeFrame
 
 DEFAULT_MEDIAN_STEP = 0.01  # meters
 DEFAULT_SIGMA_FLOOR = 0.001  # meters, keeps scores finite on constant pixels
@@ -103,8 +104,7 @@ def build_background(
     median of each pixel starts at its first valid sample and then follows
     the fixed-step update rule. Requires at least two frames.
     """
-    if median_step <= 0:
-        raise ValueError(f"median_step must be positive, got {median_step}")
+    check("median_step", median_step, "positive")
     n_frames = 0
     for frame in frames:
         if n_frames == 0:
@@ -146,10 +146,8 @@ def foreground_mask(
     the score up to infinity. Pixels invalid in either the frame or the model
     are never flagged.
     """
-    if k <= 0:
-        raise ValueError(f"sigma multiplier k must be positive, got {k}")
-    if sigma_floor <= 0:
-        raise ValueError(f"sigma_floor must be positive, got {sigma_floor}")
+    check("sigma multiplier k", k, "positive")
+    check("sigma_floor", sigma_floor, "positive")
     if frame.distance.shape != model.mean.shape:
         raise DimensionMismatchError(
             f"frame shape {frame.distance.shape} != model shape {model.mean.shape}"
@@ -158,16 +156,6 @@ def foreground_mask(
     score = np.abs(frame.distance - model.mean) / np.maximum(model.std, sigma_floor)
     score = np.where(valid, score, 0.0)
     return ForegroundMask(valid & (score > k), score, valid)
-
-
-def flag_invalid(frame: RangeFrame, a_min: float, a_max: float, b_max: float) -> RangeFrame:
-    """Invalidate over/underexposed pixels; everything else is untouched.
-
-    Pixels with amplitude below a_min or above a_max, or offset above b_max,
-    are marked invalid. Thresholds must be non-negative with a_min < a_max.
-    """
-    outliers = exposure_outliers(frame.amplitude, frame.offset, a_min, a_max, b_max)
-    return RangeFrame(frame.distance, frame.amplitude, frame.offset, frame.valid & ~outliers)
 
 
 def mask_to_pbm(mask: ForegroundMask) -> str:

@@ -71,6 +71,7 @@ class Plane:
     def __post_init__(self):
         if self.axis not in _AXES:
             raise ValueError(f"plane axis must be one of {sorted(_AXES)}, got {self.axis!r}")
+        document.check("plane offset", self.offset)
         _check_surface(self.reflectivity, self.temperature)
 
 
@@ -85,16 +86,15 @@ class Sphere:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if len(self.center) != 3:
             raise ValueError(f"sphere center must have 3 coordinates, got {self.center}")
-        if self.radius <= 0:
-            raise ValueError(f"sphere radius must be positive, got {self.radius}")
+        document.check("sphere center", self.center)
+        document.check("sphere radius", self.radius, "positive")
         _check_surface(self.reflectivity, self.temperature)
 
 
 def _check_surface(reflectivity, temperature):
     if not 0 < reflectivity <= 1:
         raise ValueError(f"reflectivity must be in (0, 1], got {reflectivity}")
-    if temperature <= 0:
-        raise ValueError(f"surface temperature must be positive, got {temperature}")
+    document.check("surface temperature", temperature, "positive")
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,8 @@ class Scene:
         for p in prims:
             if not isinstance(p, (Plane, Sphere)):
                 raise ValueError(f"unsupported primitive {type(p).__name__}")
-        if self.ambient_temperature <= 0:
-            raise ValueError(f"ambient temperature must be positive, got {self.ambient_temperature}")
-        if self.background_distance <= 0:
-            raise ValueError(f"background distance must be positive, got {self.background_distance}")
+        document.check("ambient temperature", self.ambient_temperature, "positive")
+        document.check("background distance", self.background_distance, "positive")
         if not 0 < self.background_reflectivity <= 1:
             raise ValueError(
                 f"background reflectivity must be in (0, 1], got {self.background_reflectivity}"
@@ -142,8 +140,7 @@ class MultipathConfig:
             raise ValueError(
                 f"relative_amplitude must be in [0, 1), got {self.relative_amplitude}"
             )
-        if self.extra_distance < 0:
-            raise ValueError(f"extra_distance must be non-negative, got {self.extra_distance}")
+        document.check("extra_distance", self.extra_distance, "non-negative")
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ class ScatteringConfig:
     energy_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.kernel_radius < 1:
+        if not self.kernel_radius >= 1:
             raise ValueError(f"kernel_radius must be >= 1, got {self.kernel_radius}")
         if not 0 <= self.energy_fraction < 1:
             raise ValueError(f"energy_fraction must be in [0, 1), got {self.energy_fraction}")
@@ -172,10 +169,8 @@ class NoiseConfig:
     scattering: ScatteringConfig = field(default_factory=ScatteringConfig)
 
     def __post_init__(self):
-        if self.phase_noise_scale < 0:
-            raise ValueError(f"phase_noise_scale must be non-negative, got {self.phase_noise_scale}")
-        if self.bucket_noise_sigma < 0:
-            raise ValueError(f"bucket_noise_sigma must be non-negative, got {self.bucket_noise_sigma}")
+        document.check("phase_noise_scale", self.phase_noise_scale, "non-negative")
+        document.check("bucket_noise_sigma", self.bucket_noise_sigma, "non-negative")
         if not 0 <= self.saturation_fraction <= 1:
             raise ValueError(
                 f"saturation_fraction must be in [0, 1], got {self.saturation_fraction}"
@@ -230,8 +225,8 @@ class CalibrationTarget:
         object.__setattr__(self, "position", tuple(float(c) for c in self.position))
         if len(self.position) != 3:
             raise ValueError(f"target position must have 3 coordinates, got {self.position}")
-        if self.temperature <= 0:
-            raise ValueError(f"target temperature must be positive, got {self.temperature}")
+        document.check("target position", self.position)
+        document.check("target temperature", self.temperature, "positive")
 
 
 # --- ray casting ----------------------------------------------------------------
@@ -431,8 +426,7 @@ def render_ir(
     ``blur_sigma`` > 0 applies a truncated Gaussian point-spread (radius
     4 sigma, reflected boundaries). Zero means exactly no blur.
     """
-    if blur_sigma < 0:
-        raise ValueError(f"blur_sigma must be non-negative, got {blur_sigma}")
+    document.check("blur_sigma", blur_sigma, "non-negative")
     resp = _trace(scene, unit_rays(intr), pose or Extrinsics.identity())
     temps = resp.temperature
     if blur_sigma > 0:
@@ -487,8 +481,7 @@ def make_calibration_set(
     camera or outside either sensor are dropped; the count is logged as a
     warning.
     """
-    if pixel_noise_sigma < 0:
-        raise ValueError(f"pixel_noise_sigma must be non-negative, got {pixel_noise_sigma}")
+    document.check("pixel_noise_sigma", pixel_noise_sigma, "non-negative")
     rng = np.random.Generator(np.random.Philox(seed))
     positions = np.array([t.position for t in targets], dtype=np.float64).reshape(-1, 3)
     if positions.shape[0] == 0:
@@ -542,7 +535,7 @@ def scene_from_json(doc: dict) -> Scene:
 _PRIMITIVE_FIELDS = {
     "plane": (Plane, dict(axis=str, offset=document.number, reflectivity=document.number,
                           temperature=document.number)),
-    "sphere": (Sphere, dict(center=tuple, radius=document.number,
+    "sphere": (Sphere, dict(center=document.triple, radius=document.number,
                             reflectivity=document.number, temperature=document.number)),
 }
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .camera import Pinhole
 from .container import ChannelSchema
-from .errors import OutOfFieldError
 
 
 class IrIntrinsics(Pinhole):
@@ -58,22 +57,6 @@ class ThermalFrame:
 THERMAL_SCHEMA = ChannelSchema(ThermalFrame, {"temperatures": ("temperature",)})
 thermal_frames_to_container = THERMAL_SCHEMA.pack
 thermal_frames_from_container = THERMAL_SCHEMA.unpack
-
-
-def sample_temperature(frame: ThermalFrame, x: float, y: float) -> float:
-    """Temperature at continuous image coordinates (x, y).
-
-    Bilinear interpolation between the four nearest pixel centers; positions
-    outside the rectangle spanned by the outermost pixel centers raise
-    :class:`OutOfFieldError`.
-    """
-    values, in_field = sample_temperature_grid(frame, np.array([x]), np.array([y]))
-    if not in_field[0]:
-        raise OutOfFieldError(
-            f"sample ({x}, {y}) outside pixel-center rectangle "
-            f"[0.5, {frame.width - 0.5}] x [0.5, {frame.height - 0.5}]"
-        )
-    return float(values[0])
 
 
 def sample_temperature_grid(

@@ -26,6 +26,7 @@ import numpy as np
 
 from .camera import Pinhole, unit_rays
 from .container import ChannelSchema
+from .document import check
 from .errors import DimensionMismatchError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, in air
@@ -44,8 +45,9 @@ class TofIntrinsics(Pinhole):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.f_mod <= 0:
-            raise ValueError(f"f_mod must be positive, got {self.f_mod}")
+        check("k1", self.k1)
+        check("k2", self.k2)
+        check("f_mod", self.f_mod, "positive")
 
     def undistort(self, u_d, v_d):
         return undistort_pixel(u_d, v_d, self.k1, self.k2)
@@ -147,8 +149,7 @@ class PointCloud:
 
 def unambiguous_range(f_mod: float) -> float:
     """Largest distance measurable before the phase wraps: c / (2 * f_mod)."""
-    if f_mod <= 0:
-        raise ValueError(f"modulation frequency must be positive, got {f_mod}")
+    check("modulation frequency", f_mod, "positive")
     return SPEED_OF_LIGHT / (2.0 * f_mod)
 
 
@@ -158,7 +159,7 @@ def exposure_outliers(amplitude, offset, a_min: float, a_max: float, b_max: floa
     Flags amplitude < a_min (no usable signal), amplitude > a_max, and
     offset > b_max (saturation).
     """
-    if a_min < 0 or a_max < 0 or b_max < 0:
+    if not (a_min >= 0 and a_max >= 0 and b_max >= 0):  # NaN fails too
         raise ValueError("exposure thresholds must be non-negative")
     if not a_min < a_max:
         raise ValueError(f"a_min ({a_min}) must be below a_max ({a_max})")
@@ -180,8 +181,9 @@ def demodulate(
     Pixels with zero amplitude (A1 == A3 and A2 == A4) carry no phase
     information and are marked invalid rather than raising, as are pixels
     with a NaN or infinite bucket (without a RuntimeWarning). The optional
-    exposure thresholds apply the same rule as
-    :func:`tofir.segmentation.flag_invalid`.
+    exposure thresholds also mark invalid every pixel
+    :func:`exposure_outliers` flags: amplitude below ``a_min`` or above
+    ``a_max``, or offset above ``b_max``.
     """
     if (raw.height, raw.width) != (intr.height, intr.width):
         raise DimensionMismatchError(

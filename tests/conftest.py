@@ -11,6 +11,7 @@ from tofir import (
     Sphere,
     TofIntrinsics,
 )
+from tofir.calibration import _observation_arrays, _residual_matrix
 
 
 @pytest.fixture
@@ -61,3 +62,11 @@ def rotation_about(axis, degrees: float) -> np.ndarray:
 def geodesic_degrees(r_a: np.ndarray, r_b: np.ndarray) -> float:
     cos = (np.trace(r_a.T @ r_b) - 1.0) / 2.0
     return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
+
+
+def projection_error(obs, rotation, translation, tof_intr, ir_intr) -> float:
+    """Pixel distance between one observation's measured and projected IR
+    position, through the solver's residual function."""
+    points, measured = _observation_arrays([obs], tof_intr)
+    res = _residual_matrix(rotation, translation, points, measured, ir_intr)
+    return float(np.hypot(res[0, 0], res[0, 1]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from conftest import geodesic_degrees, rotation_about
+from conftest import geodesic_degrees, projection_error, rotation_about
 
 from tofir import (
     CalibrationTarget,
@@ -16,8 +16,8 @@ from tofir import (
     estimate_rotation,
     locate_peak,
     make_calibration_set,
-    projection_error,
 )
+from tofir import calibration
 from tofir.calibration import (
     axis_angle_matrix,
     format_report,
@@ -26,6 +26,7 @@ from tofir.calibration import (
     rotation_angle_between,
     save_observations,
 )
+from tofir.camera import pixel_rays
 
 
 def _targets(rng, count, spread=0.7):
@@ -210,6 +211,21 @@ class TestEstimateRotation:
         assert result.converged
         assert rotation_angle_between(result.rotation, r_true) <= 1e-6
         assert result.total_error == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_target_points_built_once_per_solve(self, tof_intr, ir_intr, monkeypatch, robust):
+        r_true = rotation_about([0, 1, 0], 3.0)
+        obs = _observation_set(tof_intr, ir_intr, r_true, [0.05, 0.0, 0.0], count=10)
+        calls = []
+
+        def counted_rays(*args):
+            calls.append(args)
+            return pixel_rays(*args)
+
+        monkeypatch.setattr(calibration, "pixel_rays", counted_rays)
+        result = estimate_rotation(obs, [0.05, 0.0, 0.0], tof_intr, ir_intr, robust=robust)
+        assert result.iterations > 0
+        assert len(calls) == 1
 
     def test_perfect_initial_guess_needs_no_iterations(self, tof_intr, ir_intr):
         r_true = rotation_about([0, 0, 1], 4.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from conftest import geodesic_degrees, rotation_about
 
 import tofir
-from tofir import Extrinsics, FrameContainer
+from tofir import Extrinsics, FrameContainer, calibration
 from tofir.cli import main
 
 
@@ -109,7 +110,7 @@ class TestSimulate:
 
 
 class TestCalibrate:
-    def _calibrate(self, workspace, **overrides):
+    def _calibrate(self, workspace, quiet=True, **overrides):
         cfg = {
             "observations": str(workspace / "out" / "observations.txt"),
             "tof_intrinsics": "tof.json",
@@ -119,7 +120,8 @@ class TestCalibrate:
         }
         cfg.update(overrides)
         _write_json(workspace / "cal.json", cfg)
-        return main(["calibrate", "--config", str(workspace / "cal.json"), "--quiet"])
+        return main(["calibrate", "--config", str(workspace / "cal.json")]
+                    + ["--quiet"] * quiet)
 
     def test_recovers_true_rotation(self, workspace):
         _simulate(workspace)
@@ -161,6 +163,40 @@ class TestCalibrate:
         assert self._calibrate(workspace) == 2
         assert "finite" in capsys.readouterr().err
         assert not (workspace / "cal" / "extrinsics.json").exists()
+
+    def test_non_convergence_noted_on_stdout(self, workspace, capsys, monkeypatch):
+        _simulate(workspace)
+        assert self._calibrate(workspace, quiet=False) == 0
+        assert "not converged" not in capsys.readouterr().out
+
+        solve = calibration.estimate_rotation
+
+        def stopped_early(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), converged=False,
+                                       stop_reason="max_iterations")
+
+        monkeypatch.setattr(calibration, "estimate_rotation", stopped_early)
+        assert self._calibrate(workspace, quiet=False) == 0
+        printed = capsys.readouterr().out
+        assert printed.rstrip().endswith("max_iterations, not converged")
+        report = (workspace / "cal" / "calibration_report.txt").read_text()
+        assert "converged: False" in report
+
+    def test_nan_translation_exit_2(self, workspace, capsys):
+        _simulate(workspace)
+        assert self._calibrate(workspace, translation=[math.nan, 0.0, 0.0]) == 2
+        assert "'translation'" in capsys.readouterr().err
+        assert not (workspace / "cal").exists()
+
+    def test_nan_initial_extrinsics_exit_2(self, workspace, capsys):
+        out = _simulate(workspace)
+        guess = json.loads((out / "extrinsics.truth.json").read_text())
+        guess["translation"][1] = math.nan
+        _write_json(workspace / "guess.json", guess)
+        assert self._calibrate(workspace, extrinsics="guess.json") == 2
+        err = capsys.readouterr().err
+        assert "extrinsics" in err and "translation" in err
+        assert not (workspace / "cal").exists()
 
     def test_non_integral_sensor_size_exit_2(self, workspace, capsys):
         _simulate(workspace)
@@ -230,6 +266,24 @@ class TestFuse:
     @pytest.mark.parametrize("n_thermal", [2, 4])
     def test_thermal_frame_count_mismatch_exit_2(self, workspace, n_thermal):
         assert self._fuse_with_thermal_frames(workspace, n_thermal) == 2
+
+    def test_nan_rotation_exit_2(self, workspace, capsys):
+        out = _simulate(workspace)
+        ext = json.loads((out / "extrinsics.truth.json").read_text())
+        ext["rotation"][4] = math.nan
+        _write_json(workspace / "bad_ext.json", ext)
+        _write_json(workspace / "fuse.json", {
+            "raw": str(out / "raw.tirf"),
+            "thermal": str(out / "thermal.tirf"),
+            "tof_intrinsics": "tof.json",
+            "ir_intrinsics": "ir.json",
+            "extrinsics": "bad_ext.json",
+            "output": str(workspace / "fused"),
+        })
+        assert main(["fuse", "--config", str(workspace / "fuse.json"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "extrinsics" in err and "rotation" in err
+        assert not (workspace / "fused").exists()
 
 
 class TestSegment:
@@ -458,6 +512,7 @@ class TestMalformedSettings:
     NON_FINITE = [
         ("simulate", "sim.json", ("ir_blur_sigma",), math.nan),
         ("simulate", "sim.json", ("calibration_targets", "pixel_noise_sigma"), math.nan),
+        ("simulate", "sim.json", ("calibration_targets", "points"), [[0.0, math.nan, 2.0]]),
         ("simulate", "sim.json", ("noise", "phase_noise_scale"), math.nan),
         ("simulate", "sim.json", ("noise", "bucket_noise_sigma"), math.inf),
         ("simulate", "sim.json", ("noise", "saturation_fraction"), math.nan),
@@ -471,6 +526,7 @@ class TestMalformedSettings:
         ("simulate", "scene.json", ("primitives", 0, "reflectivity"), math.nan),
         ("simulate", "scene.json", ("primitives", 0, "temperature"), math.inf),
         ("simulate", "scene.json", ("primitives", 1, "radius"), math.nan),
+        ("simulate", "scene.json", ("primitives", 1, "center"), [0.0, math.nan, 1.5]),
         ("simulate", "scene.json", ("primitives", 1, "reflectivity"), -math.inf),
         ("simulate", "scene.json", ("primitives", 1, "temperature"), math.nan),
         ("simulate", "tof.json", ("f",), math.nan),

@@ -613,9 +613,9 @@ def ref_cmd_fuse(args):
     limits = cli._limits(cfg)
     raw_cont = FrameContainer.read(cli._resolve(cfg, "raw", base))
     thermal_cont = FrameContainer.read(cli._resolve(cfg, "thermal", base))
-    tof_intr = cli._load_intrinsics(cfg, base, "tof_intrinsics", TofIntrinsics)
-    ir_intr = cli._load_intrinsics(cfg, base, "ir_intrinsics", IrIntrinsics)
-    ext = cli._load_extrinsics(cli._resolve(cfg, "extrinsics", base))
+    tof_intr = cli._load_document(cfg, base, "tof_intrinsics", TofIntrinsics)
+    ir_intr = cli._load_document(cfg, base, "ir_intrinsics", IrIntrinsics)
+    ext = cli._load_document(cfg, base, "extrinsics", Extrinsics)
 
     raws = tof.raw_frames_from_container(raw_cont)
     thermal_frames = thermal.thermal_frames_from_container(thermal_cont)
@@ -642,7 +642,7 @@ def ref_cmd_segment(args):
     mask_settings = document.read(cfg, "config", k=document.number,
                                   sigma_floor=document.number)
     k = mask_settings.pop("k", 3.0)
-    tof_intr = cli._load_intrinsics(cfg, base, "tof_intrinsics", TofIntrinsics)
+    tof_intr = cli._load_document(cfg, base, "tof_intrinsics", TofIntrinsics)
 
     background_cont = FrameContainer.read(cli._resolve(cfg, "background", base))
     bg_frames = [

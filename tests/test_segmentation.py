@@ -9,7 +9,6 @@ from tofir import (
     RangeFrame,
     build_background,
     demodulate,
-    flag_invalid,
     foreground_mask,
     render_tof,
     render_tof_sequence,
@@ -21,6 +20,7 @@ from tofir.segmentation import (
     mask_to_pbm,
     masks_to_container,
 )
+from tofir.tof import exposure_outliers
 
 
 def _frame(distance, valid=None):
@@ -196,36 +196,41 @@ class TestForegroundMask:
 
 
 class TestFlagInvalid:
-    def test_within_thresholds_unchanged(self):
-        distance = np.full((3, 3), 2.0)
-        frame = RangeFrame(distance, np.full((3, 3), 5.0), np.full((3, 3), 20.0),
-                           np.ones((3, 3), bool))
-        flagged = flag_invalid(frame, a_min=1.0, a_max=10.0, b_max=100.0)
-        assert flagged.valid.all()
-        assert np.array_equal(flagged.distance, frame.distance)
+    """Exposure limits: ``exposure_outliers`` and ``demodulate``'s
+    ``a_min``/``a_max``/``b_max``, which apply it."""
+
+    def test_within_thresholds_unchanged(self, tof_intr, wall_scene):
+        outliers = exposure_outliers(np.full((3, 3), 5.0), np.full((3, 3), 20.0),
+                                     a_min=1.0, a_max=10.0, b_max=100.0)
+        assert not outliers.any()
+        # limits that flag nothing leave every plane of the frame as it was
+        raw, _ = render_tof(wall_scene, tof_intr, noise=NoiseConfig.quiet())
+        plain = demodulate(raw, tof_intr)
+        limited = demodulate(raw, tof_intr, a_min=1e-6, a_max=1000.0, b_max=1000.0)
+        assert limited.valid.all()
+        for plane in ("distance", "amplitude", "offset", "valid"):
+            assert np.array_equal(getattr(limited, plane), getattr(plain, plane))
 
     def test_threshold_rules(self):
         amplitude = np.array([[0.0, 0.5, 5.0, 20.0]])
         offset = np.array([[10.0, 10.0, 500.0, 10.0]])
-        frame = RangeFrame(np.ones((1, 4)), amplitude, offset, np.ones((1, 4), bool))
-        flagged = flag_invalid(frame, a_min=1.0, a_max=10.0, b_max=100.0)
+        outliers = exposure_outliers(amplitude, offset, a_min=1.0, a_max=10.0, b_max=100.0)
         # zero amplitude, underexposed, saturated offset, overexposed amplitude
-        assert flagged.valid.tolist() == [[False, False, False, False]]
+        assert outliers.tolist() == [[True, True, True, True]]
 
     def test_saturation_injection_flags_exactly_injected_pixels(self, tof_intr, wall_scene):
         noise = NoiseConfig(seed=21, phase_noise_scale=0.0, saturation_fraction=0.05)
         raw, truth = render_tof(wall_scene, tof_intr, noise=noise)
         assert truth.outlier_mask.sum() == round(0.05 * 64 * 50)
-        frame = demodulate(raw, tof_intr)
-        flagged = flag_invalid(frame, a_min=1e-6, a_max=1000.0, b_max=1000.0)
-        assert np.array_equal(~flagged.valid, truth.outlier_mask)
+        frame = demodulate(raw, tof_intr, a_min=1e-6, a_max=1000.0, b_max=1000.0)
+        assert np.array_equal(~frame.valid, truth.outlier_mask)
 
     def test_threshold_validation(self):
-        frame = _frame(np.ones((2, 2)))
+        ones = np.ones((2, 2))
         with pytest.raises(ValueError):
-            flag_invalid(frame, a_min=-1.0, a_max=10.0, b_max=5.0)
+            exposure_outliers(ones, ones, a_min=-1.0, a_max=10.0, b_max=5.0)
         with pytest.raises(ValueError):
-            flag_invalid(frame, a_min=5.0, a_max=1.0, b_max=5.0)
+            exposure_outliers(ones, ones, a_min=5.0, a_max=1.0, b_max=5.0)
 
 
 class TestSegmentationEndToEnd:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import projection_error
 from tofir import (
     CalibrationTarget,
     Extrinsics,
@@ -18,7 +19,6 @@ from tofir import (
     TofIntrinsics,
     demodulate,
     make_calibration_set,
-    projection_error,
     render_ir,
     render_tof,
     render_tof_sequence,

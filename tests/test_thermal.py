@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from tofir import (
-    IrIntrinsics,
-    OutOfFieldError,
-    ThermalFrame,
-    sample_temperature,
-)
+from tofir import IrIntrinsics, ThermalFrame
 from tofir.camera import project_points
 from tofir.thermal import (
     sample_temperature_grid,
     thermal_frames_from_container,
     thermal_frames_to_container,
 )
+
+
+def sample_temperature(frame, x, y) -> float:
+    """Temperature at one in-field position, through the grid sampler."""
+    values, in_field = sample_temperature_grid(frame, np.array([x]), np.array([y]))
+    assert in_field.tolist() == [True]
+    return float(values[0])
 
 
 def _unit_projection_intrinsics():
@@ -124,9 +126,11 @@ class TestBilinearSampling:
 
     @pytest.mark.parametrize("pos", [(0.49, 2.0), (3.51, 2.0), (2.0, 0.4), (2.0, 3.6), (-1.0, -1.0)])
     def test_out_of_field_raises(self, pos):
+        # an out-of-field position is flagged and reads 0
         frame = ThermalFrame(np.full((4, 4), 300.0))
-        with pytest.raises(OutOfFieldError):
-            sample_temperature(frame, *pos)
+        values, in_field = sample_temperature_grid(frame, np.array([pos[0]]), np.array([pos[1]]))
+        assert in_field.tolist() == [False]
+        assert values.tolist() == [0.0]
 
     def test_domain_boundary_is_inclusive(self):
         frame = ThermalFrame(np.arange(1, 17, dtype=float).reshape(4, 4))

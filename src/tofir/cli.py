@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, document, fusion, segmentation, simulator, thermal, tof
-from .container import Counted, FrameContainer
+from .container import Counted, FrameContainer, write_frames
 from .errors import (
     ContainerFormatError,
     DegenerateGeometryError,
@@ -233,15 +233,15 @@ def cmd_fuse(args) -> int:
             "need 1 or one per raw frame"
         )
 
-    # each thermogram goes into the float32 stack as it is fused; only the
-    # first is kept whole, for the text table
+    # frame 0 is fused before the output directory is made; each thermogram
+    # is written to disk as it is fused, and only the first is kept whole,
+    # for the text table
     thermograms = _thermograms(args, raw_cont, thermal_frames, tof_intr, ir_intr, ext, limits)
     first = next(thermograms)
-    stacked = fusion.thermograms_to_container(
-        Counted(itertools.chain([first], thermograms), raw_cont.frames))
-
     out = _output_dir(args, cfg)
-    stacked.write(out / "thermogram.tirf")
+    write_frames(out / "thermogram.tirf", Counted(
+        (fusion.thermograms_to_container([tg]) for tg in itertools.chain([first], thermograms)),
+        raw_cont.frames))
     (out / "thermogram.txt").write_text(fusion.thermogram_to_text(first))
     return EXIT_OK
 

@@ -15,10 +15,16 @@ The payload length must equal width * height * channels * frame_count * 4
 bytes and channel names must be unique. Byte order is little-endian
 regardless of host; big-endian readers must swap. Each record type declares
 its channel layout once, as a :class:`ChannelSchema` beside its class.
+
+Every write goes through :func:`write_frames`, which writes a frame at a time
+to a temporary file and renames it onto the target: a container file appears
+whole or not at all.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -131,19 +137,9 @@ class FrameContainer:
             raise ContainerFormatError(f"{made} frames, {count} announced")
         return cls(names, data)
 
-    def _head(self) -> bytes:
-        """Header and channel name table: everything before the payload."""
-        parts = [
-            _HEADER.pack(MAGIC, VERSION, self.width, self.height, self.channels, self.frames)
-        ]
-        for name in self.channel_names:
-            raw = name.encode("utf-8")
-            parts.append(_NAME_LEN.pack(len(raw)))
-            parts.append(raw)
-        return b"".join(parts)
-
     def to_bytes(self) -> bytes:
-        return self._head() + self.data.tobytes()
+        head = _head(self.channel_names, self.width, self.height, self.frames)
+        return head + self.data.tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "FrameContainer":
@@ -179,20 +175,72 @@ class FrameContainer:
         return cls(tuple(names), data)
 
     def write(self, path: str | Path) -> None:
-        # the payload goes straight from the array, without a bytes copy
-        with open(path, "wb") as fh:
-            fh.write(self._head())
-            fh.write(self.data.data)
+        """Write the container to ``path``, whole or not at all, as
+        :func:`write_frames` writes its frames."""
+        write_frames(path, [self.frame(k) for k in range(self.frames)])
 
     @classmethod
     def read(cls, path: str | Path) -> "FrameContainer":
         return cls.from_bytes(Path(path).read_bytes())
 
 
+def _head(names: tuple[str, ...], width: int, height: int, frames: int) -> bytes:
+    """Header and channel name table: everything before the payload."""
+    parts = [_HEADER.pack(MAGIC, VERSION, width, height, len(names), frames)]
+    for name in names:
+        raw = name.encode("utf-8")
+        parts.append(_NAME_LEN.pack(len(raw)))
+        parts.append(raw)
+    return b"".join(parts)
+
+
+def write_frames(path: str | Path, frames: Collection[FrameContainer]) -> None:
+    """Write one container of ``len(frames)`` frames to ``path``.
+
+    ``frames`` yields one-frame containers and is iterated once; each
+    payload goes to disk as it is yielded, so the frames may be made as they
+    are asked for. Every frame must have the first one's channel names, width
+    and height, and ``frames`` must yield as many as its ``len()`` announced,
+    else ``ContainerFormatError``. The bytes go to a temporary file beside
+    ``path`` that replaces ``path`` after the last frame; on any error it is
+    deleted and ``path`` is left as it was.
+    """
+    path = Path(path)
+    count = len(frames)
+    if count == 0:
+        raise ContainerFormatError("at least one frame required")
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(temporary, "xb")  # created here, so only this call deletes it
+    try:
+        with fh:
+            made = 0
+            for frame in frames:
+                if made == count:
+                    raise ContainerFormatError(f"more frames than the {count} announced")
+                if made == 0:
+                    layout = (frame.channel_names, frame.width, frame.height)
+                    fh.write(_head(*layout, count))
+                if frame.frames != 1 or (frame.channel_names, frame.width, frame.height) != layout:
+                    raise ContainerFormatError(
+                        f"frame {made}: {frame.frames} frame(s) of {frame.channel_names} at "
+                        f"{frame.width}x{frame.height}, expected one like frame 0"
+                    )
+                # the payload goes straight from the array, without a bytes copy
+                fh.write(frame.data.data)
+                made += 1
+        if made != count:
+            raise ContainerFormatError(f"{made} frames, {count} announced")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 @dataclass(frozen=True)
 class Counted:
     """``count`` items made one at a time by ``items``, for a consumer that
-    reads a length before it iterates, such as :meth:`FrameContainer.stack`.
+    reads a length before it iterates, such as :meth:`FrameContainer.stack`
+    or :func:`write_frames`.
 
     Iterating it iterates ``items``; a one-shot iterator can be iterated once.
     """

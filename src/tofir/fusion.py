@@ -28,6 +28,7 @@ _ORTHONORMALITY_TOL = 1e-9
 
 _TEXT_ROW = " ".join(["%.9g"] * 5) + "\n"
 _TEXT_BLOCK_ROWS = 4096  # rows formatted per % operation
+_FUSE_BLOCK = 16384  # points transformed, projected and sampled per pass
 
 
 class FuseReason(IntEnum):
@@ -174,15 +175,21 @@ def fuse(
             f"{ir_intr.width}x{ir_intr.height}"
         )
     cloud = backproject(range_frame, tof_intr)  # also checks TOF dimensions
-    pts_ir = ext.apply(cloud.points)
-    pixels, in_front = project_points(pts_ir, ir_intr)
-    temps, in_field = sample_temperature_grid(thermal, pixels[:, 0], pixels[:, 1])
-
-    # later stages overwrite earlier ones: a point behind the camera projects
-    # to NaN and is never in the field, and an invalid range trumps both
-    reason = np.full(len(cloud), int(FuseReason.OUT_OF_IR_FIELD), dtype=np.uint8)
-    reason[in_field] = FuseReason.VALID
-    reason[~in_front] = FuseReason.BEHIND_IR_CAMERA
+    temps = np.empty(len(cloud))
+    reason = np.empty(len(cloud), dtype=np.uint8)
+    # transform, project and sample a slice of points at a time, so the
+    # float64 temporaries stay a few blocks in size whatever the resolution
+    for start in range(0, len(cloud), _FUSE_BLOCK):
+        rows = slice(start, start + _FUSE_BLOCK)
+        pixels, in_front = project_points(ext.apply(cloud.points[rows]), ir_intr)
+        temps[rows], in_field = sample_temperature_grid(thermal, pixels[:, 0], pixels[:, 1])
+        # later stages overwrite earlier ones: a point behind the camera
+        # projects to NaN and is never in the field, and an invalid range,
+        # set below over all blocks at once, trumps both
+        block = reason[rows]
+        block.fill(int(FuseReason.OUT_OF_IR_FIELD))
+        block[in_field] = FuseReason.VALID
+        block[~in_front] = FuseReason.BEHIND_IR_CAMERA
     invalid = ~cloud.valid
     reason[invalid] = FuseReason.INVALID_RANGE
     temps[invalid] = 0.0  # sampling already zeroed every entry outside the field
@@ -208,15 +215,14 @@ def thermogram_to_text(thermogram: Thermogram) -> str:
     Each value is formatted with ``%.9g``; the bytes equal those of
     ``np.savetxt(fmt="%.9g")``, written a block of rows per ``%``.
     """
-    flat = np.column_stack(
-        [
-            thermogram.points.reshape(-1, 3),
-            thermogram.temperature.ravel(),
-            thermogram.reason.ravel().astype(np.float64),
-        ]
-    )
+    points = thermogram.points.reshape(-1, 3)
+    temperature = thermogram.temperature.ravel()
+    reason = thermogram.reason.ravel()
     parts = ["# x y z temperature reason\n"]
-    for start in range(0, len(flat), _TEXT_BLOCK_ROWS):
-        block = flat[start : start + _TEXT_BLOCK_ROWS]
+    for start in range(0, len(points), _TEXT_BLOCK_ROWS):
+        rows = slice(start, start + _TEXT_BLOCK_ROWS)
+        block = np.column_stack(
+            [points[rows], temperature[rows], reason[rows].astype(np.float64)]
+        )
         parts.append((_TEXT_ROW * len(block)) % tuple(block.ravel().tolist()))
     return "".join(parts)

@@ -286,6 +286,39 @@ class TestFuse:
         assert not (workspace / "fused").exists()
 
 
+    def test_failing_last_frame_leaves_no_partial_artifact(self, workspace, capsys):
+        """Frame 0 goes to disk before the last frame fails: the thermogram
+        appears whole or not at all, and no temporary file is left."""
+        out = _simulate(workspace)  # 3 raw frames
+        raw = FrameContainer.read(out / "raw.tirf")
+        data = raw.data.copy()
+        data[-1, 0, 0, 0] = -1.0  # a negative bucket in the last frame only
+        FrameContainer(raw.channel_names, data).write(workspace / "bad_raw.tirf")
+
+        def fuse(raw_path, output):
+            _write_json(workspace / "fuse.json", {
+                "raw": str(raw_path),
+                "thermal": str(out / "thermal.tirf"),
+                "tof_intrinsics": "tof.json",
+                "ir_intrinsics": "ir.json",
+                "extrinsics": str(out / "extrinsics.truth.json"),
+                "output": str(workspace / output),
+            })
+            return main(["fuse", "--config", str(workspace / "fuse.json"), "--quiet"])
+
+        def files(output):
+            return {p.name: p.read_bytes() for p in (workspace / output).iterdir()}
+
+        assert fuse(workspace / "bad_raw.tirf", "fresh") == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert files("fresh") == {}
+        assert fuse(out / "raw.tirf", "earlier") == 0
+        earlier = files("earlier")
+        assert sorted(earlier) == ["thermogram.tirf", "thermogram.txt"]
+        assert fuse(workspace / "bad_raw.tirf", "earlier") == 2
+        assert files("earlier") == earlier
+
+
 class TestSegment:
     def test_background_and_masks(self, workspace, capsys):
         out = _simulate(workspace)
@@ -444,6 +477,16 @@ class TestStreamedMemory:
             per_frame = (peaks[1] - peaks[0]) / (high - low)
             float32_bytes = self.WIDTH * self.HEIGHT * channels * 4
             assert per_frame <= (1 + self.SLACK) * float32_bytes, (command, peaks)
+
+    def test_fuse_peak_grows_by_the_float32_input_only(self, workspace):
+        # each thermogram goes to disk as it is fused, so no output stack grows
+        configs = {n: self._configs(workspace, n) for n in self.FRAME_COUNTS}
+        low, high = self.FRAME_COUNTS
+        peaks = [self._peak(["fuse", "--config", str(configs[n]["fuse"]), "--quiet"])
+                 for n in self.FRAME_COUNTS]
+        per_frame = (peaks[1] - peaks[0]) / (high - low)
+        input_bytes = self.WIDTH * self.HEIGHT * 4 * 4  # raw a1..a4
+        assert per_frame <= 1.5 * input_bytes, (peaks, per_frame / input_bytes)
 
 
 class TestCommonBehavior:

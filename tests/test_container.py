@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tofir import ContainerFormatError, DimensionMismatchError, FrameContainer
-from tofir.container import Counted
+from tofir.container import Counted, write_frames
 from tofir.fusion import THERMOGRAM_SCHEMA, thermograms_from_container
 from tofir.segmentation import BACKGROUND_SCHEMA, MASK_SCHEMA, background_from_container
 from tofir.simulator import TRUTH_SCHEMA
@@ -155,6 +155,75 @@ def test_stack_still_rejects_no_frames_no_channels_and_mismatched_planes():
     for frames in ([], [{}], [{"a": np.zeros((3, 4))}, {"a": np.zeros((3, 5))}]):
         with pytest.raises(ContainerFormatError):
             FrameContainer.stack(Counted(iter(frames), len(frames)))
+
+
+# --- writing a frame at a time ---------------------------------------------------------
+
+def _one_frame_containers(count):
+    return [FrameContainer.stack([planes]) for planes in _planes(count)]
+
+
+def test_write_frames_matches_pack_then_write(tmp_path):
+    made = []
+
+    def frames():
+        for k, one in enumerate(_one_frame_containers(3)):
+            made.append(k)
+            yield one
+
+    write_frames(tmp_path / "streamed.tirf", Counted(frames(), 3))
+    FrameContainer.stack(_planes(3)).write(tmp_path / "packed.tirf")
+    assert made == [0, 1, 2]
+    assert (tmp_path / "streamed.tirf").read_bytes() == (tmp_path / "packed.tirf").read_bytes()
+    (record,) = THERMOGRAM_SCHEMA.unpack(_schema_container(THERMOGRAM_SCHEMA, validity=2.0))
+    records = [record] * 2
+    write_frames(tmp_path / "schema.tirf", [THERMOGRAM_SCHEMA.pack([r]) for r in records])
+    THERMOGRAM_SCHEMA.pack(records).write(tmp_path / "schema_packed.tirf")
+    assert ((tmp_path / "schema.tirf").read_bytes()
+            == (tmp_path / "schema_packed.tirf").read_bytes())
+
+
+def _failed_write(directory, frames) -> None:
+    """``write_frames`` of ``frames`` into ``directory`` raises a format error
+    and leaves the directory as it was."""
+    before = {p.name: p.read_bytes() for p in directory.iterdir()}
+    with pytest.raises(ContainerFormatError):
+        write_frames(directory / "out.tirf", frames)
+    assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+
+@pytest.mark.parametrize("yielded, announced", [(2, 3), (0, 1), (4, 3), (1, 0)])
+def test_write_frames_rejects_a_frame_count_other_than_announced(tmp_path, yielded, announced):
+    _failed_write(tmp_path, Counted(iter(_one_frame_containers(yielded)), announced))
+    assert list(tmp_path.iterdir()) == []  # no artifact, no temporary file
+    FrameContainer.stack(_planes(1)).write(tmp_path / "out.tirf")  # an earlier artifact
+    _failed_write(tmp_path, Counted(iter(_one_frame_containers(yielded)), announced))
+
+
+def test_write_frames_rejects_frames_unlike_the_first(tmp_path):
+    first = FrameContainer.stack(_planes(1))
+    for other in (
+        FrameContainer.stack([{"a": np.zeros((3, 4)), "c": np.zeros((3, 4))}]),
+        FrameContainer.stack([{"a": np.zeros((3, 5)), "b": np.zeros((3, 5))}]),
+        FrameContainer.stack([{"a": np.zeros((4, 4)), "b": np.zeros((4, 4))}]),
+        FrameContainer.stack(_planes(2)),  # two frames where one is due
+    ):
+        _failed_write(tmp_path, [first, other])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_leaves_the_old_file_when_a_frame_fails(tmp_path):
+    FrameContainer.stack(_planes(2)).write(tmp_path / "out.tirf")
+
+    def frames():
+        yield from _one_frame_containers(1)
+        raise RuntimeError("frame 1 failed")
+
+    before = (tmp_path / "out.tirf").read_bytes()
+    with pytest.raises(RuntimeError):
+        write_frames(tmp_path / "out.tirf", Counted(frames(), 2))
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tirf"]
+    assert (tmp_path / "out.tirf").read_bytes() == before
 
 
 def test_bad_magic_rejected():

@@ -14,6 +14,7 @@ commands as they were before they streamed their frames.
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -278,25 +279,73 @@ def test_backproject_matches_reference_including_signed_zeros():
     assert not np.signbit(cloud.points[~cloud.valid]).any()
 
 
-def test_fuse_matches_reference(tof_intr, ir_intr, blob_scene):
+def _fuse_inputs(tof_intr, ir_intr, scene):
+    """A range frame, thermal image and rig between them hitting every
+    FuseReason code: random validity, and near points in the first and last
+    five rows that end up behind the IR camera."""
     ext = Extrinsics(
         np.array([[math.cos(0.1), 0.0, math.sin(0.1)], [0.0, 1.0, 0.0],
                   [-math.sin(0.1), 0.0, math.cos(0.1)]]),
         np.array([0.3, 0.02, -0.1]),
     )
-    thermal = render_ir(blob_scene, ir_intr, ext.inverse())
+    thermal = render_ir(scene, ir_intr, ext.inverse())
     rng = np.random.default_rng(6)
     shape = (tof_intr.height, tof_intr.width)
     distance = rng.uniform(0.05, 5.0, shape)
-    distance[:5] = rng.uniform(0.0, 0.2, (5, tof_intr.width))  # some end up behind the IR camera
+    distance[:5] = rng.uniform(0.0, 0.2, (5, tof_intr.width))
+    distance[-5:] = rng.uniform(0.0, 0.2, (5, tof_intr.width))
     valid = rng.random(shape) > 0.1
-    frame = RangeFrame(distance, np.ones(shape), np.ones(shape), valid)
+    return RangeFrame(distance, np.ones(shape), np.ones(shape), valid), thermal, ext
+
+
+def _assert_fuse_matches_reference(tof_intr, ir_intr, scene):
+    frame, thermal, ext = _fuse_inputs(tof_intr, ir_intr, scene)
     tg = fuse(frame, thermal, tof_intr, ir_intr, ext)
     points, temperature, reason = ref_fuse(frame, thermal, tof_intr, ir_intr, ext)
     assert_same_bytes(tg.points.reshape(-1, 3), points)
     assert_same_bytes(tg.temperature.ravel(), temperature)
     assert_same_bytes(tg.reason.ravel(), reason)
-    assert set(np.unique(tg.reason)) == set(int(r) for r in FuseReason)
+    return tg.reason.ravel()
+
+
+def test_fuse_matches_reference(tof_intr, ir_intr, blob_scene):
+    reason = _assert_fuse_matches_reference(tof_intr, ir_intr, blob_scene)
+    assert set(np.unique(reason)) == set(int(r) for r in FuseReason)
+
+
+def test_blocked_fuse_matches_reference_in_every_block(ir_intr, blob_scene):
+    tof_intr = TofIntrinsics(focal_length=4e-3, width=200, height=170, pixel_pitch=14.4e-6)
+    pixels = tof_intr.width * tof_intr.height
+    assert 2 * fusion._FUSE_BLOCK < pixels < 3 * fusion._FUSE_BLOCK  # two full, one partial
+    reason = _assert_fuse_matches_reference(tof_intr, ir_intr, blob_scene)
+    every_code = set(int(r) for r in FuseReason)
+    assert set(np.unique(reason[: fusion._FUSE_BLOCK])) == every_code
+    assert set(np.unique(reason[2 * fusion._FUSE_BLOCK :])) == every_code
+
+
+def _fuse_temporaries(width, height, ir_intr, scene) -> int:
+    """Bytes ``fuse`` allocates at its peak beyond the arrays it returns."""
+    # the same field of view as the 64x50 rig at any resolution
+    tof_intr = TofIntrinsics(focal_length=4e-3, width=width, height=height,
+                             pixel_pitch=45e-6 * 64 / width)
+    frame, thermal, ext = _fuse_inputs(tof_intr, ir_intr, scene)
+    fuse(frame, thermal, tof_intr, ir_intr, ext)  # the ray grid is cached before tracing
+    tracemalloc.start()
+    try:
+        tg = fuse(frame, thermal, tof_intr, ir_intr, ext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - (tg.points.nbytes + tg.temperature.nbytes + tg.reason.nbytes)
+
+
+def test_fuse_temporaries_stay_bounded_per_pixel(ir_intr, blob_scene):
+    # the transform, projection and sampling run a block of points at a time,
+    # so only per-pixel flags and indices grow with the frame
+    small = _fuse_temporaries(160, 120, ir_intr, blob_scene)
+    large = _fuse_temporaries(640, 480, ir_intr, blob_scene)
+    per_pixel = (large - small) / (640 * 480 - 160 * 120)
+    assert per_pixel <= 16, (small, large)
 
 
 # --- background model ---------------------------------------------------------------

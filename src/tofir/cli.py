@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, document, fusion, segmentation, simulator, thermal, tof
-from .container import Counted, FrameContainer, write_frames
+from .container import Counted, FrameContainer, replacing, write_frames
 from .errors import (
     ContainerFormatError,
     DegenerateGeometryError,
@@ -235,14 +235,17 @@ def cmd_fuse(args) -> int:
 
     # frame 0 is fused before the output directory is made; each thermogram
     # is written to disk as it is fused, and only the first is kept whole,
-    # for the text table
+    # for the text table, which goes to disk a block of rows at a time. The
+    # table is renamed into place only after the container, so a failure in
+    # either write leaves both earlier files as they were
     thermograms = _thermograms(args, raw_cont, thermal_frames, tof_intr, ir_intr, ext, limits)
     first = next(thermograms)
     out = _output_dir(args, cfg)
-    write_frames(out / "thermogram.tirf", Counted(
-        (fusion.thermograms_to_container([tg]) for tg in itertools.chain([first], thermograms)),
-        raw_cont.frames))
-    (out / "thermogram.txt").write_text(fusion.thermogram_to_text(first))
+    with replacing(out / "thermogram.txt", text=True) as fh:
+        fusion.thermogram_to_text(first, fh)
+        write_frames(out / "thermogram.tirf", Counted(
+            (fusion.thermograms_to_container([tg]) for tg in itertools.chain([first], thermograms)),
+            raw_cont.frames))
     return EXIT_OK
 
 

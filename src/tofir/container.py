@@ -26,9 +26,10 @@ from __future__ import annotations
 import os
 import secrets
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, Mapping
+from typing import IO, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -205,31 +206,44 @@ def write_frames(path: str | Path, frames: Collection[FrameContainer]) -> None:
     ``path`` that replaces ``path`` after the last frame; on any error it is
     deleted and ``path`` is left as it was.
     """
-    path = Path(path)
     count = len(frames)
     if count == 0:
         raise ContainerFormatError("at least one frame required")
-    temporary = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    fh = open(temporary, "xb")  # created here, so only this call deletes it
-    try:
-        with fh:
-            made = 0
-            for frame in frames:
-                if made == count:
-                    raise ContainerFormatError(f"more frames than the {count} announced")
-                if made == 0:
-                    layout = (frame.channel_names, frame.width, frame.height)
-                    fh.write(_head(*layout, count))
-                if frame.frames != 1 or (frame.channel_names, frame.width, frame.height) != layout:
-                    raise ContainerFormatError(
-                        f"frame {made}: {frame.frames} frame(s) of {frame.channel_names} at "
-                        f"{frame.width}x{frame.height}, expected one like frame 0"
-                    )
-                # the payload goes straight from the array, without a bytes copy
-                fh.write(frame.data.data)
-                made += 1
+    with replacing(path) as fh:
+        made = 0
+        for frame in frames:
+            if made == count:
+                raise ContainerFormatError(f"more frames than the {count} announced")
+            if made == 0:
+                layout = (frame.channel_names, frame.width, frame.height)
+                fh.write(_head(*layout, count))
+            if frame.frames != 1 or (frame.channel_names, frame.width, frame.height) != layout:
+                raise ContainerFormatError(
+                    f"frame {made}: {frame.frames} frame(s) of {frame.channel_names} at "
+                    f"{frame.width}x{frame.height}, expected one like frame 0"
+                )
+            # the payload goes straight from the array, without a bytes copy
+            fh.write(frame.data.data)
+            made += 1
         if made != count:
             raise ContainerFormatError(f"{made} frames, {count} announced")
+
+
+@contextmanager
+def replacing(path: str | Path, text: bool = False) -> Iterator[IO]:
+    """An open file, binary or UTF-8 text, that replaces ``path`` when the
+    ``with`` block ends without an error.
+
+    The file is a temporary one beside ``path``; on any error it is deleted
+    and ``path`` is left as it was, so the file appears whole or not at all.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    # created here ("x"), so only this call deletes it
+    fh = open(temporary, "x", encoding="utf-8") if text else open(temporary, "xb")
+    try:
+        with fh:
+            yield fh
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import TextIO
 
 import numpy as np
 
@@ -209,20 +210,20 @@ def fuse_summary(thermogram: Thermogram) -> dict[str, float]:
     }
 
 
-def thermogram_to_text(thermogram: Thermogram) -> str:
-    """Whitespace-delimited table (x y z temperature reason), one row per pixel.
+def thermogram_to_text(thermogram: Thermogram, file: TextIO) -> None:
+    """Whitespace-delimited table (x y z temperature reason), one row per
+    pixel, written to the open text ``file`` a block of rows at a time.
 
     Each value is formatted with ``%.9g``; the bytes equal those of
-    ``np.savetxt(fmt="%.9g")``, written a block of rows per ``%``.
+    ``np.savetxt(fmt="%.9g")``, formatted a block of rows per ``%``.
     """
     points = thermogram.points.reshape(-1, 3)
     temperature = thermogram.temperature.ravel()
     reason = thermogram.reason.ravel()
-    parts = ["# x y z temperature reason\n"]
+    file.write("# x y z temperature reason\n")
     for start in range(0, len(points), _TEXT_BLOCK_ROWS):
         rows = slice(start, start + _TEXT_BLOCK_ROWS)
         block = np.column_stack(
             [points[rows], temperature[rows], reason[rows].astype(np.float64)]
         )
-        parts.append((_TEXT_ROW * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        file.write((_TEXT_ROW * len(block)) % tuple(block.ravel().tolist()))

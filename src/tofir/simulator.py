@@ -29,11 +29,11 @@ jumped per frame index, so frame k is reproducible in isolation.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from . import document
 from .calibration import TargetObservation
@@ -56,6 +56,8 @@ DEFAULT_PHASE_NOISE_SCALE = 0.264
 _AXES = {"x": 0, "y": 1, "z": 2}
 _MISS = np.inf
 _MIN_HIT = 1e-9
+_DBL_EPSILON = np.finfo(np.float64).eps
+_CONVOLVE_ROWS = 32  # output rows per block of the scattering convolution
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,15 @@ class ScatteringConfig:
     energy_fraction: float = 0.1
 
     def __post_init__(self):
+        radius = self.kernel_radius
+        if isinstance(radius, numbers.Integral) and not isinstance(radius, bool):
+            radius = int(radius)  # numpy integers too, as np.arange gives them
+        else:
+            try:
+                radius = document.whole(radius)
+            except ValueError as exc:
+                raise ValueError(f"kernel_radius: {exc}") from None
+        object.__setattr__(self, "kernel_radius", radius)
         if not self.kernel_radius >= 1:
             raise ValueError(f"kernel_radius must be >= 1, got {self.kernel_radius}")
         if not 0 <= self.energy_fraction < 1:
@@ -301,6 +312,38 @@ def _scatter_kernel(config: ScatteringConfig) -> np.ndarray:
     return kernel
 
 
+def _convolve_wrap(planes, kernel: np.ndarray) -> np.ndarray:
+    """Each plane convolved with an odd-sized ``kernel`` over periodic
+    boundaries, as a (len(planes), H, W) array.
+
+    Bit for bit ``scipy.ndimage.convolve(plane, kernel, mode="wrap")``: the
+    flipped kernel's taps are taken in C order, each added as ``plane * w``
+    to a sum that starts at 0.0, and a tap with ``|w| <= DBL_EPSILON`` is
+    skipped, as ndimage's footprint skips it. The planes are padded once and
+    summed a block of rows at a time; in a block, each distinct weight
+    multiplies the padded rows once, and every tap adds a window of that
+    product, the same float ``plane * w`` would give.
+    """
+    stack = np.stack(planes)
+    n, height, width = stack.shape
+    ry, rx = kernel.shape[0] // 2, kernel.shape[1] // 2
+    padded = np.pad(stack, ((0, 0), (ry, ry), (rx, rx)), mode="wrap")
+    taps = [(u, v, w) for (u, v), w in np.ndenumerate(kernel[::-1, ::-1])
+            if abs(w) > _DBL_EPSILON]
+    weights = list(dict.fromkeys(w for _, _, w in taps))  # the scattering disc has two
+    taps = [(u, v, weights.index(w)) for u, v, w in taps]
+    out = np.zeros((n, height, width))
+    products = np.empty((len(weights), n, _CONVOLVE_ROWS + 2 * ry, width + 2 * rx))
+    for top in range(0, height, _CONVOLVE_ROWS):
+        rows = min(_CONVOLVE_ROWS, height - top)
+        for product, w in zip(products, weights):
+            np.multiply(padded[:, top:top + rows + 2 * ry], w, out=product[:, :rows + 2 * ry])
+        total = out[:, top:top + rows]
+        for u, v, i in taps:
+            total += products[i, :, u:u + rows, v:v + width]
+    return out
+
+
 def _render_from_response(
     resp: _SceneResponse,
     intr: TofIntrinsics,
@@ -329,12 +372,9 @@ def _render_from_response(
         offset = offset + secondary
 
     if noise.scattering.enabled:
-        kernel = _scatter_kernel(noise.scattering)
-        phasor = (
-            ndimage.convolve(phasor.real, kernel, mode="wrap")
-            + 1j * ndimage.convolve(phasor.imag, kernel, mode="wrap")
-        )
-        offset = ndimage.convolve(offset, kernel, mode="wrap")
+        real, imag, offset = _convolve_wrap((phasor.real, phasor.imag, offset),
+                                            _scatter_kernel(noise.scattering))
+        phasor = real + 1j * imag
 
     rng = np.random.Generator(np.random.Philox(noise.seed).jumped(frame_index))
     final_amplitude = np.abs(phasor)
@@ -430,8 +470,37 @@ def render_ir(
     resp = _trace(scene, unit_rays(intr), pose or Extrinsics.identity())
     temps = resp.temperature
     if blur_sigma > 0:
-        temps = ndimage.gaussian_filter(temps, blur_sigma, mode="reflect")
+        temps = _gaussian_blur(temps, blur_sigma)
     return ThermalFrame(temps)
+
+
+def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """``image`` blurred by a Gaussian truncated at radius ``int(4 sigma +
+    0.5)``, with reflected boundaries (the edge pixel repeated).
+
+    Bit for bit ``scipy.ndimage.gaussian_filter(image, sigma, mode="reflect")``:
+    scipy's weights ``exp(-0.5 / sigma^2 * x^2)``, normalised, one pass per
+    axis, axis 0 first, each on a ``np.pad(mode="symmetric")`` copy and summed
+    in scipy's symmetric order, ``w_0 a[i]`` and then ``+ (a[i-j] + a[i+j])
+    w_j`` for j = r..1.
+    """
+    radius = int(4.0 * float(sigma) + 0.5)
+    if radius == 0:  # a single tap of weight 1
+        return image
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = (weights / weights.sum())[radius:]
+    for axis in (0, 1):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        padded = np.moveaxis(np.pad(image, pad, mode="symmetric"), axis, 0)
+        n = image.shape[axis]
+        out = padded[radius:radius + n] * weights[0]
+        for j in range(radius, 0, -1):
+            pair = padded[radius - j:radius - j + n] + padded[radius + j:radius + j + n]
+            out += pair * weights[j]
+        image = np.moveaxis(out, 0, axis)
+    return image
 
 
 # --- calibration data generation -------------------------------------------------

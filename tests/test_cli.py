@@ -318,6 +318,52 @@ class TestFuse:
         assert fuse(workspace / "bad_raw.tirf", "earlier") == 2
         assert files("earlier") == earlier
 
+    def test_failing_text_table_leaves_no_partial_table(self, workspace, capsys, monkeypatch):
+        """The text table goes to disk a block at a time: one that fails
+        part-way, or a container that fails after it, leaves the earlier
+        table and container as they were, and no temporary file."""
+        out = _simulate(workspace)
+        # other frames, so the failing call would write a different container
+        other = _simulate(workspace, ("--output", str(workspace / "other"), "--seed", "43"))
+
+        def fuse(raw_path):
+            _write_json(workspace / "fuse.json", {
+                "raw": str(raw_path),
+                "thermal": str(out / "thermal.tirf"),
+                "tof_intrinsics": "tof.json",
+                "ir_intrinsics": "ir.json",
+                "extrinsics": str(out / "extrinsics.truth.json"),
+                "output": str(workspace / "fused"),
+            })
+            return main(["fuse", "--config", str(workspace / "fuse.json"), "--quiet"])
+
+        def files():
+            return {p.name: p.read_bytes() for p in (workspace / "fused").iterdir()}
+
+        assert fuse(out / "raw.tirf") == 0
+        earlier = files()
+        assert sorted(earlier) == ["thermogram.tirf", "thermogram.txt"]
+
+        def failing(thermogram, file):
+            file.write("# x y z temperature reason\n0 0 0 300 0\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tofir.fusion, "thermogram_to_text", failing)
+        assert fuse(other / "raw.tirf") == 2
+        assert "disk full" in capsys.readouterr().err
+        assert files() == earlier
+
+        # the table is made before the container, and a container that fails
+        # on its last frame leaves the earlier table too
+        monkeypatch.undo()
+        raw = FrameContainer.read(other / "raw.tirf")
+        data = raw.data.copy()
+        data[-1, 0, 0, 0] = -1.0
+        FrameContainer(raw.channel_names, data).write(workspace / "bad_raw.tirf")
+        assert fuse(workspace / "bad_raw.tirf") == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert files() == earlier
+
 
 class TestSegment:
     def test_background_and_masks(self, workspace, capsys):

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -187,8 +189,9 @@ class TestExports:
 
     def test_text_export_shape(self, tof_intr, ir_intr, baseline_ext):
         tg = self._thermogram(tof_intr, ir_intr, baseline_ext)
-        text = thermogram_to_text(tg)
-        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        file = io.StringIO()
+        thermogram_to_text(tg, file)
+        lines = [l for l in file.getvalue().splitlines() if not l.startswith("#")]
         assert len(lines) == 64 * 50
         assert len(lines[0].split()) == 5
 

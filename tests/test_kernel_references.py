@@ -7,8 +7,9 @@ expressions those kernels started from; every test demands the same bytes,
 so a rewrite that reorders a floating-point operation fails here before it
 changes a CLI artifact. The same holds for the hand-written per-record
 container adapters that the channel schemas replaced, for the
-``np.savetxt`` thermogram table, and for the ``fuse`` and ``segment``
-commands as they were before they streamed their frames.
+``np.savetxt`` thermogram table, for the ``fuse`` and ``segment``
+commands as they were before they streamed their frames, and for the
+simulator's two numpy stencils, whose reference is ``scipy.ndimage``.
 """
 
 import io
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tofir import (
     BackgroundModel,
@@ -36,6 +38,7 @@ from tofir import (
     demodulate,
     fuse,
     render_ir,
+    render_tof,
 )
 from tofir import cli, document, fusion, segmentation, simulator, thermal, tof
 from tofir.camera import pixel_rays, project_points, unit_rays
@@ -622,6 +625,69 @@ def test_schema_unpack_matches_old_adapter(kind):
             assert_same_bytes(getattr(record, name), getattr(ref_record, name))
 
 
+# --- simulator stencils -------------------------------------------------------------------
+# the simulator's scattering convolution and IR blur were scipy.ndimage calls
+
+def _planes(shape, seed):
+    rng = np.random.default_rng(seed)
+    planes = [rng.normal(scale=50.0, size=shape) for _ in range(3)]
+    planes[0].reshape(-1)[:2] = [-0.0, 0.0]  # 0.0 + (-0.0 * w) is +0.0
+    return planes
+
+
+def _disc(radius, energy_fraction):
+    return simulator._scatter_kernel(
+        simulator.ScatteringConfig(True, radius, energy_fraction))
+
+
+def _assert_wrap_matches_ndimage(shape, kernel):
+    planes = _planes(shape, kernel.size)
+    for plane, result in zip(planes, simulator._convolve_wrap(planes, kernel)):
+        assert_same_bytes(result, ndimage.convolve(plane, kernel, mode="wrap"))
+
+
+def test_convolve_wrap_matches_ndimage_at_vga():
+    _assert_wrap_matches_ndimage((480, 640), _disc(4, 0.1))
+
+
+@pytest.mark.parametrize("shape, radius", [((5, 7), 4), ((3, 3), 6), ((50, 64), 1)])
+def test_convolve_wrap_matches_ndimage_for_kernels_past_the_image(shape, radius):
+    _assert_wrap_matches_ndimage(shape, _disc(radius, 0.3))
+
+
+def test_convolve_wrap_flips_an_asymmetric_kernel():
+    _assert_wrap_matches_ndimage((40, 70), np.random.default_rng(8).uniform(-1.0, 1.0, (3, 5)))
+
+
+@pytest.mark.parametrize("energy_fraction", [0.0, 1e-15])
+def test_convolve_wrap_skips_the_taps_ndimage_skips(energy_fraction):
+    # the disc taps are 0 or below DBL_EPSILON: only the centre tap is summed
+    _assert_wrap_matches_ndimage((50, 64), _disc(3, energy_fraction))
+
+
+@pytest.mark.parametrize("shape", [(120, 160), (480, 640), (7, 9)])
+@pytest.mark.parametrize("sigma", [1e-200, 0.1, 0.5, 1, 1.2, 1.7, 3.0])
+def test_gaussian_blur_matches_ndimage(shape, sigma):
+    # at 7x9 the radius, up to 12 pixels, is larger than the image; below
+    # sigma 0.125 it is 0, and sigma * sigma may underflow to 0
+    image = np.random.default_rng(5).uniform(280.0, 320.0, shape)
+    assert_same_bytes(simulator._gaussian_blur(image, sigma),
+                      ndimage.gaussian_filter(image, sigma, mode="reflect"))
+
+
+def test_renders_match_ndimage_renders(tof_intr, ir_intr, blob_scene, monkeypatch):
+    noise = simulator.NoiseConfig(
+        seed=3, scattering=simulator.ScatteringConfig(True, 3, 0.2),
+        multipath=simulator.MultipathConfig(True))
+    raw, _ = render_tof(blob_scene, tof_intr, noise=noise)
+    blurred = render_ir(blob_scene, ir_intr, blur_sigma=1.3).temperatures
+    sharp = render_ir(blob_scene, ir_intr).temperatures
+    monkeypatch.setattr(simulator, "_convolve_wrap", lambda planes, kernel: [
+        ndimage.convolve(plane, kernel, mode="wrap") for plane in planes])
+    assert_same_bytes(raw.samples, render_tof(blob_scene, tof_intr, noise=noise)[0].samples)
+    assert_same_bytes(blurred, ndimage.gaussian_filter(sharp, 1.3, mode="reflect"))
+
+
 # --- thermogram text table ----------------------------------------------------------------
 
 def ref_thermogram_to_text(thermogram):
@@ -648,7 +714,27 @@ def test_thermogram_text_matches_savetxt(shape):
     points.reshape(-1)[: len(special)] = special[: points.size]
     temperature.reshape(-1)[-len(special):] = special[-temperature.size:]
     tg = Thermogram(points, temperature, rng.integers(0, 4, shape))
-    assert fusion.thermogram_to_text(tg) == ref_thermogram_to_text(tg)
+    file = io.StringIO()
+    fusion.thermogram_to_text(tg, file)
+    assert file.getvalue() == ref_thermogram_to_text(tg)
+
+
+def test_thermogram_text_goes_to_a_file_a_block_of_rows_at_a_time():
+    rng = np.random.default_rng(17)
+    shape = (120, 160)  # 19200 rows: four full blocks of 4096 and one of 2816
+    tg = Thermogram(rng.normal(size=shape + (3,)), rng.uniform(250.0, 350.0, shape),
+                    rng.integers(0, 4, shape))
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text.count("\n"))
+            return super().write(text)
+
+    writes = []
+    file = Recorder()
+    fusion.thermogram_to_text(tg, file)
+    assert writes == [1, 4096, 4096, 4096, 4096, 2816]
+    assert file.getvalue() == ref_thermogram_to_text(tg)
 
 
 # --- streamed fuse and segment commands -----------------------------------------------------
@@ -679,7 +765,7 @@ def ref_cmd_fuse(args):
 
     out = cli._output_dir(args, cfg)
     fusion.thermograms_to_container(thermograms).write(out / "thermogram.tirf")
-    (out / "thermogram.txt").write_text(fusion.thermogram_to_text(thermograms[0]))
+    (out / "thermogram.txt").write_text(ref_thermogram_to_text(thermograms[0]))
     return cli.EXIT_OK
 
 

@@ -250,6 +250,21 @@ class TestScattering:
         b, _ = render_tof(wall_scene, tof_intr, noise=noise)
         assert np.allclose(a.samples, b.samples, atol=1e-12)
 
+    @pytest.mark.parametrize("radius", [2.5, 4.7, True, np.bool_(True), "4", None])
+    def test_non_whole_radius_rejected_at_construction(self, radius):
+        with pytest.raises(ValueError, match="kernel_radius"):
+            ScatteringConfig(True, radius, 0.1)
+
+    @pytest.mark.parametrize("radius", [4.0, np.int64(4), np.uint8(4), np.float64(4.0)])
+    def test_integral_float_radius_renders_as_its_int(self, tof_intr, blob_scene, quiet_noise,
+                                                      radius):
+        config = ScatteringConfig(True, radius, 0.1)
+        assert type(config.kernel_radius) is int and config.kernel_radius == 4
+        a, _ = render_tof(blob_scene, tof_intr, noise=replace(quiet_noise, scattering=config))
+        b, _ = render_tof(blob_scene, tof_intr,
+                          noise=replace(quiet_noise, scattering=ScatteringConfig(True, 4, 0.1)))
+        assert np.array_equal(a.samples, b.samples)
+
 
 class TestRenderIr:
     def test_sphere_on_ambient(self, ir_intr):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, document, fusion, segmentation, simulator, thermal, tof
-from .container import Counted, FrameContainer, replacing, write_frames
+from .container import Counted, FrameContainer, frame_writer, replacing, write_frames
 from .errors import (
     ContainerFormatError,
     DegenerateGeometryError,
@@ -104,6 +104,9 @@ def cmd_simulate(args) -> int:
     base = Path(args.config).parent
     settings = document.read(cfg, "config", frames=document.whole, seed=document.whole,
                              ir_blur_sigma=document.number)
+    frames = settings.get("frames", 1)
+    if frames < 1:
+        raise ConfigError(f"config field 'frames': expected at least 1 frame, got {frames}")
     scene = simulator.scene_from_json(_load_json(_resolve(cfg, "scene", base)))
     tof_intr = _load_document(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
     ir_intr = _load_document(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
@@ -121,9 +124,7 @@ def cmd_simulate(args) -> int:
     if "extrinsics" in cfg:
         ext = _load_document(cfg, base, "extrinsics", fusion.Extrinsics)
 
-    # everything is computed before the first file is written
-    rendered = simulator.render_tof_sequence(scene, tof_intr, None, noise,
-                                             settings.get("frames", 1), extrinsics=ext)
+    # everything but the range frames is computed before the first file is written
     blur = {"blur_sigma": settings["ir_blur_sigma"]} if "ir_blur_sigma" in settings else {}
     ir_frame = simulator.render_ir(scene, ir_intr, ext.inverse(), **blur)
     observations = None
@@ -132,16 +133,24 @@ def cmd_simulate(args) -> int:
             targets.pop("points"), ext, tof_intr, ir_intr, seed=noise.seed, **targets
         )
 
+    # each frame is rendered once and appended to both files, which are
+    # renamed into place only after the last frame: a failure leaves the
+    # earlier raw.tirf and raw.truth.tirf as they were
     out = _output_dir(args, cfg)
-    tof.raw_frames_to_container([r for r, _ in rendered]).write(out / "raw.tirf")
-    simulator.TRUTH_SCHEMA.pack([t for _, t in rendered]).write(out / "raw.truth.tirf")
+    with frame_writer(out / "raw.tirf", frames) as raws, \
+            frame_writer(out / "raw.truth.tirf", frames) as truths:
+        for raw, truth in simulator.render_tof_frames(scene, tof_intr, None, noise, frames,
+                                                      extrinsics=ext):
+            raws.append(tof.raw_frames_to_container([raw]))
+            truths.append(simulator.TRUTH_SCHEMA.pack([truth]))
+            del raw, truth  # freed before the next frame is rendered
     thermal.thermal_frames_to_container([ir_frame]).write(out / "thermal.tirf")
     _write_json(out / "extrinsics.truth.json", ext.to_json_dict())
     if observations is not None:
         calibration.save_observations(out / "observations.txt", observations)
         _say(args, f"wrote {len(observations)} calibration observations")
 
-    _say(args, f"simulated {len(rendered)} frame(s) at {tof_intr.width}x{tof_intr.height} "
+    _say(args, f"simulated {frames} frame(s) at {tof_intr.width}x{tof_intr.height} "
                f"(seed {noise.seed}) into {out}")
     return EXIT_OK
 
@@ -214,6 +223,7 @@ def _thermograms(args, raw_cont, thermal_frames, tof_intr, ir_intr, ext, limits)
         stats = fusion.fuse_summary(tg)
         _say(args, f"frame {k}: " + "  ".join(f"{k_}={v:.4f}" for k_, v in stats.items()))
         yield tg
+        del tg  # not kept alive while the next frame is fused
 
 
 def cmd_fuse(args) -> int:
@@ -243,8 +253,10 @@ def cmd_fuse(args) -> int:
     out = _output_dir(args, cfg)
     with replacing(out / "thermogram.txt", text=True) as fh:
         fusion.thermogram_to_text(first, fh)
+        # map, unlike a generator expression, holds no thermogram between frames
         write_frames(out / "thermogram.tirf", Counted(
-            (fusion.thermograms_to_container([tg]) for tg in itertools.chain([first], thermograms)),
+            map(lambda tg: fusion.thermograms_to_container([tg]),
+                itertools.chain([first], thermograms)),
             raw_cont.frames))
     return EXIT_OK
 

@@ -16,9 +16,11 @@ bytes and channel names must be unique. Byte order is little-endian
 regardless of host; big-endian readers must swap. Each record type declares
 its channel layout once, as a :class:`ChannelSchema` beside its class.
 
-Every write goes through :func:`write_frames`, which writes a frame at a time
-to a temporary file and renames it onto the target: a container file appears
-whole or not at all.
+Every write goes through one :class:`FrameWriter`, opened by
+:func:`frame_writer`: it appends a frame at a time to a temporary file and
+renames it onto the target only after the last one, so a container file
+appears whole or not at all. :func:`write_frames` and
+:meth:`FrameContainer.write` are loops over it.
 """
 
 from __future__ import annotations
@@ -195,38 +197,69 @@ def _head(names: tuple[str, ...], width: int, height: int, frames: int) -> bytes
     return b"".join(parts)
 
 
+class FrameWriter:
+    """Appends one-frame containers to an open container file of ``count``
+    frames; made by :func:`frame_writer`.
+
+    The first frame fixes the channel names, width and height, and writes
+    the header; every later frame must match them. No frame is kept: each
+    payload goes to the file as it is appended.
+    """
+
+    def __init__(self, file: IO[bytes], count: int):
+        self._file = file
+        self.count = count
+        self.made = 0
+        self._layout = None
+
+    def append(self, frame: FrameContainer) -> None:
+        if self.made == self.count:
+            raise ContainerFormatError(f"more frames than the {self.count} announced")
+        layout = (frame.channel_names, frame.width, frame.height)
+        if self.made == 0:
+            self._layout = layout
+            self._file.write(_head(*layout, self.count))
+        if frame.frames != 1 or layout != self._layout:
+            raise ContainerFormatError(
+                f"frame {self.made}: {frame.frames} frame(s) of {frame.channel_names} at "
+                f"{frame.width}x{frame.height}, expected one like frame 0"
+            )
+        # the payload goes straight from the array, without a bytes copy
+        self._file.write(frame.data.data)
+        self.made += 1
+
+
+@contextmanager
+def frame_writer(path: str | Path, count: int) -> Iterator[FrameWriter]:
+    """A :class:`FrameWriter` of ``count`` frames that replaces ``path`` when
+    the ``with`` block ends without an error.
+
+    The frames go to a temporary file beside ``path`` (see :func:`replacing`).
+    A frame unlike the first, or a block that ends with another number of
+    frames than ``count``, raises ``ContainerFormatError``; on that or any
+    other error the temporary file is deleted and ``path`` is left as it was.
+    """
+    if count < 1:
+        raise ContainerFormatError("at least one frame required")
+    with replacing(path) as fh:
+        writer = FrameWriter(fh, count)
+        yield writer
+        if writer.made != count:
+            raise ContainerFormatError(f"{writer.made} frames, {count} announced")
+
+
 def write_frames(path: str | Path, frames: Collection[FrameContainer]) -> None:
-    """Write one container of ``len(frames)`` frames to ``path``.
+    """Write one container of ``len(frames)`` frames to ``path`` through a
+    :func:`frame_writer`.
 
     ``frames`` yields one-frame containers and is iterated once; each
     payload goes to disk as it is yielded, so the frames may be made as they
-    are asked for. Every frame must have the first one's channel names, width
-    and height, and ``frames`` must yield as many as its ``len()`` announced,
-    else ``ContainerFormatError``. The bytes go to a temporary file beside
-    ``path`` that replaces ``path`` after the last frame; on any error it is
-    deleted and ``path`` is left as it was.
+    are asked for, and none is held while the next one is made.
     """
-    count = len(frames)
-    if count == 0:
-        raise ContainerFormatError("at least one frame required")
-    with replacing(path) as fh:
-        made = 0
+    with frame_writer(path, len(frames)) as writer:
         for frame in frames:
-            if made == count:
-                raise ContainerFormatError(f"more frames than the {count} announced")
-            if made == 0:
-                layout = (frame.channel_names, frame.width, frame.height)
-                fh.write(_head(*layout, count))
-            if frame.frames != 1 or (frame.channel_names, frame.width, frame.height) != layout:
-                raise ContainerFormatError(
-                    f"frame {made}: {frame.frames} frame(s) of {frame.channel_names} at "
-                    f"{frame.width}x{frame.height}, expected one like frame 0"
-                )
-            # the payload goes straight from the array, without a bytes copy
-            fh.write(frame.data.data)
-            made += 1
-        if made != count:
-            raise ContainerFormatError(f"{made} frames, {count} announced")
+            writer.append(frame)
+            del frame  # not kept alive while the next frame is made
 
 
 @contextmanager

@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -433,6 +433,29 @@ def render_tof(
     return _render_from_response(resp, intr, noise, frame_index, extrinsics, amplitude_law)
 
 
+def render_tof_frames(
+    scene: Scene,
+    intr: TofIntrinsics,
+    pose: Extrinsics | None,
+    noise: NoiseConfig,
+    n_frames: int,
+    *,
+    extrinsics: Extrinsics | None = None,
+    amplitude_law: str = "inverse_square",
+) -> Iterator[tuple[RawTofFrame, GroundTruth]]:
+    """Render ``n_frames`` with shared geometry and per-frame noise streams,
+    one frame at a time as they are asked for.
+
+    The scene is traced once, when the first frame is asked for; a frame is
+    not kept once it has been yielded.
+    """
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+    resp = _trace_tof(scene, intr, pose)
+    for k in range(n_frames):
+        yield _render_from_response(resp, intr, noise, k, extrinsics, amplitude_law)
+
+
 def render_tof_sequence(
     scene: Scene,
     intr: TofIntrinsics,
@@ -443,14 +466,10 @@ def render_tof_sequence(
     extrinsics: Extrinsics | None = None,
     amplitude_law: str = "inverse_square",
 ) -> list[tuple[RawTofFrame, GroundTruth]]:
-    """Render ``n_frames`` with shared geometry and per-frame noise streams."""
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    resp = _trace_tof(scene, intr, pose)
-    return [
-        _render_from_response(resp, intr, noise, k, extrinsics, amplitude_law)
-        for k in range(n_frames)
-    ]
+    """Render ``n_frames`` with shared geometry and per-frame noise streams:
+    every frame of :func:`render_tof_frames`, in a list."""
+    return list(render_tof_frames(scene, intr, pose, noise, n_frames,
+                                  extrinsics=extrinsics, amplitude_law=amplitude_law))
 
 
 def render_ir(

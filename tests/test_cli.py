@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ def workspace(tmp_path):
         "calibration_targets": {"points": targets, "pixel_noise_sigma": 0.0},
     })
     return tmp_path
+
+
+@pytest.fixture(autouse=True)
+def no_temporary_file_left(tmp_path):
+    """Fails a test that leaves a writer's temporary file (``.<name>.<hex>.tmp``,
+    see ``tofir.container.replacing``) anywhere under its ``tmp_path``."""
+    yield
+    left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob(".*.tmp"))
+    assert left == [], f"temporary files left behind: {left}"
 
 
 def _simulate(workspace, extra=()):
@@ -107,6 +117,43 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(workspace / "sim.json")])
         assert rc == 2
         assert "primitive 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["render", "pack"])
+    def test_failing_last_frame_leaves_no_partial_artifact(self, workspace, capsys, monkeypatch,
+                                                           where):
+        """Frames 0 and 1 go to both files before frame 2 fails, as it is
+        rendered or as its ground truth is packed: raw.tirf and raw.truth.tirf
+        appear whole or not at all."""
+        out = _simulate(workspace)  # 3 frames
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        made = []
+        if where == "render":
+            render = tofir.simulator._render_from_response
+
+            def failing(resp, intr, noise, frame_index, *args):
+                made.append(frame_index)
+                if frame_index == 2:
+                    raise OSError("frame 2 failed")
+                return render(resp, intr, noise, frame_index, *args)
+
+            monkeypatch.setattr(tofir.simulator, "_render_from_response", failing)
+        else:
+            schema = tofir.simulator.TRUTH_SCHEMA
+
+            def failing(records):
+                made.append(len(made))
+                if len(made) == 3:
+                    raise OSError("frame 2 failed")
+                return schema.pack(records)
+
+            monkeypatch.setattr(tofir.simulator, "TRUTH_SCHEMA", SimpleNamespace(pack=failing))
+        # another seed, so a completed call would write other bytes
+        rc = main(["simulate", "--config", str(workspace / "sim.json"), "--seed", "43",
+                   "--quiet"])
+        assert rc == 2
+        assert "frame 2 failed" in capsys.readouterr().err
+        assert made == [0, 1, 2]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
 
 class TestCalibrate:
@@ -466,8 +513,9 @@ class TestDeterminism:
 class TestStreamedMemory:
     """fuse and segment hold one raw frame in float64 at a time: per extra
     frame, their peak grows by the frame's float32 input payload and output
-    stack only. tracemalloc counts numpy's buffers; RSS would follow glibc's
-    heap thresholds as much as live memory."""
+    stack only; simulate writes each frame as it is rendered, so its peak
+    does not grow with the frame count. tracemalloc counts numpy's buffers;
+    RSS would follow glibc's heap thresholds as much as live memory."""
 
     WIDTH, HEIGHT = 160, 120
     FRAME_COUNTS = (2, 12)
@@ -487,10 +535,11 @@ class TestStreamedMemory:
         out = workspace / f"sim{frames}"
         sim = json.loads((workspace / "sim.json").read_text())
         del sim["calibration_targets"]
-        _write_json(workspace / "sim_160.json", {
+        simulate = workspace / f"sim_160_{frames}.json"
+        _write_json(simulate, {
             **sim, "tof_intrinsics": "tof_160.json", "frames": frames, "output": str(out),
         })
-        assert main(["simulate", "--config", str(workspace / "sim_160.json"), "--quiet"]) == 0
+        assert main(["simulate", "--config", str(simulate), "--quiet"]) == 0
         docs = {
             "fuse": {"raw": str(out / "raw.tirf"), "thermal": str(out / "thermal.tirf"),
                      "tof_intrinsics": "tof_160.json", "ir_intrinsics": "ir.json",
@@ -498,7 +547,7 @@ class TestStreamedMemory:
             "segment": {"background": str(out / "raw.tirf"), "frames": str(out / "raw.tirf"),
                         "tof_intrinsics": "tof_160.json"},
         }
-        configs = {}
+        configs = {"simulate": simulate}
         for command, doc in docs.items():
             configs[command] = workspace / f"{command}{frames}.json"
             _write_json(configs[command], {**doc, "output": str(workspace / f"{command}-out")})
@@ -533,6 +582,49 @@ class TestStreamedMemory:
         per_frame = (peaks[1] - peaks[0]) / (high - low)
         input_bytes = self.WIDTH * self.HEIGHT * 4 * 4  # raw a1..a4
         assert per_frame <= 1.5 * input_bytes, (peaks, per_frame / input_bytes)
+
+    def test_simulate_peak_does_not_grow_with_frames(self, workspace):
+        # each frame is appended to raw.tirf and raw.truth.tirf as it is
+        # rendered and freed before the next one; the whole-recording list grew
+        # by 1.88 frames' float32 bytes per frame. From 1 to 2 frames, frame 1
+        # is the first rendered while an earlier frame could still be held
+        counts = (1,) + self.FRAME_COUNTS
+        configs = {n: self._configs(workspace, n) for n in counts}
+        peaks = [self._peak(["simulate", "--config", str(configs[n]["simulate"]), "--quiet"])
+                 for n in counts]
+        output_bytes = self.WIDTH * self.HEIGHT * (4 + 6) * 4  # raw a1..a4; truth
+        for low, high, step in zip(counts, counts[1:], np.diff(peaks)):
+            per_frame = step / (high - low)
+            assert per_frame <= 0.25 * output_bytes, (low, high, peaks, per_frame / output_bytes)
+
+    def test_fuse_holds_no_earlier_frame_but_the_first(self, workspace, monkeypatch):
+        """Thermogram 0 is kept for the text table; every later thermogram and
+        its packed container are freed before the next frame is demodulated."""
+        argv = ["fuse", "--config", str(self._configs(workspace, 12)["fuse"]), "--quiet"]
+        assert main(argv) == 0  # untraced first: imports and the ray cache are warm
+        demodulate = tofir.tof.demodulate
+        live = []
+
+        def recorded(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return demodulate(*args, **kwargs)
+
+        monkeypatch.setattr(tofir.tof, "demodulate", recorded)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 12
+        # float64 points and temperature, uint8 reason
+        thermogram_bytes = self.WIDTH * self.HEIGHT * (3 * 8 + 8 + 1)
+        # from frame 1 on, thermogram 0 is live and nothing else of a frame:
+        # not the packed container of frame 0 ...
+        growth = (live[1] - live[0]) / thermogram_bytes
+        assert growth <= 1.1, (growth, live)
+        # ... nor the thermogram or packed container of any later frame
+        growth = (max(live[2:]) - live[1]) / thermogram_bytes
+        assert growth <= 0.1, (growth, live)
 
 
 class TestCommonBehavior:
@@ -569,6 +661,8 @@ class TestMalformedSettings:
         ({"noise": {"multipath": {"enabled": "false"}}}, "enabled"),
         ({"calibration_targets": {"points": [5]}}, "points"),
         ({"ir_blur_sigma": -1.0}, "blur_sigma"),
+        ({"frames": 0}, "'frames'"),
+        ({"frames": -2}, "'frames'"),
     ])
     def test_simulate(self, workspace, capsys, change, key):
         sim = json.loads((workspace / "sim.json").read_text())

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tofir import ContainerFormatError, DimensionMismatchError, FrameContainer
-from tofir.container import Counted, write_frames
+from tofir.container import Counted, frame_writer, write_frames
 from tofir.fusion import THERMOGRAM_SCHEMA, thermograms_from_container
 from tofir.segmentation import BACKGROUND_SCHEMA, MASK_SCHEMA, background_from_container
 from tofir.simulator import TRUTH_SCHEMA
@@ -224,6 +224,63 @@ def test_write_leaves_the_old_file_when_a_frame_fails(tmp_path):
         write_frames(tmp_path / "out.tirf", Counted(frames(), 2))
     assert [p.name for p in tmp_path.iterdir()] == ["out.tirf"]
     assert (tmp_path / "out.tirf").read_bytes() == before
+
+
+def test_two_writers_appended_in_turn_match_write_frames_and_write(tmp_path):
+    """Frames made once and appended in turn to two open writers, as
+    ``tofir simulate`` writes raw.tirf and raw.truth.tirf."""
+    other = [FrameContainer.stack([{"c": np.full((2, 5), k + 0.5)}]) for k in range(3)]
+    with frame_writer(tmp_path / "a.tirf", 3) as a, frame_writer(tmp_path / "c.tirf", 3) as c:
+        for one, two in zip(_one_frame_containers(3), other):
+            a.append(one)
+            c.append(two)
+        # nothing is renamed into place before the block ends
+        assert not (tmp_path / "a.tirf").exists() and not (tmp_path / "c.tirf").exists()
+    write_frames(tmp_path / "a_frames.tirf", _one_frame_containers(3))
+    FrameContainer.stack(_planes(3)).write(tmp_path / "a_write.tirf")
+    write_frames(tmp_path / "c_frames.tirf", other)
+    FrameContainer(("c",), np.concatenate([o.data for o in other])).write(
+        tmp_path / "c_write.tirf")
+    for name in ("a", "c"):
+        streamed = (tmp_path / f"{name}.tirf").read_bytes()
+        assert streamed == (tmp_path / f"{name}_frames.tirf").read_bytes()
+        assert streamed == (tmp_path / f"{name}_write.tirf").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}{kind}.tirf" for name in "ac" for kind in ("", "_frames", "_write"))
+
+
+def _past_the_count(writer):
+    for one in _one_frame_containers(3):
+        writer.append(one)
+
+
+def _short(writer):
+    writer.append(_one_frame_containers(1)[0])
+
+
+def _unlike_the_first(writer):
+    writer.append(_one_frame_containers(1)[0])
+    writer.append(FrameContainer.stack([{"a": np.zeros((3, 4)), "c": np.zeros((3, 4))}]))
+
+
+@pytest.mark.parametrize("fill", [_past_the_count, _short, _unlike_the_first])
+@pytest.mark.parametrize("earlier", [False, True])
+def test_writer_rejects_a_wrong_count_or_layout_and_leaves_no_temporary(tmp_path, fill, earlier):
+    if earlier:
+        FrameContainer.stack(_planes(1)).write(tmp_path / "out.tirf")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ContainerFormatError):
+        with frame_writer(tmp_path / "out.tirf", 2) as writer:
+            fill(writer)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_writer_needs_a_frame(tmp_path, count):
+    with pytest.raises(ContainerFormatError):
+        with frame_writer(tmp_path / "out.tirf", count):
+            pass
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_magic_rejected():

@@ -7,11 +7,12 @@ expressions those kernels started from; every test demands the same bytes,
 so a rewrite that reorders a floating-point operation fails here before it
 changes a CLI artifact. The same holds for the hand-written per-record
 container adapters that the channel schemas replaced, for the
-``np.savetxt`` thermogram table, for the ``fuse`` and ``segment``
-commands as they were before they streamed their frames, and for the
+``np.savetxt`` thermogram table, for the ``simulate``, ``fuse`` and
+``segment`` commands as they were before they streamed their frames, and for the
 simulator's two numpy stencils, whose reference is ``scipy.ndimage``.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -40,7 +41,7 @@ from tofir import (
     render_ir,
     render_tof,
 )
-from tofir import cli, document, fusion, segmentation, simulator, thermal, tof
+from tofir import calibration, cli, document, fusion, segmentation, simulator, thermal, tof
 from tofir.camera import pixel_rays, project_points, unit_rays
 from tofir.errors import ContainerFormatError
 from tofir.fusion import FuseReason
@@ -737,10 +738,57 @@ def test_thermogram_text_goes_to_a_file_a_block_of_rows_at_a_time():
     assert file.getvalue() == ref_thermogram_to_text(tg)
 
 
-# --- streamed fuse and segment commands -----------------------------------------------------
-# cmd_fuse and cmd_segment as they were before they streamed: every raw frame
-# unpacked to float64 up front, and every range frame, thermogram and mask
-# kept until the artifacts are written
+# --- streamed simulate, fuse and segment commands -------------------------------------------
+# cmd_simulate, cmd_fuse and cmd_segment as they were before they streamed:
+# every frame rendered, or every raw frame unpacked to float64, up front, and
+# every rendered frame, range frame, thermogram and mask kept until the
+# artifacts are written
+
+def ref_cmd_simulate(args):
+    cfg = cli._load_json(args.config)
+    base = Path(args.config).parent
+    settings = document.read(cfg, "config", frames=document.whole, seed=document.whole,
+                             ir_blur_sigma=document.number)
+    scene = simulator.scene_from_json(cli._load_json(cli._resolve(cfg, "scene", base)))
+    tof_intr = cli._load_document(cfg, base, "tof_intrinsics", TofIntrinsics)
+    ir_intr = cli._load_document(cfg, base, "ir_intrinsics", IrIntrinsics)
+    noise = simulator.noise_from_json(cfg.get("noise", {}))
+    seed = args.seed if args.seed is not None else settings.get("seed")
+    if seed is not None:
+        noise = dataclasses.replace(noise, seed=seed)
+    targets = None
+    if "calibration_targets" in cfg:
+        targets = document.read(cfg["calibration_targets"], "calibration_targets",
+                                points=cli._targets, pixel_noise_sigma=document.number)
+        cli._require(targets, "points", "calibration_targets")
+
+    ext = Extrinsics.identity()
+    if "extrinsics" in cfg:
+        ext = cli._load_document(cfg, base, "extrinsics", Extrinsics)
+
+    rendered = simulator.render_tof_sequence(scene, tof_intr, None, noise,
+                                             settings.get("frames", 1), extrinsics=ext)
+    blur = {"blur_sigma": settings["ir_blur_sigma"]} if "ir_blur_sigma" in settings else {}
+    ir_frame = simulator.render_ir(scene, ir_intr, ext.inverse(), **blur)
+    observations = None
+    if targets is not None:
+        observations = simulator.make_calibration_set(
+            targets.pop("points"), ext, tof_intr, ir_intr, seed=noise.seed, **targets
+        )
+
+    out = cli._output_dir(args, cfg)
+    tof.raw_frames_to_container([r for r, _ in rendered]).write(out / "raw.tirf")
+    simulator.TRUTH_SCHEMA.pack([t for _, t in rendered]).write(out / "raw.truth.tirf")
+    thermal.thermal_frames_to_container([ir_frame]).write(out / "thermal.tirf")
+    cli._write_json(out / "extrinsics.truth.json", ext.to_json_dict())
+    if observations is not None:
+        calibration.save_observations(out / "observations.txt", observations)
+        cli._say(args, f"wrote {len(observations)} calibration observations")
+
+    cli._say(args, f"simulated {len(rendered)} frame(s) at {tof_intr.width}x{tof_intr.height} "
+                   f"(seed {noise.seed}) into {out}")
+    return cli.EXIT_OK
+
 
 def ref_cmd_fuse(args):
     cfg = cli._load_json(args.config)
@@ -863,6 +911,32 @@ def test_fuse_command_matches_eager_reference(cli_inputs, capsys, thermal_file):
     assert sorted(files) == ["thermogram.tirf", "thermogram.txt"]
     assert files == ref_files
     assert printed == ref_printed and printed.count("valid=") == _RAW_FRAMES
+
+
+@pytest.mark.parametrize("frames", [1, 5])
+def test_simulate_command_matches_eager_reference(cli_inputs, capsys, frames):
+    (cli_inputs / "scene.json").write_text(json.dumps({"primitives": [
+        {"type": "plane", "axis": "z", "offset": 3.0, "reflectivity": 1.0, "temperature": 300.0},
+        {"type": "sphere", "center": [0.0, 0.0, 1.0], "radius": 0.2, "reflectivity": 1.0,
+         "temperature": 310.0},
+    ]}))
+    doc = {"scene": "scene.json", "tof_intrinsics": "tof.json", "ir_intrinsics": "ir.json",
+           "extrinsics": "ext.json", "frames": frames, "ir_blur_sigma": 1.2,
+           "noise": {"seed": 11, "bucket_noise_sigma": 0.5, "saturation_fraction": 0.02,
+                     "multipath": {"enabled": True},
+                     "scattering": {"enabled": True, "kernel_radius": 3}},
+           "calibration_targets": {"points": [[0.2 * i, -0.1 * i, 1.5 + 0.3 * i]
+                                              for i in range(-2, 3)],
+                                   "pixel_noise_sigma": 0.1}}
+    (files, printed), (ref_files, ref_printed) = _run_both(
+        capsys, cli_inputs, "simulate", doc, ref_cmd_simulate)
+    assert sorted(files) == ["extrinsics.truth.json", "observations.txt", "raw.tirf",
+                             "raw.truth.tirf", "thermal.tirf"]
+    assert files == ref_files
+    assert printed.replace("streamed", "reference") == ref_printed
+    assert f"simulated {frames} frame(s)" in printed
+    truth = FrameContainer.read(cli_inputs / "streamed" / "raw.truth.tirf")
+    assert truth.frames == frames and truth.channel("outlier", frames - 1).any()
 
 
 @pytest.mark.parametrize("frames", [{"frames": "raw.tirf"}, {}], ids=["frames", "no-frames"])

@@ -57,7 +57,7 @@ _AXES = {"x": 0, "y": 1, "z": 2}
 _MISS = np.inf
 _MIN_HIT = 1e-9
 _DBL_EPSILON = np.finfo(np.float64).eps
-_CONVOLVE_ROWS = 32  # output rows per block of the scattering convolution
+_BAND_ROWS = 32  # image rows per band of the trace, the render and the convolution
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,29 @@ class _SceneResponse:
     rays_camera: np.ndarray
 
 
+def _bands(height: int) -> Iterator[slice]:
+    for top in range(0, height, _BAND_ROWS):
+        yield slice(top, top + _BAND_ROWS)
+
+
 def _trace(scene: Scene, rays_camera: np.ndarray, pose: Extrinsics) -> _SceneResponse:
+    """Nearest hit per ray, traced a band of rows at a time.
+
+    The three per-pixel arrays are returned read-only: every frame of a
+    sequence shares them, and its ground truth holds them without a copy.
+    """
+    distance = np.empty(rays_camera.shape[:-1])
+    reflectivity = np.empty_like(distance)
+    temperature = np.empty_like(distance)
+    for band in _bands(distance.shape[0]):
+        distance[band], reflectivity[band], temperature[band] = _trace_band(
+            scene, rays_camera[band], pose)
+    for array in (distance, reflectivity, temperature):
+        array.flags.writeable = False
+    return _SceneResponse(distance, reflectivity, temperature, rays_camera)
+
+
+def _trace_band(scene: Scene, rays_camera: np.ndarray, pose: Extrinsics):
     rays_world = rays_camera @ pose.rotation.T
     origin = pose.translation
     best_t = np.full(rays_world.shape[:-1], _MISS)
@@ -292,7 +314,7 @@ def _trace(scene: Scene, rays_camera: np.ndarray, pose: Extrinsics) -> _SceneRes
         # rays parallel to the background plane fall back to the radial distance
         t_bg = np.where(np.isinf(t_bg), scene.background_distance, t_bg)
         best_t = np.where(missed, t_bg, best_t)
-    return _SceneResponse(best_t, reflectivity, temperature, rays_camera)
+    return best_t, reflectivity, temperature
 
 
 def _trace_tof(scene, intr: TofIntrinsics, pose: Extrinsics | None) -> _SceneResponse:
@@ -319,29 +341,107 @@ def _convolve_wrap(planes, kernel: np.ndarray) -> np.ndarray:
     Bit for bit ``scipy.ndimage.convolve(plane, kernel, mode="wrap")``: the
     flipped kernel's taps are taken in C order, each added as ``plane * w``
     to a sum that starts at 0.0, and a tap with ``|w| <= DBL_EPSILON`` is
-    skipped, as ndimage's footprint skips it. The planes are padded once and
-    summed a block of rows at a time; in a block, each distinct weight
-    multiplies the padded rows once, and every tap adds a window of that
-    product, the same float ``plane * w`` would give.
+    skipped, as ndimage's footprint skips it. ``planes`` may be a (n, H, W)
+    array, which is not copied. The planes are padded once and summed a band
+    of rows at a time. In a band, each distinct weight multiplies the padded
+    rows once, the same float ``plane * w`` would give, and the rows are
+    taken flat: tap (u, v) adds the one contiguous window that starts at
+    padded row u, column v. Each row of the sum then runs past column W into
+    the next padded row; those columns are summed but never copied out, and
+    the last row stops at column W, so no window reaches past the product.
     """
-    stack = np.stack(planes)
+    stack = np.asarray(planes)
     n, height, width = stack.shape
     ry, rx = kernel.shape[0] // 2, kernel.shape[1] // 2
     padded = np.pad(stack, ((0, 0), (ry, ry), (rx, rx)), mode="wrap")
+    span = width + 2 * rx  # padded row length
+    flat = padded.reshape(n, -1)
     taps = [(u, v, w) for (u, v), w in np.ndenumerate(kernel[::-1, ::-1])
             if abs(w) > _DBL_EPSILON]
     weights = list(dict.fromkeys(w for _, _, w in taps))  # the scattering disc has two
-    taps = [(u, v, weights.index(w)) for u, v, w in taps]
-    out = np.zeros((n, height, width))
-    products = np.empty((len(weights), n, _CONVOLVE_ROWS + 2 * ry, width + 2 * rx))
-    for top in range(0, height, _CONVOLVE_ROWS):
-        rows = min(_CONVOLVE_ROWS, height - top)
+    taps = [(u * span + v, weights.index(w)) for u, v, w in taps]
+    out = np.empty((n, height, width))
+    products = np.empty((len(weights), n, (_BAND_ROWS + 2 * ry) * span))
+    total = np.empty((n, _BAND_ROWS * span))
+    for top in range(0, height, _BAND_ROWS):
+        rows = min(_BAND_ROWS, height - top)
+        size = (rows + 2 * ry) * span
         for product, w in zip(products, weights):
-            np.multiply(padded[:, top:top + rows + 2 * ry], w, out=product[:, :rows + 2 * ry])
-        total = out[:, top:top + rows]
-        for u, v, i in taps:
-            total += products[i, :, u:u + rows, v:v + width]
+            np.multiply(flat[:, top * span:top * span + size], w, out=product[:, :size])
+        summed = total[:, :(rows - 1) * span + width]
+        summed.fill(0.0)
+        length = summed.shape[1]
+        for start, i in taps:
+            summed += products[i, :, start:start + length]
+        out[:, top:top + rows] = total[:, :rows * span].reshape(n, rows, span)[:, :, :width]
     return out
+
+
+def _check_amplitude_law(amplitude_law: str) -> None:
+    if amplitude_law not in ("inverse_square", "constant"):
+        raise ValueError(f"unknown amplitude law {amplitude_law!r}")
+
+
+def _direct_return(resp: _SceneResponse, band: slice, intr: TofIntrinsics,
+                   multipath: MultipathConfig, amplitude_law: str):
+    """Phasor and offset of a band of rows, before in-lens scattering."""
+    dist = resp.distance[band]
+    # the "constant" law: distance-independent radiometry, for controlled phase experiments
+    amplitude = resp.reflectivity[band] * DEFAULT_AMPLITUDE_REF
+    if amplitude_law == "inverse_square":
+        amplitude = amplitude / (dist * dist)
+    phasor = amplitude * np.exp(1j * phase_for_distance(dist, intr.f_mod))
+    offset = DEFAULT_OFFSET_REF + amplitude
+    if multipath.enabled:
+        secondary = multipath.relative_amplitude * amplitude
+        phasor = phasor + secondary * np.exp(
+            1j * phase_for_distance(dist + multipath.extra_distance, intr.f_mod)
+        )
+        offset = offset + secondary
+    return phasor, offset
+
+
+def _buckets(resp: _SceneResponse, intr: TofIntrinsics, noise: NoiseConfig,
+             amplitude_law: str, rng: np.random.Generator) -> np.ndarray:
+    """A frame's (H, W, 4) buckets before saturation, built a band of rows
+    at a time: the direct return, then (with scattering) the whole-frame
+    convolution of its planes, then the noisy phasor and the buckets. The
+    phase and bucket noise are each drawn whole-frame, in that order."""
+    shape = resp.distance.shape
+    scattered = None
+    if noise.scattering.enabled:
+        planes = np.empty((3,) + shape)  # real part, imaginary part, offset
+        for band in _bands(shape[0]):
+            phasor, planes[2, band] = _direct_return(resp, band, intr, noise.multipath,
+                                                     amplitude_law)
+            planes[0, band] = phasor.real
+            planes[1, band] = phasor.imag
+        scattered = _convolve_wrap(planes, _scatter_kernel(noise.scattering))
+        del planes
+
+    phase_normals = None
+    if noise.phase_noise_scale > 0:
+        phase_normals = rng.standard_normal(shape)
+    buckets = np.empty(shape + (4,))
+    if noise.bucket_noise_sigma > 0:
+        rng.standard_normal(out=buckets)  # each band's draws, overwritten by its buckets
+    for band in _bands(shape[0]):
+        if scattered is None:
+            phasor, offset = _direct_return(resp, band, intr, noise.multipath, amplitude_law)
+        else:
+            phasor = scattered[0][band] + 1j * scattered[1][band]
+            offset = scattered[2][band]
+        final_amplitude = np.abs(phasor)
+        final_phase = np.angle(phasor)
+        if phase_normals is not None:
+            sigma = noise.phase_noise_scale / np.maximum(final_amplitude, 1e-12)
+            final_phase = final_phase + sigma * phase_normals[band]
+        band_buckets = synthesize_buckets(final_phase, final_amplitude, offset)
+        if noise.bucket_noise_sigma > 0:
+            band_buckets = np.maximum(
+                band_buckets + noise.bucket_noise_sigma * buckets[band], 0.0)
+        buckets[band] = band_buckets
+    return buckets
 
 
 def _render_from_response(
@@ -353,40 +453,8 @@ def _render_from_response(
     amplitude_law: str,
 ) -> tuple[RawTofFrame, GroundTruth]:
     dist = resp.distance
-    if amplitude_law == "inverse_square":
-        amplitude = resp.reflectivity * DEFAULT_AMPLITUDE_REF / (dist * dist)
-    elif amplitude_law == "constant":
-        # distance-independent radiometry, for controlled phase experiments
-        amplitude = resp.reflectivity * DEFAULT_AMPLITUDE_REF * np.ones_like(dist)
-    else:
-        raise ValueError(f"unknown amplitude law {amplitude_law!r}")
-    phasor = amplitude * np.exp(1j * phase_for_distance(dist, intr.f_mod))
-    offset = DEFAULT_OFFSET_REF + amplitude
-
-    mp = noise.multipath
-    if mp.enabled:
-        secondary = mp.relative_amplitude * amplitude
-        phasor = phasor + secondary * np.exp(
-            1j * phase_for_distance(dist + mp.extra_distance, intr.f_mod)
-        )
-        offset = offset + secondary
-
-    if noise.scattering.enabled:
-        real, imag, offset = _convolve_wrap((phasor.real, phasor.imag, offset),
-                                            _scatter_kernel(noise.scattering))
-        phasor = real + 1j * imag
-
     rng = np.random.Generator(np.random.Philox(noise.seed).jumped(frame_index))
-    final_amplitude = np.abs(phasor)
-    final_phase = np.angle(phasor)
-    if noise.phase_noise_scale > 0:
-        sigma = noise.phase_noise_scale / np.maximum(final_amplitude, 1e-12)
-        final_phase = final_phase + sigma * rng.standard_normal(final_phase.shape)
-
-    buckets = synthesize_buckets(final_phase, final_amplitude, offset)
-    if noise.bucket_noise_sigma > 0:
-        buckets = buckets + noise.bucket_noise_sigma * rng.standard_normal(buckets.shape)
-        buckets = np.maximum(buckets, 0.0)
+    buckets = _buckets(resp, intr, noise, amplitude_law, rng)
 
     outliers = np.zeros(dist.shape, dtype=bool)
     if noise.saturation_fraction > 0:
@@ -429,6 +497,7 @@ def render_tof(
     the buckets without radiometric differences).
     """
     noise = noise or NoiseConfig()
+    _check_amplitude_law(amplitude_law)
     resp = _trace_tof(scene, intr, pose)
     return _render_from_response(resp, intr, noise, frame_index, extrinsics, amplitude_law)
 
@@ -451,6 +520,7 @@ def render_tof_frames(
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+    _check_amplitude_law(amplitude_law)
     resp = _trace_tof(scene, intr, pose)
     for k in range(n_frames):
         yield _render_from_response(resp, intr, noise, k, extrinsics, amplitude_law)

@@ -8,7 +8,8 @@ so a rewrite that reorders a floating-point operation fails here before it
 changes a CLI artifact. The same holds for the hand-written per-record
 container adapters that the channel schemas replaced, for the
 ``np.savetxt`` thermogram table, for the ``simulate``, ``fuse`` and
-``segment`` commands as they were before they streamed their frames, and for the
+``segment`` commands as they were before they streamed their frames, for the
+range render as it was before it worked in row bands, and for the
 simulator's two numpy stencils, whose reference is ``scipy.ndimage``.
 """
 
@@ -687,6 +688,184 @@ def test_renders_match_ndimage_renders(tof_intr, ir_intr, blob_scene, monkeypatc
         ndimage.convolve(plane, kernel, mode="wrap") for plane in planes])
     assert_same_bytes(raw.samples, render_tof(blob_scene, tof_intr, noise=noise)[0].samples)
     assert_same_bytes(blurred, ndimage.gaussian_filter(sharp, 1.3, mode="reflect"))
+
+
+@pytest.mark.parametrize("shape, radius", [((33, 40), 4), ((45, 70), 6), ((65, 9), 1)])
+def test_convolve_wrap_matches_ndimage_with_a_partial_last_band(shape, radius):
+    # 33 rows leave a last band of one row
+    assert shape[0] % simulator._BAND_ROWS != 0
+    _assert_wrap_matches_ndimage(shape, _disc(radius, 0.3))
+
+
+# --- range render -------------------------------------------------------------------------
+# the renderer traced, phased and bucketed whole frames before it worked in row bands
+
+def ref_trace(scene, rays_camera, pose):
+    rays_world = rays_camera @ pose.rotation.T
+    origin = pose.translation
+    best_t = np.full(rays_world.shape[:-1], simulator._MISS)
+    reflectivity = np.full_like(best_t, scene.background_reflectivity)
+    temperature = np.full_like(best_t, scene.ambient_temperature)
+    for prim in scene.primitives:
+        if isinstance(prim, simulator.Plane):
+            t = simulator._intersect_plane(origin, rays_world, simulator._AXES[prim.axis],
+                                           prim.offset)
+        else:
+            t = simulator._intersect_sphere(origin, rays_world, prim.center, prim.radius)
+        closer = t < best_t
+        best_t = np.where(closer, t, best_t)
+        reflectivity = np.where(closer, prim.reflectivity, reflectivity)
+        temperature = np.where(closer, prim.temperature, temperature)
+    missed = np.isinf(best_t)
+    if np.any(missed):
+        t_bg = simulator._intersect_plane(origin, rays_world, 2, scene.background_distance)
+        t_bg = np.where(np.isinf(t_bg), scene.background_distance, t_bg)
+        best_t = np.where(missed, t_bg, best_t)
+    return best_t, reflectivity, temperature
+
+
+def ref_render_tof(scene, intr, pose, noise, frame_index, extrinsics, amplitude_law):
+    rays = ref_unit_rays(intr)
+    dist, reflectivity, temperature = ref_trace(scene, rays, pose or Extrinsics.identity())
+    if amplitude_law == "inverse_square":
+        amplitude = reflectivity * simulator.DEFAULT_AMPLITUDE_REF / (dist * dist)
+    else:
+        amplitude = reflectivity * simulator.DEFAULT_AMPLITUDE_REF * np.ones_like(dist)
+    phasor = amplitude * np.exp(1j * tof.phase_for_distance(dist, intr.f_mod))
+    offset = simulator.DEFAULT_OFFSET_REF + amplitude
+
+    mp = noise.multipath
+    if mp.enabled:
+        secondary = mp.relative_amplitude * amplitude
+        phasor = phasor + secondary * np.exp(
+            1j * tof.phase_for_distance(dist + mp.extra_distance, intr.f_mod)
+        )
+        offset = offset + secondary
+
+    if noise.scattering.enabled:
+        kernel = simulator._scatter_kernel(noise.scattering)
+        real, imag, offset = [ndimage.convolve(plane, kernel, mode="wrap")
+                              for plane in (phasor.real, phasor.imag, offset)]
+        phasor = real + 1j * imag
+
+    rng = np.random.Generator(np.random.Philox(noise.seed).jumped(frame_index))
+    final_amplitude = np.abs(phasor)
+    final_phase = np.angle(phasor)
+    if noise.phase_noise_scale > 0:
+        sigma = noise.phase_noise_scale / np.maximum(final_amplitude, 1e-12)
+        final_phase = final_phase + sigma * rng.standard_normal(final_phase.shape)
+
+    buckets = tof.synthesize_buckets(final_phase, final_amplitude, offset)
+    if noise.bucket_noise_sigma > 0:
+        buckets = buckets + noise.bucket_noise_sigma * rng.standard_normal(buckets.shape)
+        buckets = np.maximum(buckets, 0.0)
+
+    outliers = np.zeros(dist.shape, dtype=bool)
+    if noise.saturation_fraction > 0:
+        n_pixels = dist.size
+        n_sat = int(round(noise.saturation_fraction * n_pixels))
+        if n_sat:
+            chosen = rng.choice(n_pixels, size=n_sat, replace=False)
+            flat = buckets.reshape(n_pixels, 4)
+            flat[chosen] = simulator.SATURATION_LEVEL
+            outliers.reshape(-1)[chosen] = True
+
+    truth = GroundTruth(range=dist, points=dist[..., None] * rays, temperature=temperature,
+                        outlier_mask=outliers, extrinsics=extrinsics)
+    return RawTofFrame(buckets), truth
+
+
+_ERROR_SOURCES = {
+    "phase": {},
+    "bucket": {"bucket_noise_sigma": 0.3},
+    "saturation": {"saturation_fraction": 0.02},
+    "multipath": {"multipath": simulator.MultipathConfig(True, 0.7, 0.3)},
+    "scattering": {"scattering": simulator.ScatteringConfig(True, 4, 0.15)},
+}
+_EVERY_ERROR = {k: v for source in _ERROR_SOURCES.values() for k, v in source.items()}
+_ERROR_CASES = {"none": {"phase_noise_scale": 0.0}, **_ERROR_SOURCES, "every": _EVERY_ERROR}
+_RENDER_SCENE = simulator.Scene((simulator.Plane("x", 1.0, 0.6, 295.0),
+                                 simulator.Sphere((0.0, 0.1, 1.5), 0.4, 0.9, 310.0)))
+# turned about two axes and moved: part of the view misses every primitive
+_TURNED = Extrinsics(
+    np.array([[math.cos(0.2), 0.0, math.sin(0.2)], [0.0, 1.0, 0.0],
+              [-math.sin(0.2), 0.0, math.cos(0.2)]])
+    @ np.array([[1.0, 0.0, 0.0], [0.0, math.cos(0.1), -math.sin(0.1)],
+                [0.0, math.sin(0.1), math.cos(0.1)]]),
+    np.array([0.1, -0.05, 0.2]),
+)
+
+
+def _assert_render_matches_reference(width, height, pose, amplitude_law="inverse_square",
+                                     **errors):
+    # the 64x50 rig's field of view at any resolution
+    intr = TofIntrinsics(focal_length=4e-3, width=width, height=height,
+                         pixel_pitch=45e-6 * 64 / width, f_mod=21e6)
+    noise = simulator.NoiseConfig(seed=11, **errors)
+    ext = Extrinsics(np.eye(3), np.array([0.05, 0.0, 0.0]))
+    raw, truth = render_tof(_RENDER_SCENE, intr, pose, noise, frame_index=1, extrinsics=ext,
+                            amplitude_law=amplitude_law)
+    ref_raw, ref_truth = ref_render_tof(_RENDER_SCENE, intr, pose, noise, 1, ext,
+                                        amplitude_law)
+    assert_same_bytes(raw.samples, ref_raw.samples)
+    for name in ("range", "points", "temperature", "outlier_mask"):
+        assert_same_bytes(getattr(truth, name), getattr(ref_truth, name))
+    assert truth.extrinsics is ext
+    return truth
+
+
+@pytest.mark.parametrize("amplitude_law", ["inverse_square", "constant"])
+@pytest.mark.parametrize("errors", list(_ERROR_CASES))
+def test_render_matches_reference_per_error_source(amplitude_law, errors):
+    _assert_render_matches_reference(64, 50, None, amplitude_law, **_ERROR_CASES[errors])
+
+
+@pytest.mark.parametrize("radius", [1, 4, 6])
+@pytest.mark.parametrize("width, height", [(64, 50), (70, 45)])
+def test_render_matches_reference_turned_with_every_error(width, height, radius):
+    assert height % simulator._BAND_ROWS != 0  # the last band is partial
+    errors = {**_EVERY_ERROR, "scattering": simulator.ScatteringConfig(True, radius, 0.15)}
+    truth = _assert_render_matches_reference(width, height, _TURNED, **errors)
+    # the background plane is hit, and so is every primitive
+    assert set(np.unique(truth.temperature)) == {293.0, 295.0, 310.0}
+
+
+@pytest.mark.parametrize("pose", [None, _TURNED])
+def test_render_matches_reference_at_vga(pose):
+    _assert_render_matches_reference(640, 480, pose, **_EVERY_ERROR)
+
+
+@pytest.mark.parametrize("band_rows", [1, 7, 16, 100])
+def test_render_does_not_depend_on_the_band_height(monkeypatch, band_rows):
+    monkeypatch.setattr(simulator, "_BAND_ROWS", band_rows)
+    _assert_render_matches_reference(70, 45, _TURNED, **_EVERY_ERROR)
+
+
+def _render_temporaries(width, height, scene) -> int:
+    """Bytes ``render_tof`` with every error source allocates at its peak
+    beyond the arrays it returns."""
+    intr = TofIntrinsics(focal_length=4e-3, width=width, height=height,
+                         pixel_pitch=45e-6 * 64 / width)
+    noise = simulator.NoiseConfig(seed=4, **_EVERY_ERROR)
+    render_tof(scene, intr, noise=noise)  # the ray grid is cached before tracing
+    tracemalloc.start()
+    try:
+        raw, truth = render_tof(scene, intr, noise=noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = [raw.samples, truth.range, truth.points, truth.temperature, truth.outlier_mask]
+    return peak - sum(a.nbytes for a in outputs)
+
+
+def test_render_temporaries_stay_bounded_per_pixel(blob_scene):
+    # the trace and the buckets are made a band of rows at a time; what grows
+    # with the frame beyond the outputs is the traced reflectivity and, at the
+    # peak, the scattering planes with their padded copy and convolution
+    small = _render_temporaries(160, 120, blob_scene)
+    large = _render_temporaries(640, 480, blob_scene)
+    per_pixel = (large - small) / (640 * 480 - 160 * 120)
+    assert per_pixel <= 40, (small, large)
 
 
 # --- thermogram text table ----------------------------------------------------------------

@@ -22,6 +22,7 @@ from tofir import (
     render_ir,
     render_tof,
     render_tof_sequence,
+    simulator,
     unambiguous_range,
 )
 from tofir.simulator import (
@@ -156,6 +157,34 @@ class TestRenderTof:
     def test_unknown_amplitude_law_rejected(self, tof_intr, wall_scene, quiet_noise):
         with pytest.raises(ValueError, match="amplitude law"):
             render_tof(wall_scene, tof_intr, noise=quiet_noise, amplitude_law="cubic")
+
+    @pytest.mark.parametrize("entry", ["render_tof", "render_tof_frames"])
+    def test_unknown_amplitude_law_rejected_before_tracing(self, tof_intr, wall_scene,
+                                                          quiet_noise, monkeypatch, entry):
+        def untraceable(*args):
+            raise AssertionError("the scene was traced before the amplitude law was checked")
+
+        monkeypatch.setattr(simulator, "_trace", untraceable)
+        with pytest.raises(ValueError, match="amplitude law"):
+            if entry == "render_tof":
+                render_tof(wall_scene, tof_intr, noise=quiet_noise, amplitude_law="cubic")
+            else:
+                next(simulator.render_tof_frames(wall_scene, tof_intr, None, quiet_noise, 2,
+                                                 amplitude_law="cubic"))
+
+    def test_ground_truth_holds_the_shared_trace_read_only(self, tof_intr, blob_scene):
+        noise = NoiseConfig(seed=5, bucket_noise_sigma=0.2)
+        frames = simulator.render_tof_frames(blob_scene, tof_intr, None, noise, 2)
+        _, first = next(frames)
+        for name in ("range", "temperature"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(first, name)[:] = 1.0
+        raw, second = next(frames)
+        # every frame's truth is the one traced array, not a copy
+        assert np.shares_memory(first.range, second.range)
+        assert np.shares_memory(first.temperature, second.temperature)
+        alone, _ = render_tof(blob_scene, tof_intr, noise=noise, frame_index=1)
+        assert np.array_equal(raw.samples, alone.samples)
 
 
 class TestMultipath:

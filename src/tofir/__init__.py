@@ -7,13 +7,8 @@ against a per-pixel background model. A built-in synthetic-scene renderer
 provides ground truth for all of it.
 """
 
-from .calibration import (
-    CalibrationResult,
-    PeakEstimate,
-    TargetObservation,
-    estimate_rotation,
-    locate_peak,
-)
+from .calibration import CalibrationResult, TargetObservation, estimate_rotation
+from .camera import undistort_pixel
 from .container import FrameContainer
 from .errors import (
     ContainerFormatError,
@@ -54,7 +49,6 @@ from .tof import (
     phase_for_distance,
     synthesize_buckets,
     unambiguous_range,
-    undistort_pixel,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +69,6 @@ __all__ = [
     "IrIntrinsics",
     "MultipathConfig",
     "NoiseConfig",
-    "PeakEstimate",
     "Plane",
     "PointCloud",
     "RangeFrame",
@@ -94,7 +87,6 @@ __all__ = [
     "estimate_rotation",
     "foreground_mask",
     "fuse",
-    "locate_peak",
     "make_calibration_set",
     "phase_for_distance",
     "render_ir",

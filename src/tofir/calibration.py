@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .camera import pixel_rays, project_points
+from .document import check
 from .errors import DegenerateGeometryError, InsufficientDataError
 from .thermal import IrIntrinsics
 from .tof import TofIntrinsics
@@ -61,16 +62,6 @@ class TargetObservation:
             )
         if self.distance <= 0:
             raise ValueError(f"target distance must be positive, got {self.distance}")
-
-
-@dataclass(frozen=True)
-class PeakEstimate:
-    """Sub-pixel peak position; ``refined`` is False when the quadratic fit
-    was rejected and the seed pixel center was returned instead."""
-
-    x: float
-    y: float
-    refined: bool
 
 
 @dataclass(frozen=True)
@@ -109,44 +100,6 @@ def rotation_angle_between(r_a, r_b) -> float:
     """Geodesic distance between two rotations, radians."""
     trace = np.trace(np.asarray(r_a).T @ np.asarray(r_b))
     return float(np.arccos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0)))
-
-
-# --- sub-pixel peak localization ------------------------------------------------
-
-def locate_peak(image: np.ndarray, seed: tuple[int, int]) -> PeakEstimate:
-    """Refine an intensity (or temperature) peak to sub-pixel precision.
-
-    ``seed`` is the (col, row) index of the brightest pixel and must not lie
-    on the image border. A separable per-axis 3-point parabola is fitted to
-    the row/column sums of the 3x3 neighborhood; the stationary point is
-    returned when it falls within one pixel of the seed and both axes are
-    concave, otherwise the seed center is returned with ``refined=False``.
-    Coordinates follow the pixel-center convention (i + 0.5, j + 0.5).
-    """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError(f"image must be 2-d, got shape {image.shape}")
-    col, row = int(seed[0]), int(seed[1])
-    height, width = image.shape
-    if not (1 <= col <= width - 2 and 1 <= row <= height - 2):
-        raise ValueError(
-            f"seed ({col}, {row}) lies on the border of a {width}x{height} image"
-        )
-    patch = image[row - 1 : row + 2, col - 1 : col + 2]
-    dx, ok_x = _parabola_vertex(patch.sum(axis=0))
-    dy, ok_y = _parabola_vertex(patch.sum(axis=1))
-    if ok_x and ok_y and abs(dx) <= 1.0 and abs(dy) <= 1.0:
-        return PeakEstimate(col + 0.5 + dx, row + 0.5 + dy, True)
-    return PeakEstimate(col + 0.5, row + 0.5, False)
-
-
-def _parabola_vertex(values) -> tuple[float, bool]:
-    # vertex offset of the parabola through (-1, y0), (0, y1), (1, y2)
-    y0, y1, y2 = (float(v) for v in values)
-    denom = y0 - 2.0 * y1 + y2
-    if denom >= 0:  # not concave, no maximum
-        return 0.0, False
-    return (y0 - y2) / (2.0 * denom), True
 
 
 # --- projection error -----------------------------------------------------------
@@ -208,11 +161,15 @@ def estimate_rotation(
     parallel-mounted configuration) and iterates damped Gauss-Newton steps on
     axis-angle increments until the step norm drops below 1e-10 rad, the
     relative cost decrease drops below 1e-12, or 200 iterations are done.
-    The returned rotation is re-orthonormalized.
+    The returned rotation is re-orthonormalized. A NaN or infinite entry in
+    ``translation`` or ``initial_rotation`` raises ``ValueError``.
     """
+    translation = np.asarray(translation, dtype=np.float64).reshape(3)
+    check("translation", translation.tolist())
+    if initial_rotation is not None:
+        check("initial_rotation", np.asarray(initial_rotation, dtype=np.float64).ravel().tolist())
     _check_geometry(observations)
     points, measured = _observation_arrays(observations, tof_intr)
-    translation = np.asarray(translation, dtype=np.float64).reshape(3)
 
     rotation = np.eye(3) if initial_rotation is None else orthonormalize_rotation(initial_rotation)
 

@@ -1,9 +1,11 @@
 """Pinhole camera geometry shared by the range and the infrared camera.
 
 Both sensors are pinholes with the same six parameters; the range camera adds
-radial distortion. This module holds the model and the two maps every other
-module uses: pixel -> view ray (:func:`pixel_rays`, :func:`unit_rays`) and
-camera-frame point -> pixel (:func:`project_points`).
+radial distortion. This module is the only one that knows the camera model:
+the distortion polynomial in both directions (:func:`undistort_pixel`,
+:func:`distort_radius`), pixel -> view ray (:func:`pixel_rays`,
+:func:`unit_rays`), and camera-frame point -> pixel through a pinhole
+(:func:`project_points`) or a distorted lens (:func:`project_distorted`).
 
 Conventions used throughout the package:
 
@@ -35,8 +37,9 @@ class Pinhole:
     ``focal_length`` and ``pixel_pitch`` share one metric unit; the principal
     point (cx, cy) is in pixels and defaults to the image center. JSON
     documents store the focal length under ``"f"``; keys that are not fields
-    of the class are ignored when loading, and a width or height that is not
-    a whole number raises ``ValueError``.
+    of the class are ignored when loading. A width or height that is not a
+    whole number (a fraction or a boolean) raises ``ValueError``, from JSON
+    and from the library alike; numpy integers are stored as ``int``.
     """
 
     focal_length: float
@@ -47,6 +50,11 @@ class Pinhole:
     cy: float | None = None
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            try:  # numpy integers too; a fraction or a boolean raises
+                object.__setattr__(self, name, whole(getattr(self, name)))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         if self.cx is None:
             object.__setattr__(self, "cx", self.width / 2.0)
         if self.cy is None:
@@ -75,6 +83,31 @@ class Pinhole:
         # a missing required key raises KeyError naming it
         return cls(**{f.name: values[key] for f, key in fields
                       if key in values or f.default is dataclasses.MISSING})
+
+
+def undistort_pixel(u_d, v_d, k1: float, k2: float):
+    """Remove radial distortion from coordinates relative to the principal point.
+
+    r_u = r_d + k1*r_d^3 + k2*r_d^5, applied as a radial scale so the center
+    is an exact fixed point. Callers should pass normalized (u/f, v/f)
+    coordinates; the polynomial itself is agnostic.
+    """
+    u_d = np.asarray(u_d, dtype=np.float64)
+    v_d = np.asarray(v_d, dtype=np.float64)
+    r_sq = u_d * u_d + v_d * v_d
+    scale = 1.0 + k1 * r_sq + k2 * r_sq * r_sq
+    return u_d * scale, v_d * scale
+
+
+def distort_radius(r_undistorted, k1, k2):
+    """Distorted radius r_d with r_u = r_d + k1*r_d^3 + k2*r_d^5, the inverse
+    of :func:`undistort_pixel`'s polynomial, by 25 Newton steps from r_u."""
+    r = np.array(r_undistorted, dtype=np.float64, copy=True)
+    for _ in range(25):
+        f = r + k1 * r**3 + k2 * r**5 - r_undistorted
+        fp = 1.0 + 3.0 * k1 * r * r + 5.0 * k2 * r**4
+        r = r - f / fp
+    return r
 
 
 def pixel_rays(intr: Pinhole, x, y):
@@ -129,3 +162,29 @@ def project_points(points: np.ndarray, intr: Pinhole) -> tuple[np.ndarray, np.nd
     pixels = np.stack([r, s], axis=-1)
     pixels[~in_front] = np.nan
     return pixels, in_front
+
+
+def project_distorted(points: np.ndarray, intr) -> tuple[np.ndarray, np.ndarray]:
+    """Project (n, 3) camera-frame points through a distorted lens, in pixels.
+
+    ``intr`` carries ``k1`` and ``k2`` (a :class:`tofir.tof.TofIntrinsics`).
+    The normalized point (X/Z, Y/Z) is moved to its distorted radius
+    (:func:`distort_radius`), so :func:`pixel_rays` maps the pixel back to the
+    point's direction. Rounded as ``c + (X/Z) * scale * f / pixel_pitch``, not
+    as :func:`project_points`. Returns (pixels (n, 2), in_front (n,)); rows
+    with Z <= 0 are NaN and flagged False.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    z = points[:, 2]
+    in_front = z > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xn = points[:, 0] / z
+        yn = points[:, 1] / z
+        r_u = np.hypot(xn, yn)
+        r_d = distort_radius(r_u, intr.k1, intr.k2)
+        scale = np.where(r_u > 0, r_d / np.maximum(r_u, 1e-300), 1.0)
+        u = intr.cx + xn * scale * intr.focal_length / intr.pixel_pitch
+        v = intr.cy + yn * scale * intr.focal_length / intr.pixel_pitch
+    pix = np.stack([u, v], axis=-1)
+    pix[~in_front] = np.nan
+    return pix, in_front

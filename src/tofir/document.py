@@ -12,6 +12,7 @@ the library's own classes and functions to the same rule.
 from __future__ import annotations
 
 import math
+import numbers
 
 
 def read(doc, where: str, **convert) -> dict:
@@ -35,11 +36,12 @@ def read(doc, where: str, **convert) -> dict:
 def whole(value) -> int:
     """A whole number as an exact ``int``: ``4`` and ``4.0`` read as 4.
 
-    A Python ``int`` is returned as it is, never through ``float``, so large
-    seeds keep every bit. Fractions, booleans and strings raise ``ValueError``.
+    An integer, a numpy integer too, is converted by ``int``, never through
+    ``float``, so large seeds keep every bit. Fractions, booleans and strings
+    raise ``ValueError``.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"expected a whole number, got {value!r}")

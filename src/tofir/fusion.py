@@ -20,7 +20,7 @@ import numpy as np
 
 from .camera import project_points
 from .container import ChannelSchema
-from .document import check
+from .document import check, number, read, triple
 from .errors import DimensionMismatchError
 from .thermal import IrIntrinsics, ThermalFrame, sample_temperature_grid
 from .tof import PointCloud, RangeFrame, TofIntrinsics, backproject
@@ -94,9 +94,21 @@ class Extrinsics:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Extrinsics":
-        rotation = np.asarray(doc["rotation"], dtype=np.float64).reshape(3, 3)
-        translation = np.asarray(doc["translation"], dtype=np.float64)
-        return cls(rotation, translation)
+        """Load ``to_json_dict``'s document; the rotation may also be nested
+        as three rows of three. Entries must be JSON numbers: a string or a
+        boolean raises ``ValueError`` naming the key, and a missing key
+        raises ``KeyError``."""
+        values = read(doc, "extrinsics", rotation=_rotation_entries, translation=triple)
+        return cls(np.reshape(values["rotation"], (3, 3)), values["translation"])
+
+
+def _rotation_entries(value) -> list[float]:
+    """Nine finite numbers, row-major: flat or three rows of three."""
+    if isinstance(value, (list, tuple)) and len(value) == 3:
+        return [x for row in value for x in triple(row)]
+    if isinstance(value, (list, tuple)) and len(value) == 9:
+        return [number(x) for x in value]
+    raise ValueError(f"expected 9 numbers or 3 rows of 3, got {value!r}")
 
 
 @dataclass(frozen=True)

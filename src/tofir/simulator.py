@@ -29,7 +29,6 @@ jumped per frame index, so frame k is reproducible in isolation.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import document
 from .calibration import TargetObservation
-from .camera import project_points, unit_rays
+from .camera import project_distorted, project_points, unit_rays
 from .container import ChannelSchema
 from .fusion import Extrinsics
 from .thermal import IrIntrinsics, ThermalFrame
@@ -155,14 +154,10 @@ class ScatteringConfig:
     energy_fraction: float = 0.1
 
     def __post_init__(self):
-        radius = self.kernel_radius
-        if isinstance(radius, numbers.Integral) and not isinstance(radius, bool):
-            radius = int(radius)  # numpy integers too, as np.arange gives them
-        else:
-            try:
-                radius = document.whole(radius)
-            except ValueError as exc:
-                raise ValueError(f"kernel_radius: {exc}") from None
+        try:  # numpy integers too, as np.arange gives them
+            radius = document.whole(self.kernel_radius)
+        except ValueError as exc:
+            raise ValueError(f"kernel_radius: {exc}") from None
         object.__setattr__(self, "kernel_radius", radius)
         if not self.kernel_radius >= 1:
             raise ValueError(f"kernel_radius must be >= 1, got {self.kernel_radius}")
@@ -594,32 +589,10 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
 
 # --- calibration data generation -------------------------------------------------
 
-def _distort_radius(r_undistorted, k1, k2):
-    # Newton inversion of r_u = r + k1 r^3 + k2 r^5
-    r = np.array(r_undistorted, dtype=np.float64, copy=True)
-    for _ in range(25):
-        f = r + k1 * r**3 + k2 * r**5 - r_undistorted
-        fp = 1.0 + 3.0 * k1 * r * r + 5.0 * k2 * r**4
-        r = r - f / fp
-    return r
-
-
-def _project_tof(points, intr: TofIntrinsics):
-    """Forward projection into the range camera, applying distortion."""
-    points = np.asarray(points, dtype=np.float64)
-    z = points[:, 2]
-    in_front = z > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xn = points[:, 0] / z
-        yn = points[:, 1] / z
-        r_u = np.hypot(xn, yn)
-        r_d = _distort_radius(r_u, intr.k1, intr.k2)
-        scale = np.where(r_u > 0, r_d / np.maximum(r_u, 1e-300), 1.0)
-        u = intr.cx + xn * scale * intr.focal_length / intr.pixel_pitch
-        v = intr.cy + yn * scale * intr.focal_length / intr.pixel_pitch
-    pix = np.stack([u, v], axis=-1)
-    pix[~in_front] = np.nan
-    return pix, in_front
+def _on_sensor(pixels, intr) -> np.ndarray:
+    """Rows of (n, 2) pixels inside [0, width] x [0, height]; NaN rows are not."""
+    with np.errstate(invalid="ignore"):
+        return np.all((pixels >= 0) & (pixels <= (intr.width, intr.height)), axis=1)
 
 
 def make_calibration_set(
@@ -645,20 +618,10 @@ def make_calibration_set(
     if positions.shape[0] == 0:
         return []
 
-    tof_pix, tof_front = _project_tof(positions, tof_intr)
-    ir_points = true_extrinsics.apply(positions)
-    ir_pix, ir_front = project_points(ir_points, ir_intr)
-
-    with np.errstate(invalid="ignore"):
-        on_tof = (
-            (tof_pix[:, 0] >= 0) & (tof_pix[:, 0] <= tof_intr.width)
-            & (tof_pix[:, 1] >= 0) & (tof_pix[:, 1] <= tof_intr.height)
-        )
-        on_ir = (
-            (ir_pix[:, 0] >= 0) & (ir_pix[:, 0] <= ir_intr.width)
-            & (ir_pix[:, 1] >= 0) & (ir_pix[:, 1] <= ir_intr.height)
-        )
-    usable = tof_front & ir_front & on_tof & on_ir
+    tof_pix, tof_front = project_distorted(positions, tof_intr)
+    ir_pix, ir_front = project_points(true_extrinsics.apply(positions), ir_intr)
+    usable = (tof_front & ir_front & _on_sensor(tof_pix, tof_intr)
+              & _on_sensor(ir_pix, ir_intr))
     dropped = int(np.count_nonzero(~usable))
     if dropped:
         logger.warning("dropped %d of %d calibration targets (behind a camera or off-sensor)",

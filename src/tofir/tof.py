@@ -13,7 +13,7 @@ Distances wrap at ``c / (2 * f_mod)``; scenes are assumed to lie inside that
 range and out-of-range geometry aliases back in (wrap-around is documented,
 not detected).
 
-Pinhole geometry and the package's image conventions live in
+Pinhole geometry, lens distortion and the package's image conventions live in
 :mod:`tofir.camera`.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Pinhole, unit_rays
+from .camera import Pinhole, undistort_pixel, unit_rays
 from .container import ChannelSchema
 from .document import check
 from .errors import DimensionMismatchError
@@ -242,20 +242,6 @@ def phase_for_distance(distance, f_mod: float):
     period = unambiguous_range(f_mod)
     wrapped = np.fmod(np.asarray(distance, dtype=np.float64), period)
     return _TWO_PI * wrapped / period
-
-
-def undistort_pixel(u_d, v_d, k1: float, k2: float):
-    """Remove radial distortion from coordinates relative to the principal point.
-
-    r_u = r_d + k1*r_d^3 + k2*r_d^5, applied as a radial scale so the center
-    is an exact fixed point. Callers should pass normalized (u/f, v/f)
-    coordinates; the polynomial itself is agnostic.
-    """
-    u_d = np.asarray(u_d, dtype=np.float64)
-    v_d = np.asarray(v_d, dtype=np.float64)
-    r_sq = u_d * u_d + v_d * v_d
-    scale = 1.0 + k1 * r_sq + k2 * r_sq * r_sq
-    return u_d * scale, v_d * scale
 
 
 def backproject(frame: RangeFrame, intr: TofIntrinsics) -> PointCloud:

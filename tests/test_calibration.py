@@ -14,7 +14,6 @@ from tofir import (
     IrIntrinsics,
     TargetObservation,
     estimate_rotation,
-    locate_peak,
     make_calibration_set,
 )
 from tofir import calibration
@@ -78,80 +77,6 @@ class TestRotationUtilities:
     def test_geodesic_angle(self):
         r = rotation_about([0, 1, 0], 10.0)
         assert rotation_angle_between(np.eye(3), r) == pytest.approx(np.deg2rad(10.0), rel=1e-9)
-
-
-class TestLocatePeak:
-    def test_symmetric_peak_returns_seed_center(self):
-        image = np.zeros((7, 7))
-        image[2:5, 2:5] = [[1, 2, 1], [2, 5, 2], [1, 2, 1]]
-        est = locate_peak(image, (3, 3))
-        assert (est.x, est.y) == (3.5, 3.5)
-        assert est.refined
-
-    def test_three_point_parabola_offset(self):
-        # separable peak: x-profile (1, 3, 2), symmetric y-profile; the x
-        # vertex sits at (1 - 2) / (2 * (1 - 2*3 + 2)) = +1/6 of a pixel
-        image = np.zeros((5, 5))
-        image[1:4, 1:4] = np.outer([1.0, 2.0, 1.0], [1.0, 3.0, 2.0])
-        est = locate_peak(image, (2, 2))
-        assert est.refined
-        assert est.x == pytest.approx(2.5 + 1.0 / 6.0, rel=1e-12)
-        assert est.y == pytest.approx(2.5, abs=1e-12)
-
-    def test_flat_axis_violates_strict_maximum_and_falls_back(self):
-        # identical rows: the seed ties with its vertical neighbors, the
-        # y-parabola degenerates, and the whole fit is rejected
-        image = np.zeros((5, 5))
-        image[1:4, 1:4] = np.array([[1.0, 3.0, 2.0]] * 3)
-        est = locate_peak(image, (2, 2))
-        assert (est.x, est.y) == (2.5, 2.5)
-        assert not est.refined
-
-    @pytest.mark.parametrize("seed", [(0, 2), (4, 2), (2, 0), (2, 4)])
-    def test_border_seed_rejected(self, seed):
-        image = np.zeros((5, 5))
-        with pytest.raises(ValueError, match="border"):
-            locate_peak(image, seed)
-
-    def test_non_concave_fit_falls_back_flagged(self):
-        image = np.zeros((5, 5))
-        image[1:4, 1:4] = [[0, 1, 4], [1, 2, 7], [2, 5, 9]]  # rising ramp, no interior max
-        est = locate_peak(image, (2, 2))
-        assert (est.x, est.y) == (2.5, 2.5)
-        assert not est.refined
-
-    def test_gaussian_spot_recovery(self):
-        # sampled Gaussian spots with sub-pixel centers; cross-checked with a
-        # brute-force intensity centroid, which is exact for a symmetric spot
-        rng = np.random.default_rng(4)
-        xs = np.arange(21) + 0.5
-        ys = np.arange(17) + 0.5
-        xx, yy = np.meshgrid(xs, ys)
-        for _ in range(25):
-            cx = 10.5 + rng.uniform(-0.4, 0.4)
-            cy = 8.5 + rng.uniform(-0.4, 0.4)
-            spot = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * 1.5**2))
-            seed = np.unravel_index(np.argmax(spot), spot.shape)
-            est = locate_peak(spot, (seed[1], seed[0]))
-            assert est.refined
-            assert abs(est.x - cx) < 0.05
-            assert abs(est.y - cy) < 0.05
-            centroid_x = float((spot * xx).sum() / spot.sum())
-            centroid_y = float((spot * yy).sum() / spot.sum())
-            assert abs(centroid_x - cx) < 0.02
-            assert abs(centroid_y - cy) < 0.02
-            assert abs(est.x - centroid_x) < 0.06
-            assert abs(est.y - centroid_y) < 0.06
-
-    def test_applies_to_temperature_images_identically(self):
-        # same grid shifted into kelvin: offsets cancel in the parabola fit
-        image = np.zeros((5, 5))
-        image[1:4, 1:4] = np.array([[1.0, 3.0, 2.0]] * 3)
-        kelvin = image + 293.0
-        a = locate_peak(image, (2, 2))
-        b = locate_peak(kelvin, (2, 2))
-        assert a.x == pytest.approx(b.x, rel=1e-12)
-        assert a.y == pytest.approx(b.y, rel=1e-12)
 
 
 class TestProjectionError:
@@ -234,6 +159,19 @@ class TestEstimateRotation:
         assert result.iterations == 0
         assert result.converged and result.stop_reason == "step_tolerance"
         assert result.total_error == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_translation_rejected(self, tof_intr, ir_intr, bad):
+        obs = _observation_set(tof_intr, ir_intr, np.eye(3), [0.05, 0.0, 0.0], count=10)
+        with pytest.raises(ValueError, match="translation must be finite"):
+            estimate_rotation(obs, [0.05, bad, 0.0], tof_intr, ir_intr)
+
+    def test_non_finite_initial_rotation_rejected(self, tof_intr, ir_intr):
+        obs = _observation_set(tof_intr, ir_intr, np.eye(3), [0.05, 0.0, 0.0], count=10)
+        initial = np.eye(3)
+        initial[1, 2] = math.nan
+        with pytest.raises(ValueError, match="initial_rotation must be finite"):
+            estimate_rotation(obs, [0.05, 0.0, 0.0], tof_intr, ir_intr, initial)
 
     def test_noisy_observations_single_seed(self, tof_intr, ir_intr):
         r_true = rotation_about([1, 2, 0.5], 8.0)

@@ -245,6 +245,16 @@ class TestCalibrate:
         assert "extrinsics" in err and "translation" in err
         assert not (workspace / "cal").exists()
 
+    def test_string_rotation_entry_exit_2(self, workspace, capsys):
+        out = _simulate(workspace)
+        guess = json.loads((out / "extrinsics.truth.json").read_text())
+        guess["rotation"] = [str(x) for x in guess["rotation"]]
+        _write_json(workspace / "guess.json", guess)
+        assert self._calibrate(workspace, extrinsics="guess.json") == 2
+        err = capsys.readouterr().err
+        assert "extrinsics field 'rotation'" in err
+        assert not (workspace / "cal").exists()
+
     def test_non_integral_sensor_size_exit_2(self, workspace, capsys):
         _simulate(workspace)
         _write_json(workspace / "ir.json", {

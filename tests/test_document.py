@@ -13,7 +13,14 @@ def test_whole_keeps_whole_numbers_exactly(value):
     assert type(number) is int and number == value
 
 
-@pytest.mark.parametrize("value", [4.5, True, "4", None, math.inf, math.nan, [4]])
+@pytest.mark.parametrize("value", [np.int64(2**62 - 1), np.uint8(4), np.int32(-3)])
+def test_whole_converts_numpy_integers_exactly(value):
+    number = whole(value)
+    assert type(number) is int and number == value
+
+
+@pytest.mark.parametrize("value", [4.5, True, "4", None, math.inf, math.nan, [4],
+                                   np.bool_(True)])
 def test_whole_rejects_everything_else(value):
     with pytest.raises(ValueError, match="whole number"):
         whole(value)

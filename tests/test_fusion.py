@@ -60,6 +60,37 @@ class TestExtrinsics:
         assert np.allclose(again.rotation, ext.rotation, atol=1e-15)
         assert np.allclose(again.translation, ext.translation, atol=1e-15)
 
+    def test_json_rotation_may_be_nested_rows(self):
+        ext = Extrinsics(rotation_about([1, 2, 3], 25.0), np.array([0.05, 0.0, 0.01]))
+        doc = ext.to_json_dict()
+        nested = dict(doc, rotation=ext.rotation.tolist())
+        flat = Extrinsics.from_json_dict(doc)
+        assert np.array_equal(Extrinsics.from_json_dict(nested).rotation, flat.rotation)
+        assert np.array_equal(flat.rotation, ext.rotation)
+        assert np.array_equal(flat.translation, ext.translation)
+
+    @pytest.mark.parametrize("key, value", [
+        ("rotation", ["1", "0", "0", "0", "1", "0", "0", "0", "1"]),
+        ("rotation", [[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ("rotation", [1, 0, 0, 0, 1, 0, 0, 0]),
+        ("rotation", [[1, 0, 0], [0, 1, 0]]),
+        ("rotation", "identity"),
+        ("translation", [True, 0, 0]),
+        ("translation", ["0.05", 0, 0]),
+        ("translation", [0.05, 0]),
+    ])
+    def test_json_entries_must_be_numbers(self, key, value):
+        doc = dict(Extrinsics.identity().to_json_dict(), **{key: value})
+        with pytest.raises(ValueError, match=f"extrinsics field '{key}'"):
+            Extrinsics.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["rotation", "translation"])
+    def test_json_missing_key_is_named(self, key):
+        doc = Extrinsics.identity().to_json_dict()
+        del doc[key]
+        with pytest.raises(KeyError, match=key):
+            Extrinsics.from_json_dict(doc)
+
 
 class TestTransformPoints:
     def test_identity(self, tof_intr):

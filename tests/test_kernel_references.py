@@ -9,8 +9,10 @@ changes a CLI artifact. The same holds for the hand-written per-record
 container adapters that the channel schemas replaced, for the
 ``np.savetxt`` thermogram table, for the ``simulate``, ``fuse`` and
 ``segment`` commands as they were before they streamed their frames, for the
-range render as it was before it worked in row bands, and for the
-simulator's two numpy stencils, whose reference is ``scipy.ndimage``.
+range render as it was before it worked in row bands, for the
+simulator's two numpy stencils, whose reference is ``scipy.ndimage``, and
+for the distorted projection as the simulator wrote it before it moved to
+``tofir.camera``.
 """
 
 import dataclasses
@@ -43,7 +45,7 @@ from tofir import (
     render_tof,
 )
 from tofir import calibration, cli, document, fusion, segmentation, simulator, thermal, tof
-from tofir.camera import pixel_rays, project_points, unit_rays
+from tofir.camera import distort_radius, pixel_rays, project_distorted, project_points, unit_rays
 from tofir.errors import ContainerFormatError
 from tofir.fusion import FuseReason
 from tofir.thermal import sample_temperature_grid
@@ -224,6 +226,113 @@ def test_project_points_matches_reference():
     ref_pixels, ref_front = ref_project_points(points, IR)
     assert_same_bytes(pixels, ref_pixels)
     assert_same_bytes(in_front, ref_front)
+
+
+# --- distorted projection ----------------------------------------------------------
+
+def ref_distort_radius(r_undistorted, k1, k2):
+    # Newton inversion of r_u = r + k1 r^3 + k2 r^5
+    r = np.array(r_undistorted, dtype=np.float64, copy=True)
+    for _ in range(25):
+        f = r + k1 * r**3 + k2 * r**5 - r_undistorted
+        fp = 1.0 + 3.0 * k1 * r * r + 5.0 * k2 * r**4
+        r = r - f / fp
+    return r
+
+
+def ref_project_tof(points, intr):
+    """Forward projection into the range camera, applying distortion."""
+    points = np.asarray(points, dtype=np.float64)
+    z = points[:, 2]
+    in_front = z > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xn = points[:, 0] / z
+        yn = points[:, 1] / z
+        r_u = np.hypot(xn, yn)
+        r_d = ref_distort_radius(r_u, intr.k1, intr.k2)
+        scale = np.where(r_u > 0, r_d / np.maximum(r_u, 1e-300), 1.0)
+        u = intr.cx + xn * scale * intr.focal_length / intr.pixel_pitch
+        v = intr.cy + yn * scale * intr.focal_length / intr.pixel_pitch
+    pix = np.stack([u, v], axis=-1)
+    pix[~in_front] = np.nan
+    return pix, in_front
+
+
+# barrel (k1 < 0) to pincushion (k1 > 0) lenses
+_LENSES = [(-1.0, 0.0), (-0.4, 0.05), (-0.1, -0.02), (0.0, 0.0), (0.15, 0.02), (0.3, 0.1)]
+
+
+def _distorted_rig(k1, k2):
+    return TofIntrinsics(4e-3, 64, 50, 45e-6, cx=31.3, cy=26.1, k1=k1, k2=k2)
+
+
+@pytest.mark.parametrize("k1, k2", _LENSES)
+def test_project_distorted_matches_reference(k1, k2):
+    intr = _distorted_rig(k1, k2)
+    rng = np.random.default_rng(17)
+    # directions out to twice the sensor's half-diagonal, in front and behind
+    points = np.empty((3000, 3))
+    points[:, :2] = rng.uniform(-0.9, 0.9, size=(3000, 2))
+    points[:, 2] = 1.0
+    points *= rng.uniform(-4.0, 6.0, size=(3000, 1))
+    points[:6] = [[0.0, 0.0, 2.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 3.5],  # on the axis
+                  [0.3, 0.2, 0.0], [0.3, 0.2, -0.0], [0.0, 0.0, 0.0]]  # on the lens plane
+    pixels, in_front = project_distorted(points, intr)
+    ref_pixels, ref_front = ref_project_tof(points, intr)
+    assert_same_bytes(pixels, ref_pixels)
+    assert_same_bytes(in_front, ref_front)
+    assert np.array_equal(pixels[:3], [[31.3, 26.1]] * 3)
+    assert in_front.sum() > 1000 and (~in_front).sum() > 1000
+
+
+@pytest.mark.parametrize("k1, k2", _LENSES)
+def test_distort_radius_matches_reference(k1, k2):
+    r = np.random.default_rng(5).uniform(0.0, 0.6, 1000)
+    r[:2] = [0.0, -0.0]
+    assert_same_bytes(distort_radius(r, k1, k2), ref_distort_radius(r, k1, k2))
+
+
+@pytest.mark.parametrize("k1, k2", _LENSES)
+def test_distorted_projection_round_trips_through_pixel_rays(k1, k2):
+    intr = _distorted_rig(k1, k2)
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0.0, intr.width, 2000)
+    y = rng.uniform(0.0, intr.height, 2000)
+    x[:4], y[:4] = [0.0, 64.0, 0.0, 64.0], [0.0, 0.0, 50.0, 50.0]  # the corners
+    uu, vu, norm = pixel_rays(intr, x, y)
+    points = np.stack([uu, vu, np.ones_like(uu)], axis=-1)
+    points *= (rng.uniform(0.3, 8.0, 2000) / norm)[:, None]
+    pixels, in_front = project_distorted(points, intr)
+    assert in_front.all()
+    # pixel -> ray -> point -> pixel, and the projected pixel's ray is the point's
+    assert np.abs(pixels - np.stack([x, y], axis=-1)).max() < 1e-12
+    uu, vu, norm = pixel_rays(intr, pixels[:, 0], pixels[:, 1])
+    rays = np.stack([uu, vu, np.ones_like(uu)], axis=-1) / norm[:, None]
+    directions = points / np.linalg.norm(points, axis=1)[:, None]
+    assert np.abs(rays - directions).max() < 1e-14
+
+
+@pytest.mark.parametrize("k1, k2", _LENSES)
+def test_calibration_set_matches_reference_projections(k1, k2):
+    tof_intr = _distorted_rig(k1, k2)
+    ext = Extrinsics(np.eye(3), np.array([0.05, 0.0, 0.0]))
+    rng = np.random.default_rng(29)
+    positions = rng.uniform([-2.0, -1.5, -0.5], [2.0, 1.5, 5.0], size=(400, 3))
+    observations = simulator.make_calibration_set(
+        [simulator.CalibrationTarget(p) for p in positions], ext, tof_intr, IR)
+    tof_pix, tof_front = ref_project_tof(positions, tof_intr)
+    ir_pix, ir_front = ref_project_points(ext.apply(positions), IR)
+    with np.errstate(invalid="ignore"):
+        on_tof = ((tof_pix[:, 0] >= 0) & (tof_pix[:, 0] <= tof_intr.width)
+                  & (tof_pix[:, 1] >= 0) & (tof_pix[:, 1] <= tof_intr.height))
+        on_ir = ((ir_pix[:, 0] >= 0) & (ir_pix[:, 0] <= IR.width)
+                 & (ir_pix[:, 1] >= 0) & (ir_pix[:, 1] <= IR.height))
+    usable = np.flatnonzero(tof_front & ir_front & on_tof & on_ir)
+    distances = np.linalg.norm(positions, axis=1)
+    expected = np.column_stack([tof_pix[usable], distances[usable], ir_pix[usable]])
+    actual = np.array([dataclasses.astuple(o) for o in observations]).reshape(-1, 5)
+    assert_same_bytes(actual, expected)
+    assert 20 < len(usable) < 380
 
 
 def _sample_coordinates(rng, height, width, n=3000):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tofir
+from tofir import camera, tof
 from tofir import (
     DimensionMismatchError,
     FuseReason,
@@ -181,6 +183,9 @@ class TestUnambiguousRange:
 
 
 class TestUndistort:
+    def test_one_definition_in_the_camera_module(self):
+        assert tofir.undistort_pixel is tof.undistort_pixel is camera.undistort_pixel
+
     def test_identity_when_coefficients_vanish(self):
         rng = np.random.default_rng(0)
         u, v = rng.normal(size=(2, 1000))
@@ -301,6 +306,23 @@ class TestIntrinsicsJson:
                                    "pixel_pitch": 45e-6})
         assert (intr.width, intr.height) == (64, 50)
         assert type(intr.width) is int and type(intr.height) is int
+
+    @pytest.mark.parametrize("cls", [TofIntrinsics, IrIntrinsics])
+    @pytest.mark.parametrize("key", ["width", "height"])
+    @pytest.mark.parametrize("bad", [64.5, True, "64"])
+    def test_library_rejects_a_size_that_is_not_whole(self, cls, key, bad):
+        base = dict(focal_length=4e-3, width=64, height=50, pixel_pitch=45e-6)
+        base[key] = bad
+        with pytest.raises(ValueError, match=f"{key}: expected a whole number"):
+            cls(**base)
+
+    @pytest.mark.parametrize("cls", [TofIntrinsics, IrIntrinsics])
+    @pytest.mark.parametrize("size", [np.int64(64), np.uint16(64), 64.0])
+    def test_library_stores_a_whole_size_as_int(self, cls, size):
+        intr = cls(4e-3, size, size, 45e-6)
+        assert (intr.width, intr.height) == (64, 64)
+        assert type(intr.width) is int and type(intr.height) is int
+        assert unit_rays(intr).shape == (64, 64, 3)
 
 
 class TestContainers:

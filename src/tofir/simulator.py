@@ -24,6 +24,17 @@ Error injection, all off by default except phase noise:
 Determinism: renders are pure functions of (scene, intrinsics, pose, config).
 The bit stream is a counter-based Philox generator keyed by the seed and
 jumped per frame index, so frame k is reproducible in isolation.
+
+Every random draw comes after in-lens scattering, so all of a range frame
+up to its first draw depends on the scene, the intrinsics, the pose, the
+multipath and scattering settings and the amplitude law alone: the trace,
+the truth points and the noise-free return (amplitude, phase and offset
+after multipath and scattering). That part is built once and kept, for the
+last such combination only, and every frame of every later call with the
+same one starts from it. Seeds, noise levels, frame indices and the
+extrinsics a ground truth carries do not take part. The kept arrays are
+read-only, and each ground truth holds its range, temperatures and points
+without a copy.
 """
 
 from __future__ import annotations
@@ -74,6 +85,7 @@ class Plane:
             raise ValueError(f"plane axis must be one of {sorted(_AXES)}, got {self.axis!r}")
         document.check("plane offset", self.offset)
         _check_surface(self.reflectivity, self.temperature)
+        _store_floats(self, "offset", "reflectivity", "temperature")
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,30 @@ class Sphere:
         document.check("sphere center", self.center)
         document.check("sphere radius", self.radius, "positive")
         _check_surface(self.reflectivity, self.temperature)
+        _store_floats(self, "radius", "reflectivity", "temperature")
+
+
+def _store_floats(settings, *names) -> None:
+    """Store the named fields of a frozen ``settings`` object as floats.
+
+    A rendered frame base is kept while the settings it came from compare
+    equal; a numpy array given as a field could change in place and leave
+    a stale base behind."""
+    for name in names:
+        object.__setattr__(settings, name, float(getattr(settings, name)))
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an exact ``int`` of at least ``least``; numpy integers and
+    integral floats pass, fractions and booleans raise ``ValueError`` naming
+    ``name``."""
+    try:
+        value = document.whole(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _check_surface(reflectivity, temperature):
@@ -125,6 +161,8 @@ class Scene:
                 f"background reflectivity must be in (0, 1], got {self.background_reflectivity}"
             )
         object.__setattr__(self, "primitives", prims)
+        _store_floats(self, "ambient_temperature", "background_distance",
+                      "background_reflectivity")
 
 
 @dataclass(frozen=True)
@@ -142,6 +180,7 @@ class MultipathConfig:
                 f"relative_amplitude must be in [0, 1), got {self.relative_amplitude}"
             )
         document.check("extra_distance", self.extra_distance, "non-negative")
+        _store_floats(self, "extra_distance", "relative_amplitude")
 
 
 @dataclass(frozen=True)
@@ -154,15 +193,10 @@ class ScatteringConfig:
     energy_fraction: float = 0.1
 
     def __post_init__(self):
-        try:  # numpy integers too, as np.arange gives them
-            radius = document.whole(self.kernel_radius)
-        except ValueError as exc:
-            raise ValueError(f"kernel_radius: {exc}") from None
-        object.__setattr__(self, "kernel_radius", radius)
-        if not self.kernel_radius >= 1:
-            raise ValueError(f"kernel_radius must be >= 1, got {self.kernel_radius}")
+        object.__setattr__(self, "kernel_radius", _count("kernel_radius", self.kernel_radius, 1))
         if not 0 <= self.energy_fraction < 1:
             raise ValueError(f"energy_fraction must be in [0, 1), got {self.energy_fraction}")
+        _store_floats(self, "energy_fraction")
 
 
 @dataclass(frozen=True)
@@ -175,6 +209,7 @@ class NoiseConfig:
     scattering: ScatteringConfig = field(default_factory=ScatteringConfig)
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         document.check("phase_noise_scale", self.phase_noise_scale, "non-negative")
         document.check("bucket_noise_sigma", self.bucket_noise_sigma, "non-negative")
         if not 0 <= self.saturation_fraction <= 1:
@@ -263,7 +298,6 @@ class _SceneResponse:
     distance: np.ndarray
     reflectivity: np.ndarray
     temperature: np.ndarray
-    rays_camera: np.ndarray
 
 
 def _bands(height: int) -> Iterator[slice]:
@@ -274,8 +308,9 @@ def _bands(height: int) -> Iterator[slice]:
 def _trace(scene: Scene, rays_camera: np.ndarray, pose: Extrinsics) -> _SceneResponse:
     """Nearest hit per ray, traced a band of rows at a time.
 
-    The three per-pixel arrays are returned read-only: every frame of a
-    sequence shares them, and its ground truth holds them without a copy.
+    The three per-pixel arrays are returned read-only: the range and the
+    temperatures are kept in a frame base, whose ground truths hold them
+    without a copy.
     """
     distance = np.empty(rays_camera.shape[:-1])
     reflectivity = np.empty_like(distance)
@@ -285,7 +320,7 @@ def _trace(scene: Scene, rays_camera: np.ndarray, pose: Extrinsics) -> _SceneRes
             scene, rays_camera[band], pose)
     for array in (distance, reflectivity, temperature):
         array.flags.writeable = False
-    return _SceneResponse(distance, reflectivity, temperature, rays_camera)
+    return _SceneResponse(distance, reflectivity, temperature)
 
 
 def _trace_band(scene: Scene, rays_camera: np.ndarray, pose: Extrinsics):
@@ -310,10 +345,6 @@ def _trace_band(scene: Scene, rays_camera: np.ndarray, pose: Extrinsics):
         t_bg = np.where(np.isinf(t_bg), scene.background_distance, t_bg)
         best_t = np.where(missed, t_bg, best_t)
     return best_t, reflectivity, temperature
-
-
-def _trace_tof(scene, intr: TofIntrinsics, pose: Extrinsics | None) -> _SceneResponse:
-    return _trace(scene, unit_rays(intr), pose or Extrinsics.identity())
 
 
 # --- range-camera rendering -----------------------------------------------------
@@ -396,24 +427,78 @@ def _direct_return(resp: _SceneResponse, band: slice, intr: TofIntrinsics,
     return phasor, offset
 
 
-def _buckets(resp: _SceneResponse, intr: TofIntrinsics, noise: NoiseConfig,
-             amplitude_law: str, rng: np.random.Generator) -> np.ndarray:
-    """A frame's (H, W, 4) buckets before saturation, built a band of rows
-    at a time: the direct return, then (with scattering) the whole-frame
-    convolution of its planes, then the noisy phasor and the buckets. The
-    phase and bucket noise are each drawn whole-frame, in that order."""
-    shape = resp.distance.shape
-    scattered = None
-    if noise.scattering.enabled:
-        planes = np.empty((3,) + shape)  # real part, imaginary part, offset
-        for band in _bands(shape[0]):
-            phasor, planes[2, band] = _direct_return(resp, band, intr, noise.multipath,
-                                                     amplitude_law)
-            planes[0, band] = phasor.real
-            planes[1, band] = phasor.imag
-        scattered = _convolve_wrap(planes, _scatter_kernel(noise.scattering))
-        del planes
+@dataclass(frozen=True)
+class _FrameBase:
+    """What every range frame of one scene, camera, pose and return model
+    shares: all a frame computes before its first random draw. Every array
+    is read-only."""
 
+    distance: np.ndarray  # (H, W) traced range
+    temperature: np.ndarray  # (H, W) temperature of the hit surface
+    points: np.ndarray  # (H, W, 3) truth points, distance times unit ray
+    amplitude: np.ndarray  # (H, W) noise-free return after multipath and scattering
+    phase: np.ndarray  # (H, W) its angle, in [-pi, pi]
+    offset: np.ndarray  # (H, W) its offset
+
+
+# (key, _FrameBase) of the last frame base built, replaced whole so that a
+# reader sees a key and its base together; threads that miss at once each
+# build and use their own base, and the last one stored is kept
+_memo = None
+
+
+def _frame_base(scene: Scene, intr: TofIntrinsics, pose: Extrinsics | None,
+                noise: NoiseConfig, amplitude_law: str) -> _FrameBase:
+    """The frame base of a render: the kept one when its key is equal,
+    else a new one, which is kept in its place.
+
+    The pose enters the key by the bytes of its arrays, which can be changed
+    in place; the seed, the noise levels and the extrinsics do not enter it.
+    """
+    global _memo
+    pose_key = None if pose is None else (pose.rotation.tobytes(), pose.translation.tobytes())
+    key = (scene, intr, pose_key, noise.multipath, noise.scattering, amplitude_law)
+    entry = _memo
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    base = _build_frame_base(scene, intr, pose, noise, amplitude_law)
+    _memo = (key, base)
+    return base
+
+
+def _build_frame_base(scene, intr, pose, noise, amplitude_law) -> _FrameBase:
+    """Trace the scene and form its noise-free return, a band of rows at a
+    time. With scattering, the direct return's planes (real part, imaginary
+    part, offset) are convolved whole and then turned, in place, into
+    amplitude, phase and offset; without, the phasor is turned at once."""
+    rays = unit_rays(intr)
+    resp = _trace(scene, rays, pose or Extrinsics.identity())
+    shape = resp.distance.shape
+    scattering = noise.scattering.enabled
+    returns = np.empty((3,) + shape)
+    for band in _bands(shape[0]):
+        phasor, returns[2, band] = _direct_return(resp, band, intr, noise.multipath,
+                                                  amplitude_law)
+        if scattering:
+            returns[0, band], returns[1, band] = phasor.real, phasor.imag
+        else:
+            returns[0, band], returns[1, band] = np.abs(phasor), np.angle(phasor)
+    if scattering:
+        returns = _convolve_wrap(returns, _scatter_kernel(noise.scattering))
+        for band in _bands(shape[0]):
+            phasor = returns[0, band] + 1j * returns[1, band]
+            returns[0, band], returns[1, band] = np.abs(phasor), np.angle(phasor)
+    points = resp.distance[..., None] * rays
+    for array in (returns, points):
+        array.flags.writeable = False
+    return _FrameBase(resp.distance, resp.temperature, points, *returns)
+
+
+def _buckets(base: _FrameBase, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
+    """A frame's (H, W, 4) buckets before saturation, built from the
+    noise-free return a band of rows at a time. The phase and bucket noise
+    are each drawn whole-frame, in that order."""
+    shape = base.distance.shape
     phase_normals = None
     if noise.phase_noise_scale > 0:
         phase_normals = rng.standard_normal(shape)
@@ -421,17 +506,12 @@ def _buckets(resp: _SceneResponse, intr: TofIntrinsics, noise: NoiseConfig,
     if noise.bucket_noise_sigma > 0:
         rng.standard_normal(out=buckets)  # each band's draws, overwritten by its buckets
     for band in _bands(shape[0]):
-        if scattered is None:
-            phasor, offset = _direct_return(resp, band, intr, noise.multipath, amplitude_law)
-        else:
-            phasor = scattered[0][band] + 1j * scattered[1][band]
-            offset = scattered[2][band]
-        final_amplitude = np.abs(phasor)
-        final_phase = np.angle(phasor)
+        amplitude = base.amplitude[band]
+        phase = base.phase[band]
         if phase_normals is not None:
-            sigma = noise.phase_noise_scale / np.maximum(final_amplitude, 1e-12)
-            final_phase = final_phase + sigma * phase_normals[band]
-        band_buckets = synthesize_buckets(final_phase, final_amplitude, offset)
+            sigma = noise.phase_noise_scale / np.maximum(amplitude, 1e-12)
+            phase = phase + sigma * phase_normals[band]
+        band_buckets = synthesize_buckets(phase, amplitude, base.offset[band])
         if noise.bucket_noise_sigma > 0:
             band_buckets = np.maximum(
                 band_buckets + noise.bucket_noise_sigma * buckets[band], 0.0)
@@ -439,21 +519,14 @@ def _buckets(resp: _SceneResponse, intr: TofIntrinsics, noise: NoiseConfig,
     return buckets
 
 
-def _render_from_response(
-    resp: _SceneResponse,
-    intr: TofIntrinsics,
-    noise: NoiseConfig,
-    frame_index: int,
-    extrinsics: Extrinsics | None,
-    amplitude_law: str,
-) -> tuple[RawTofFrame, GroundTruth]:
-    dist = resp.distance
+def _render_frame(base: _FrameBase, noise: NoiseConfig, frame_index: int,
+                  extrinsics: Extrinsics | None) -> tuple[RawTofFrame, GroundTruth]:
     rng = np.random.Generator(np.random.Philox(noise.seed).jumped(frame_index))
-    buckets = _buckets(resp, intr, noise, amplitude_law, rng)
+    buckets = _buckets(base, noise, rng)
 
-    outliers = np.zeros(dist.shape, dtype=bool)
+    outliers = np.zeros(base.distance.shape, dtype=bool)
     if noise.saturation_fraction > 0:
-        n_pixels = dist.size
+        n_pixels = outliers.size
         n_sat = int(round(noise.saturation_fraction * n_pixels))
         if n_sat:
             chosen = rng.choice(n_pixels, size=n_sat, replace=False)
@@ -462,9 +535,9 @@ def _render_from_response(
             outliers.reshape(-1)[chosen] = True
 
     truth = GroundTruth(
-        range=dist,
-        points=dist[..., None] * resp.rays_camera,
-        temperature=resp.temperature,
+        range=base.distance,
+        points=base.points,
+        temperature=base.temperature,
         outlier_mask=outliers,
         extrinsics=extrinsics,
     )
@@ -484,17 +557,24 @@ def render_tof(
     """Render one raw range-camera frame plus its ground truth.
 
     ``pose`` maps camera coordinates to scene coordinates (identity by
-    default). ``frame_index`` advances the noise stream without touching the
-    seed, so a frame of a sequence can be reproduced on its own.
-    ``amplitude_law`` selects the return-strength model: "inverse_square"
-    (physical default) or "constant" (return strength independent of
-    distance, which makes pure phase effects such as wrap-around visible in
-    the buckets without radiometric differences).
+    default). ``frame_index``, a whole number >= 0, advances the noise
+    stream without touching the seed, so a frame of a sequence can be
+    reproduced on its own. ``amplitude_law`` selects the return-strength
+    model: "inverse_square" (physical default) or "constant" (return
+    strength independent of distance, which makes pure phase effects such
+    as wrap-around visible in the buckets without radiometric differences).
+
+    The scene is traced and its noise-free return formed only when the last
+    render was of another scene, camera, pose, multipath or scattering
+    setting or amplitude law (see the module docstring). The ground truth's
+    range, temperatures and points are the kept read-only arrays, shared
+    with every frame made from them; its outlier mask is its own.
     """
     noise = noise or NoiseConfig()
+    frame_index = _count("frame_index", frame_index, 0)
     _check_amplitude_law(amplitude_law)
-    resp = _trace_tof(scene, intr, pose)
-    return _render_from_response(resp, intr, noise, frame_index, extrinsics, amplitude_law)
+    base = _frame_base(scene, intr, pose, noise, amplitude_law)
+    return _render_frame(base, noise, frame_index, extrinsics)
 
 
 def render_tof_frames(
@@ -507,18 +587,23 @@ def render_tof_frames(
     extrinsics: Extrinsics | None = None,
     amplitude_law: str = "inverse_square",
 ) -> Iterator[tuple[RawTofFrame, GroundTruth]]:
-    """Render ``n_frames`` with shared geometry and per-frame noise streams,
-    one frame at a time as they are asked for.
+    """Render ``n_frames`` (a whole number >= 1) with shared geometry and
+    per-frame noise streams, one frame at a time as they are asked for.
 
-    The scene is traced once, when the first frame is asked for; a frame is
-    not kept once it has been yielded.
+    The arguments are checked at the call. The frame base is taken, or
+    built, when the first frame is asked for, as :func:`render_tof` takes
+    it, and every frame starts from that one; a frame is not kept once it
+    has been yielded. Frame k is :func:`render_tof` with ``frame_index=k``.
     """
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+    n_frames = _count("n_frames", n_frames, 1)
     _check_amplitude_law(amplitude_law)
-    resp = _trace_tof(scene, intr, pose)
+    return _frames(scene, intr, pose, noise, n_frames, extrinsics, amplitude_law)
+
+
+def _frames(scene, intr, pose, noise, n_frames, extrinsics, amplitude_law):
+    base = _frame_base(scene, intr, pose, noise, amplitude_law)
     for k in range(n_frames):
-        yield _render_from_response(resp, intr, noise, k, extrinsics, amplitude_law)
+        yield _render_frame(base, noise, k, extrinsics)
 
 
 def render_tof_sequence(

@@ -11,7 +11,15 @@ from tofir import (
     Sphere,
     TofIntrinsics,
 )
+from tofir import simulator
 from tofir.calibration import _observation_arrays, _residual_matrix
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_frame_base():
+    """Each test starts with no range frame base kept, so a render it compares
+    against is made in the test, not taken from an earlier one."""
+    simulator._memo = None
 
 
 @pytest.fixture

@@ -99,6 +99,13 @@ class TestSimulate:
         out_b = _simulate(workspace, ("--output", str(tmp_path / "b"), "--seed", "43"))
         assert (out_a / "raw.tirf").read_bytes() != (out_b / "raw.tirf").read_bytes()
 
+    def test_negative_seed_flag_exits_2(self, workspace, capsys):
+        rc = main(["simulate", "--config", str(workspace / "sim.json"), "--seed", "-1",
+                   "--quiet"])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
     def test_missing_scene_names_path(self, workspace, capsys):
         (workspace / "scene.json").unlink()
         rc = main(["simulate", "--config", str(workspace / "sim.json")])
@@ -128,15 +135,15 @@ class TestSimulate:
         earlier = {p.name: p.read_bytes() for p in out.iterdir()}
         made = []
         if where == "render":
-            render = tofir.simulator._render_from_response
+            render = tofir.simulator._render_frame
 
-            def failing(resp, intr, noise, frame_index, *args):
+            def failing(base, noise, frame_index, *args):
                 made.append(frame_index)
                 if frame_index == 2:
                     raise OSError("frame 2 failed")
-                return render(resp, intr, noise, frame_index, *args)
+                return render(base, noise, frame_index, *args)
 
-            monkeypatch.setattr(tofir.simulator, "_render_from_response", failing)
+            monkeypatch.setattr(tofir.simulator, "_render_frame", failing)
         else:
             schema = tofir.simulator.TRUTH_SCHEMA
 
@@ -455,10 +462,12 @@ class TestSegment:
 
 
 class TestDeterminism:
-    """fuse and segment write the same bytes in-process and in fresh
-    interpreters with one or four BLAS/OpenMP threads."""
+    """simulate, fuse and segment write the same bytes in-process and in
+    fresh interpreters with one or four BLAS/OpenMP threads."""
 
     ARTIFACTS = {
+        "simulate": ("raw.tirf", "raw.truth.tirf", "thermal.tirf", "extrinsics.truth.json",
+                     "observations.txt"),
         "fuse": ("thermogram.tirf", "thermogram.txt"),
         "segment": ("background.tirf", "masks.tirf", "mask_0000.pbm", "mask_0002.pbm"),
     }
@@ -490,34 +499,51 @@ class TestDeterminism:
     def _read(self, command, out):
         return {name: (out / name).read_bytes() for name in self.ARTIFACTS[command]}
 
-    def test_fuse_and_segment_byte_identical(self, workspace):
-        self._configs(workspace)
+    def _in_process(self, workspace, command, run):
+        out = workspace / f"{command}-{run}"
+        config = str(workspace / f"{command}.json")
+        assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 0
+        return self._read(command, out)
+
+    def _in_subprocess(self, workspace, command, threads):
+        out = workspace / f"{command}-threads{threads}"
         # the subprocesses import the package from where this process found it
         pythonpath = os.pathsep.join(
             filter(None, [str(Path(tofir.__file__).resolve().parents[1]),
                           os.environ.get("PYTHONPATH")])
         )
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tofir.cli", command, "--config",
+             str(workspace / f"{command}.json"), "--output", str(out), "--quiet"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return self._read(command, out)
+
+    def _assert_byte_identical(self, workspace, command):
+        runs = [self._in_process(workspace, command, run) for run in ("a", "b")]
+        runs += [self._in_subprocess(workspace, command, threads) for threads in ("1", "4")]
+        assert all(run == runs[0] for run in runs[1:]), command
+
+    def test_fuse_and_segment_byte_identical(self, workspace):
+        self._configs(workspace)
         for command in ("fuse", "segment"):
-            config = str(workspace / f"{command}.json")
-            runs = []
-            for run in ("a", "b"):
-                out = workspace / f"{command}-{run}"
-                assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 0
-                runs.append(self._read(command, out))
-            for threads in ("1", "4"):
-                out = workspace / f"{command}-threads{threads}"
-                env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                           MKL_NUM_THREADS=threads, PYTHONPATH=pythonpath)
-                proc = subprocess.run(
-                    [sys.executable, "-m", "tofir.cli", command, "--config", config,
-                     "--output", str(out), "--quiet"],
-                    env=env, capture_output=True, text=True,
-                )
-                assert proc.returncode == 0, proc.stderr
-                runs.append(self._read(command, out))
-            assert all(run == runs[0] for run in runs[1:]), command
+            self._assert_byte_identical(workspace, command)
         masks = FrameContainer.read(workspace / "segment-a" / "masks.tirf")
         assert masks.channel("foreground", 0).any()
+
+    def test_simulate_byte_identical(self, workspace):
+        # the first in-process call builds the frame base and the second takes
+        # it; each fresh interpreter builds its own
+        (workspace / "simulate.json").write_text((workspace / "sim.json").read_text())
+        runs = [self._in_process(workspace, "simulate", "a")]
+        kept = tofir.simulator._memo
+        runs.append(self._in_process(workspace, "simulate", "b"))
+        assert tofir.simulator._memo is kept
+        runs += [self._in_subprocess(workspace, "simulate", threads) for threads in ("1", "4")]
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestStreamedMemory:
@@ -673,6 +699,8 @@ class TestMalformedSettings:
         ({"ir_blur_sigma": -1.0}, "blur_sigma"),
         ({"frames": 0}, "'frames'"),
         ({"frames": -2}, "'frames'"),
+        ({"seed": -1}, "seed"),
+        ({"noise": {"seed": -1}}, "seed"),
     ])
     def test_simulate(self, workspace, capsys, change, key):
         sim = json.loads((workspace / "sim.json").read_text())

@@ -950,13 +950,40 @@ def test_render_does_not_depend_on_the_band_height(monkeypatch, band_rows):
     _assert_render_matches_reference(70, 45, _TURNED, **_EVERY_ERROR)
 
 
-def _render_temporaries(width, height, scene) -> int:
+def _render_frame_bytes(intr, pose, noise) -> list[bytes]:
+    raw, truth = render_tof(_RENDER_SCENE, intr, pose, noise, frame_index=1)
+    return [raw.samples.tobytes()] + [getattr(truth, name).tobytes()
+                                      for name in ("range", "points", "temperature", "outlier_mask")]
+
+
+@pytest.mark.parametrize("scattering", [True, False])
+@pytest.mark.parametrize("width, height, pose", [(640, 480, None), (70, 45, _TURNED)])
+def test_kept_frame_base_renders_the_cold_bytes(width, height, pose, scattering):
+    # a render that takes the frame base kept by another seed's render gives
+    # the bytes of one that builds its own
+    intr = TofIntrinsics(focal_length=4e-3, width=width, height=height,
+                         pixel_pitch=45e-6 * 64 / width, f_mod=21e6)
+    errors = dict(_EVERY_ERROR)
+    if not scattering:
+        del errors["scattering"]
+    noise = simulator.NoiseConfig(seed=11, **errors)
+    cold = _render_frame_bytes(intr, pose, noise)
+    simulator._memo = None
+    render_tof(_RENDER_SCENE, intr, pose, dataclasses.replace(noise, seed=12))
+    kept = simulator._memo
+    assert _render_frame_bytes(intr, pose, noise) == cold
+    assert simulator._memo is kept
+
+
+def _render_temporaries(width, height, scene, cold=False) -> int:
     """Bytes ``render_tof`` with every error source allocates at its peak
-    beyond the arrays it returns."""
+    beyond the arrays it returns; a ``cold`` render builds its frame base."""
     intr = TofIntrinsics(focal_length=4e-3, width=width, height=height,
                          pixel_pitch=45e-6 * 64 / width)
     noise = simulator.NoiseConfig(seed=4, **_EVERY_ERROR)
     render_tof(scene, intr, noise=noise)  # the ray grid is cached before tracing
+    if cold:
+        simulator._memo = None
     tracemalloc.start()
     try:
         raw, truth = render_tof(scene, intr, noise=noise)
@@ -973,6 +1000,17 @@ def test_render_temporaries_stay_bounded_per_pixel(blob_scene):
     # peak, the scattering planes with their padded copy and convolution
     small = _render_temporaries(160, 120, blob_scene)
     large = _render_temporaries(640, 480, blob_scene)
+    per_pixel = (large - small) / (640 * 480 - 160 * 120)
+    assert per_pixel <= 40, (small, large)
+
+
+def test_cold_render_temporaries_stay_bounded_per_pixel(blob_scene):
+    # a render that builds its frame base keeps the noise-free return
+    # (amplitude, phase, offset), which is not among its outputs; at the peak
+    # the traced reflectivity and the scattering planes with their padded
+    # copy and convolution grow with the frame too
+    small = _render_temporaries(160, 120, blob_scene, cold=True)
+    large = _render_temporaries(640, 480, blob_scene, cold=True)
     per_pixel = (large - small) / (640 * 480 - 160 * 120)
     assert per_pixel <= 40, (small, large)
 

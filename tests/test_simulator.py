@@ -1,12 +1,15 @@
 import cmath
 import logging
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from conftest import projection_error
+from conftest import projection_error, rotation_about
 from tofir import (
     CalibrationTarget,
     Extrinsics,
@@ -23,6 +26,7 @@ from tofir import (
     render_tof,
     render_tof_sequence,
     simulator,
+    synthesize_buckets,
     unambiguous_range,
 )
 from tofir.simulator import (
@@ -31,6 +35,7 @@ from tofir.simulator import (
     SATURATION_LEVEL,
     _scatter_kernel,
     noise_from_json,
+    render_tof_frames,
     scene_from_json,
 )
 from tofir.tof import SPEED_OF_LIGHT
@@ -185,6 +190,248 @@ class TestRenderTof:
         assert np.shares_memory(first.temperature, second.temperature)
         alone, _ = render_tof(blob_scene, tof_intr, noise=noise, frame_index=1)
         assert np.array_equal(raw.samples, alone.samples)
+
+
+class TestRenderArguments:
+    """Frame counts, frame indices and seeds are whole numbers in range,
+    checked before the scene is traced."""
+
+    @pytest.fixture
+    def untraced(self, monkeypatch):
+        def untraceable(*args):
+            raise AssertionError("the scene was traced before the arguments were checked")
+
+        monkeypatch.setattr(simulator, "_trace", untraceable)
+
+    @pytest.mark.parametrize("frame_index", [-1, 1.5, True, "1", None])
+    def test_frame_index_is_a_whole_number_from_zero(self, untraced, tof_intr, wall_scene,
+                                                      frame_index):
+        with pytest.raises(ValueError, match="frame_index"):
+            render_tof(wall_scene, tof_intr, frame_index=frame_index)
+
+    @pytest.mark.parametrize("entry", [render_tof_frames, render_tof_sequence])
+    @pytest.mark.parametrize("n_frames", [0, -2, 2.5, True])
+    def test_n_frames_is_a_whole_number_from_one(self, untraced, tof_intr, wall_scene, entry,
+                                                 n_frames):
+        # raised at the call: render_tof_frames checks before it returns its iterator
+        with pytest.raises(ValueError, match="n_frames"):
+            entry(wall_scene, tof_intr, None, NoiseConfig(), n_frames)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_seed_is_a_whole_number_from_zero(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseConfig(seed=seed)
+
+    def test_whole_numbers_of_any_type_render_alike(self, tof_intr, wall_scene):
+        assert NoiseConfig(seed=np.int64(3)) == NoiseConfig(seed=3.0) == NoiseConfig(seed=3)
+        assert type(NoiseConfig(seed=np.uint8(3)).seed) is int
+        noise = NoiseConfig(seed=3, bucket_noise_sigma=0.2)
+        expected = render_tof(wall_scene, tof_intr, noise=noise, frame_index=2)[0].samples
+        for index in (2.0, np.int64(2), np.uint8(2)):
+            raw, _ = render_tof(wall_scene, tof_intr, noise=noise, frame_index=index)
+            assert raw.samples.tobytes() == expected.tobytes()
+        frames = render_tof_sequence(wall_scene, tof_intr, None, noise, np.int64(3))
+        assert frames[2][0].samples.tobytes() == expected.tobytes()
+
+
+def _frame_bytes(rendered) -> list[bytes]:
+    raw, truth = rendered
+    return [raw.samples.tobytes()] + [getattr(truth, name).tobytes()
+                                      for name in ("range", "points", "temperature", "outlier_mask")]
+
+
+_MEMO_NOISE = NoiseConfig(seed=7, bucket_noise_sigma=0.2, saturation_fraction=0.02,
+                          multipath=MultipathConfig(True), scattering=ScatteringConfig(True, 3, 0.1))
+
+
+def _memo_render(scene, intr, pose=None, noise=_MEMO_NOISE, **kwargs):
+    return render_tof(scene, intr, pose, noise, **kwargs)
+
+
+class TestFrameBaseMemo:
+    """A range render takes the frame base the last render kept when the
+    scene, intrinsics, pose, multipath, scattering and amplitude law are
+    equal; otherwise it builds its own and keeps that one instead."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        made = []
+        build = simulator._build_frame_base
+
+        def counted(*args):
+            made.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(simulator, "_build_frame_base", counted)
+        return made
+
+    MISSES = {
+        "scene": {"scene": Scene((Plane("z", 3.5, 1.0, 300.0),))},
+        "intrinsics": {"intr": TofIntrinsics(4e-3, 64, 50, 45e-6, f_mod=30e6)},
+        "pose": {"pose": Extrinsics(np.eye(3), np.array([0.0, 0.0, 0.5]))},
+        "multipath": {"noise": replace(_MEMO_NOISE, multipath=MultipathConfig(True, 0.5))},
+        "scattering": {"noise": replace(_MEMO_NOISE, scattering=ScatteringConfig(False))},
+        "amplitude_law": {"amplitude_law": "constant"},
+    }
+
+    @pytest.mark.parametrize("part", list(MISSES))
+    def test_each_key_part_forces_a_miss(self, builds, tof_intr, blob_scene, part):
+        args = {"scene": blob_scene, "intr": tof_intr, **self.MISSES[part]}
+        _memo_render(blob_scene, tof_intr)
+        got = _frame_bytes(_memo_render(**args))
+        assert len(builds) == 2
+        simulator._memo = None
+        assert got == _frame_bytes(_memo_render(**args))
+
+    @pytest.mark.parametrize("array", ["rotation", "translation"])
+    def test_a_pose_changed_in_place_forces_a_miss(self, builds, tof_intr, blob_scene, array):
+        pose = Extrinsics(np.eye(3), np.zeros(3))
+        _memo_render(blob_scene, tof_intr, pose)
+        moved = {"rotation": rotation_about([0, 1, 0], 5.0),
+                 "translation": np.array([0.1, 0.0, 0.2])}[array]
+        getattr(pose, array)[:] = moved
+        got = _frame_bytes(_memo_render(blob_scene, tof_intr, pose))
+        assert len(builds) == 2
+        simulator._memo = None
+        fresh = Extrinsics(pose.rotation.copy(), pose.translation.copy())
+        assert got == _frame_bytes(_memo_render(blob_scene, tof_intr, fresh))
+
+    HITS = {
+        "seed": {"noise": replace(_MEMO_NOISE, seed=8)},
+        "noise levels": {"noise": replace(_MEMO_NOISE, phase_noise_scale=0.5,
+                                          bucket_noise_sigma=0.0, saturation_fraction=0.1)},
+        "frame_index": {"frame_index": 3},
+        "extrinsics": {"extrinsics": Extrinsics(np.eye(3), np.array([0.05, 0.0, 0.0]))},
+    }
+
+    @pytest.mark.parametrize("part", list(HITS))
+    def test_seed_noise_levels_frame_and_extrinsics_hit(self, builds, tof_intr, blob_scene,
+                                                        part):
+        _memo_render(blob_scene, tof_intr)
+        got = _frame_bytes(_memo_render(blob_scene, tof_intr, **self.HITS[part]))
+        assert len(builds) == 1
+        simulator._memo = None
+        assert got == _frame_bytes(_memo_render(blob_scene, tof_intr, **self.HITS[part]))
+
+    def test_sequences_and_single_frames_share_the_base(self, builds, tof_intr, blob_scene):
+        single = _frame_bytes(_memo_render(blob_scene, tof_intr, frame_index=2))
+        frames = render_tof_frames(blob_scene, tof_intr, None, _MEMO_NOISE, 3)
+        sequence = render_tof_sequence(blob_scene, tof_intr, None, _MEMO_NOISE, 3)
+        assert [_frame_bytes(f) for f in frames] == [_frame_bytes(f) for f in sequence]
+        assert _frame_bytes(sequence[2]) == single
+        assert len(builds) == 1
+
+    EQUAL = {
+        "signed zero": (
+            {"scene": Scene((Plane("x", 0.0, 1.0, 300.0), Sphere((0.0, 0.0, 1.0), 0.2, 1.0, 310.0)))},
+            {"scene": Scene((Plane("x", -0.0, 1.0, 300.0),
+                             Sphere((-0.0, 0.0, 1.0), 0.2, 1.0, 310.0)))},
+        ),
+        "int and float": (
+            {"scene": Scene((Plane("z", 3, 1, 300), Sphere((0, 0, 1), 0.2, 1, 310)), 293, 6, 0.5),
+             "noise": replace(_MEMO_NOISE, multipath=MultipathConfig(True, 1, 0.2))},
+            {"scene": Scene((Plane("z", 3.0, 1.0, 300.0), Sphere((0.0, 0.0, 1.0), 0.2, 1.0, 310.0)),
+                            293.0, 6.0, 0.5),
+             "noise": replace(_MEMO_NOISE, multipath=MultipathConfig(True, 1.0, 0.2))},
+        ),
+        "numpy scalars": (
+            {"scene": Scene((Plane("z", np.float64(3.0), np.float64(1.0), np.int64(300)),)),
+             "intr": TofIntrinsics(np.float64(4e-3), np.int64(64), 50.0, np.float64(45e-6),
+                                   f_mod=np.float64(21e6)),
+             "noise": replace(_MEMO_NOISE, scattering=ScatteringConfig(True, np.int64(3),
+                                                                       np.float64(0.1)))},
+            {"scene": Scene((Plane("z", 3.0, 1.0, 300.0),)),
+             "intr": TofIntrinsics(4e-3, 64, 50, 45e-6, f_mod=21e6)},
+        ),
+    }
+
+    @pytest.mark.parametrize("pair", list(EQUAL))
+    def test_equal_keys_of_other_forms_render_the_same_bytes(self, builds, tof_intr, pair):
+        first, second = ({"intr": tof_intr, **args} for args in self.EQUAL[pair])
+        expected = _frame_bytes(_memo_render(**second))
+        simulator._memo = None
+        _memo_render(**first)
+        assert _frame_bytes(_memo_render(**second)) == expected
+        assert len(builds) == 2  # the second form took the first one's base
+
+    def test_settings_keep_no_array_given_as_a_field(self):
+        # a kept base is found by the settings' values: an array given as a
+        # field and then changed in place must not change them
+        values = [np.array(v) for v in (3.0, 0.2, 0.9, 310.0, 293.0, 1.0, 0.1)]
+        plane = Plane("z", values[0], values[2], values[3])
+        sphere = Sphere((0, 0, 1), values[1], values[2], values[3])
+        settings = [plane, sphere, Scene((plane, sphere), values[4], values[0], values[2]),
+                    MultipathConfig(True, values[5], values[1]),
+                    ScatteringConfig(True, 4, values[6])]
+        shown = repr(settings)
+        for value in values:
+            value *= 0.5
+        assert repr(settings) == shown
+
+    def test_the_direct_phasor_is_kept_as_returned(self, tof_intr, wall_scene, quiet_noise,
+                                                   monkeypatch):
+        # a phasor rebuilt as re + 1j * im loses the sign of a -0.0 imaginary
+        # part, and its angle turns from -pi to pi
+        def direct(resp, band, *args):
+            shape = resp.distance[band].shape
+            return np.full(shape, complex(-2.0, -0.0)), np.full(shape, 2.0)
+
+        monkeypatch.setattr(simulator, "_direct_return", direct)
+        raw, _ = render_tof(wall_scene, tof_intr, noise=quiet_noise)
+        expected = synthesize_buckets(np.full((50, 64), -math.pi), 2.0, 2.0)
+        assert raw.samples.tobytes() == expected.tobytes()
+
+    def test_one_read_only_base_is_kept(self, tof_intr, blob_scene, wall_scene):
+        raw, truth = _memo_render(blob_scene, tof_intr)
+        key, base = simulator._memo
+        for f in fields(base):
+            assert not getattr(base, f.name).flags.writeable, f.name
+        for name in ("range", "points", "temperature"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(truth, name)[:] = 1.0
+        assert raw.samples.flags.writeable and truth.outlier_mask.flags.writeable
+        first = weakref.ref(base)
+        del key, base
+        _memo_render(wall_scene, tof_intr)
+        assert first() is None  # the first base went when the second was kept
+        assert simulator._memo[0][0] is wall_scene
+
+    def test_threads_rendering_two_scenes_get_their_cold_bytes(self, tof_intr, blob_scene,
+                                                               wall_scene):
+        # four threads on two cores, two per scene, switching often: each
+        # render takes or replaces the kept base while the others do
+        scenes = (blob_scene, wall_scene)
+        seeds = range(3)
+        expected = []
+        for scene in scenes:
+            simulator._memo = None
+            expected.append([_frame_bytes(_memo_render(scene, tof_intr,
+                                                       noise=replace(_MEMO_NOISE, seed=seed)))
+                             for seed in seeds])
+        simulator._memo = None
+        n_threads = 4
+        start = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def work(i):
+            start.wait()
+            results[i] = [_frame_bytes(_memo_render(scenes[i % 2], tof_intr,
+                                                    noise=replace(_MEMO_NOISE, seed=seed)))
+                          for _ in range(5) for seed in seeds]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, got in enumerate(results):
+            assert got == expected[i % 2] * 5
 
 
 class TestMultipath:

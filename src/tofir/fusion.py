@@ -18,6 +18,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .blocks import run_blocks
 from .camera import project_points
 from .container import ChannelSchema
 from .document import check, number, read, triple
@@ -29,7 +30,6 @@ _ORTHONORMALITY_TOL = 1e-9
 
 _TEXT_ROW = " ".join(["%.9g"] * 5) + "\n"
 _TEXT_BLOCK_ROWS = 4096  # rows formatted per % operation
-_FUSE_BLOCK = 16384  # points transformed, projected and sampled per pass
 
 
 class FuseReason(IntEnum):
@@ -47,15 +47,17 @@ class Extrinsics:
 
     Maps range-frame points into the IR frame: p_ir = R @ p_tof + T.
     Finiteness and orthonormality are checked at construction so per-point
-    code can assume a proper rotation.
+    code can assume a proper rotation. Both arrays are read-only copies of
+    the ones given, so a pose cannot change after it is checked.
     """
 
     rotation: np.ndarray  # (3, 3), orthonormal, det +1
     translation: np.ndarray  # (3,), meters
 
     def __post_init__(self):
-        rotation = np.asarray(self.rotation, dtype=np.float64)
-        translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        # own read-only copies: a caller's later write cannot move the pose
+        rotation = np.array(self.rotation, dtype=np.float64, copy=True)
+        translation = np.array(self.translation, dtype=np.float64, copy=True).reshape(3)
         if rotation.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {rotation.shape}")
         check("rotation", rotation.ravel().tolist())
@@ -68,8 +70,9 @@ class Extrinsics:
             raise ValueError(f"rotation is not orthonormal (defect {defect:.3e})")
         if not abs(det - 1.0) <= _ORTHONORMALITY_TOL:
             raise ValueError(f"rotation must have determinant +1, got {det!r}")
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "translation", translation)
+        for name, array in (("rotation", rotation), ("translation", translation)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def identity(cls) -> "Extrinsics":
@@ -181,6 +184,11 @@ def fuse(
     behind the IR camera after the transform, or projection outside the IR
     interpolation field. Positions are populated for every pixel with a valid
     range, even when the temperature lookup fails.
+
+    Points are transformed, projected, sampled and given their reason codes
+    a block of :data:`tofir.blocks.BLOCK` points at a time, the blocks spread
+    over a thread per CPU (:mod:`tofir.blocks`); every entry gets the same
+    bytes at any thread count.
     """
     if (thermal.height, thermal.width) != (ir_intr.height, ir_intr.width):
         raise DimensionMismatchError(
@@ -190,22 +198,25 @@ def fuse(
     cloud = backproject(range_frame, tof_intr)  # also checks TOF dimensions
     temps = np.empty(len(cloud))
     reason = np.empty(len(cloud), dtype=np.uint8)
-    # transform, project and sample a slice of points at a time, so the
-    # float64 temporaries stay a few blocks in size whatever the resolution
-    for start in range(0, len(cloud), _FUSE_BLOCK):
-        rows = slice(start, start + _FUSE_BLOCK)
+
+    def fuse_block(start, stop):
+        rows = slice(start, stop)
         pixels, in_front = project_points(ext.apply(cloud.points[rows]), ir_intr)
         temps[rows], in_field = sample_temperature_grid(thermal, pixels[:, 0], pixels[:, 1])
         # later stages overwrite earlier ones: a point behind the camera
-        # projects to NaN and is never in the field, and an invalid range,
-        # set below over all blocks at once, trumps both
+        # projects to NaN and is never in the field, and an invalid range
+        # trumps both
         block = reason[rows]
         block.fill(int(FuseReason.OUT_OF_IR_FIELD))
         block[in_field] = FuseReason.VALID
         block[~in_front] = FuseReason.BEHIND_IR_CAMERA
-    invalid = ~cloud.valid
-    reason[invalid] = FuseReason.INVALID_RANGE
-    temps[invalid] = 0.0  # sampling already zeroed every entry outside the field
+        invalid = ~cloud.valid[rows]
+        block[invalid] = FuseReason.INVALID_RANGE
+        temps[rows][invalid] = 0.0  # sampling already zeroed every entry outside the field
+
+    # a block of points at a time, so the float64 temporaries stay a few
+    # blocks in size whatever the resolution, spread over a thread per CPU
+    run_blocks(len(cloud), fuse_block)
 
     shape = (range_frame.height, range_frame.width)
     return Thermogram(

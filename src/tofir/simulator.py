@@ -46,12 +46,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import document
+from .blocks import run_blocks
 from .calibration import TargetObservation
 from .camera import project_distorted, project_points, unit_rays
 from .container import ChannelSchema
 from .fusion import Extrinsics
 from .thermal import IrIntrinsics, ThermalFrame
-from .tof import RawTofFrame, TofIntrinsics, phase_for_distance, synthesize_buckets
+from .tof import RawTofFrame, TofIntrinsics, bucket_planes, phase_for_distance
 
 logger = logging.getLogger(__name__)
 
@@ -452,8 +453,9 @@ def _frame_base(scene: Scene, intr: TofIntrinsics, pose: Extrinsics | None,
     """The frame base of a render: the kept one when its key is equal,
     else a new one, which is kept in its place.
 
-    The pose enters the key by the bytes of its arrays, which can be changed
-    in place; the seed, the noise levels and the extrinsics do not enter it.
+    The pose enters the key by the bytes of its (read-only) arrays, so an
+    equal pose hits; the seed, the noise levels and the extrinsics do not
+    enter it.
     """
     global _memo
     pose_key = None if pose is None else (pose.rotation.tobytes(), pose.translation.tobytes())
@@ -496,26 +498,37 @@ def _build_frame_base(scene, intr, pose, noise, amplitude_law) -> _FrameBase:
 
 def _buckets(base: _FrameBase, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
     """A frame's (H, W, 4) buckets before saturation, built from the
-    noise-free return a band of rows at a time. The phase and bucket noise
-    are each drawn whole-frame, in that order."""
+    noise-free return. The phase and bucket noise are each drawn
+    whole-frame, in that order, on the calling thread; the buckets are then
+    formed a block of rows at a time, the blocks spread over a thread per
+    CPU (:mod:`tofir.blocks`), each pixel the same bytes at any count."""
     shape = base.distance.shape
     phase_normals = None
     if noise.phase_noise_scale > 0:
         phase_normals = rng.standard_normal(shape)
     buckets = np.empty(shape + (4,))
     if noise.bucket_noise_sigma > 0:
-        rng.standard_normal(out=buckets)  # each band's draws, overwritten by its buckets
-    for band in _bands(shape[0]):
-        amplitude = base.amplitude[band]
-        phase = base.phase[band]
+        rng.standard_normal(out=buckets)  # each block's draws, overwritten by its buckets
+
+    def block_buckets(start, stop):
+        rows = slice(start, stop)
+        amplitude = base.amplitude[rows]
+        phase = base.phase[rows]
         if phase_normals is not None:
             sigma = noise.phase_noise_scale / np.maximum(amplitude, 1e-12)
-            phase = phase + sigma * phase_normals[band]
-        band_buckets = synthesize_buckets(phase, amplitude, base.offset[band])
-        if noise.bucket_noise_sigma > 0:
-            band_buckets = np.maximum(
-                band_buckets + noise.bucket_noise_sigma * buckets[band], 0.0)
-        buckets[band] = band_buckets
+            phase = phase + sigma * phase_normals[rows]
+        # one bucket plane at a time into the output, so a thread's
+        # temporaries stay a few planes of its block
+        for k, plane in enumerate(bucket_planes(phase, amplitude, base.offset[rows])):
+            out = buckets[rows, :, k]
+            if noise.bucket_noise_sigma > 0:  # max(plane + sigma * draw, 0)
+                out *= noise.bucket_noise_sigma
+                out += plane
+                np.maximum(out, 0.0, out=out)
+            else:
+                out[...] = plane
+
+    run_blocks(shape[0], block_buckets, shape[1])
     return buckets
 
 

@@ -15,6 +15,12 @@ not detected).
 
 Pinhole geometry, lens distortion and the package's image conventions live in
 :mod:`tofir.camera`.
+
+:func:`demodulate` and :func:`backproject` fill preallocated outputs a block
+of about 16384 pixels at a time, the blocks spread over a thread per CPU
+(:mod:`tofir.blocks`). Each pixel is computed alone, so the outputs are the
+same bytes at any thread count; a frame of one block runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import run_blocks
 from .camera import Pinhole, undistort_pixel, unit_rays
 from .container import ChannelSchema
 from .document import check
@@ -159,13 +166,17 @@ def exposure_outliers(amplitude, offset, a_min: float, a_max: float, b_max: floa
     Flags amplitude < a_min (no usable signal), amplitude > a_max, and
     offset > b_max (saturation).
     """
+    _check_exposure_limits(a_min, a_max, b_max)
+    amplitude = np.asarray(amplitude)
+    offset = np.asarray(offset)
+    return (amplitude < a_min) | (amplitude > a_max) | (offset > b_max)
+
+
+def _check_exposure_limits(a_min: float, a_max: float, b_max: float) -> None:
     if not (a_min >= 0 and a_max >= 0 and b_max >= 0):  # NaN fails too
         raise ValueError("exposure thresholds must be non-negative")
     if not a_min < a_max:
         raise ValueError(f"a_min ({a_min}) must be below a_max ({a_max})")
-    amplitude = np.asarray(amplitude)
-    offset = np.asarray(offset)
-    return (amplitude < a_min) | (amplitude > a_max) | (offset > b_max)
 
 
 def demodulate(
@@ -184,34 +195,53 @@ def demodulate(
     exposure thresholds also mark invalid every pixel
     :func:`exposure_outliers` flags: amplitude below ``a_min`` or above
     ``a_max``, or offset above ``b_max``.
+
+    The four planes are filled a block of rows at a time, the blocks spread
+    over a thread per CPU (:mod:`tofir.blocks`); each pixel gets the same
+    bytes at any thread count.
     """
     if (raw.height, raw.width) != (intr.height, intr.width):
         raise DimensionMismatchError(
             f"raw frame is {raw.width}x{raw.height}, intrinsics say "
             f"{intr.width}x{intr.height}"
         )
-    s0, s1, s2, s3 = (raw.samples[..., k] for k in range(4))
-    d13 = s0 - s2
-    d24 = s1 - s3
-    phase = np.arctan2(d13, d24)
+    _check_exposure_limits(a_min, a_max, b_max)
+    shape = (raw.height, raw.width)
+    frame = RangeFrame(np.empty(shape), np.empty(shape), np.empty(shape),
+                       np.empty(shape, dtype=bool))
+    limits = (a_min, a_max, b_max)
+    run_blocks(raw.height, lambda start, stop: _demodulate_rows(
+        raw, intr.f_mod, limits, frame, slice(start, stop)), raw.width)
+    return frame
+
+
+def _demodulate_rows(raw: RawTofFrame, f_mod: float, limits, frame: RangeFrame,
+                     rows: slice) -> None:
+    """Demodulate the ``rows`` of ``raw`` into those of ``frame``."""
+    samples = raw.samples[rows]
+    s0, s1, s2, s3 = (samples[..., k] for k in range(4))
+    # the two differences live in the amplitude and offset planes until
+    # those are computed, so a block makes no float temporaries of its own
+    d13 = np.subtract(s0, s2, out=frame.amplitude[rows])
+    d24 = np.subtract(s1, s3, out=frame.offset[rows])
+    phase = np.arctan2(d13, d24, out=frame.distance[rows])
     # np.mod(phase, 2*pi) in place: negative angles gain 2*pi, the rest gain
     # +0.0, which turns -0.0 into +0.0 as np.mod does
     phase += (phase < 0.0) * _TWO_PI
     # adding 2*pi can round a tiny negative angle up to exactly 2*pi
     phase[phase >= _TWO_PI] = 0.0
-    amplitude = np.hypot(d13, d24)
+    amplitude = np.hypot(d13, d24, out=d13)
     amplitude /= 2.0
-    offset = s0 + s1
+    offset = np.add(s0, s1, out=d24)
     offset += s2
     offset += s3
     offset /= 4.0
     distance = np.multiply(phase, SPEED_OF_LIGHT, out=phase)
-    distance /= 4.0 * math.pi * intr.f_mod
-    valid = amplitude > 0.0
+    distance /= 4.0 * math.pi * f_mod
+    valid = np.greater(amplitude, 0.0, out=frame.valid[rows])
     # buckets are non-negative, so a NaN or inf bucket makes the offset non-finite
     valid &= np.isfinite(offset)
-    valid &= ~exposure_outliers(amplitude, offset, a_min, a_max, b_max)
-    return RangeFrame(distance, amplitude, offset, valid)
+    valid &= ~exposure_outliers(amplitude, offset, *limits)
 
 
 def synthesize_buckets(phase, amplitude, offset) -> np.ndarray:
@@ -224,12 +254,19 @@ def synthesize_buckets(phase, amplitude, offset) -> np.ndarray:
     phase = np.asarray(phase, dtype=np.float64)
     amplitude = np.asarray(amplitude, dtype=np.float64)
     offset = np.asarray(offset, dtype=np.float64)
+    return np.stack(list(bucket_planes(phase, amplitude, offset)), axis=-1)
+
+
+def bucket_planes(phase: np.ndarray, amplitude: np.ndarray, offset: np.ndarray):
+    """:func:`synthesize_buckets`' four buckets A1..A4 from float64 arrays,
+    yielded one plane at a time, so a caller can consume each before the
+    next is made."""
     sin_part = amplitude * np.sin(phase)
     cos_part = amplitude * np.cos(phase)
-    return np.stack(
-        [offset + sin_part, offset + cos_part, offset - sin_part, offset - cos_part],
-        axis=-1,
-    )
+    yield offset + sin_part
+    yield offset + cos_part
+    yield offset - sin_part
+    yield offset - cos_part
 
 
 def phase_for_distance(distance, f_mod: float):
@@ -249,19 +286,26 @@ def backproject(frame: RangeFrame, intr: TofIntrinsics) -> PointCloud:
 
     Each valid pixel yields (X, Y, Z) = D / d * (u, v, f) with
     d = sqrt(f^2 + u^2 + v^2), so the point norm equals the measured distance.
-    Invalid pixels yield zero placeholder rows, preserving the grid.
+    Invalid pixels yield zero placeholder rows, preserving the grid. The
+    points are filled a block at a time, the blocks spread over a thread per
+    CPU (:mod:`tofir.blocks`).
     """
     if (frame.height, frame.width) != (intr.height, intr.width):
         raise DimensionMismatchError(
             f"range frame is {frame.width}x{frame.height}, intrinsics say "
             f"{intr.width}x{intr.height}"
         )
-    rays = unit_rays(intr)
-    points = np.empty(rays.shape)
-    for axis in range(3):  # D * ray, one long loop per axis
-        np.multiply(frame.distance, rays[..., axis], out=points[..., axis])
-    points = points.reshape(-1, 3)
+    rays = unit_rays(intr).reshape(-1, 3)
+    distance = frame.distance.reshape(-1)
     valid = frame.valid.ravel().copy()
-    points[~valid] = 0.0
+    points = np.empty(rays.shape)
+
+    def lift(start, stop):
+        block = points[start:stop]
+        for axis in range(3):  # D * ray, one long loop per axis
+            np.multiply(distance[start:stop], rays[start:stop, axis], out=block[:, axis])
+        block[~valid[start:stop]] = 0.0
+
+    run_blocks(len(points), lift)
     indices = np.arange(points.shape[0], dtype=np.int64)
     return PointCloud(points, indices, valid, intr.width, intr.height)

@@ -505,19 +505,22 @@ class TestDeterminism:
         assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 0
         return self._read(command, out)
 
-    def _in_subprocess(self, workspace, command, threads):
-        out = workspace / f"{command}-threads{threads}"
+    @staticmethod
+    def _env(threads):
         # the subprocesses import the package from where this process found it
         pythonpath = os.pathsep.join(
             filter(None, [str(Path(tofir.__file__).resolve().parents[1]),
                           os.environ.get("PYTHONPATH")])
         )
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        return dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                    MKL_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+
+    def _in_subprocess(self, workspace, command, threads):
+        out = workspace / f"{command}-threads{threads}"
         proc = subprocess.run(
             [sys.executable, "-m", "tofir.cli", command, "--config",
              str(workspace / f"{command}.json"), "--output", str(out), "--quiet"],
-            env=env, capture_output=True, text=True,
+            env=self._env(threads), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         return self._read(command, out)
@@ -544,6 +547,44 @@ class TestDeterminism:
         assert tofir.simulator._memo is kept
         runs += [self._in_subprocess(workspace, "simulate", threads) for threads in ("1", "4")]
         assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs two CPUs for the block runner's worker threads")
+    def test_multi_block_rig_matches_one_cpu(self, workspace):
+        # 256x96 is two blocks of rows, so this process fuses and renders on
+        # worker threads; the child may run on one CPU only, so it runs inline
+        _write_json(workspace / "tof.json", {
+            "f": 4e-3, "width": 256, "height": 96, "pixel_pitch": 11.25e-6, "f_mod": 21e6,
+        })
+        cpu = min(os.sched_getaffinity(0))
+        runs = []
+        for where in ("in-process", "one-cpu"):
+            sim = {**json.loads((workspace / "sim.json").read_text()), "frames": 2,
+                   "output": str(workspace / f"sim-{where}")}
+            del sim["calibration_targets"]
+            _write_json(workspace / f"simulate-{where}.json", sim)
+            _write_json(workspace / f"fuse-{where}.json", {
+                "raw": f"sim-{where}/raw.tirf", "thermal": f"sim-{where}/thermal.tirf",
+                "tof_intrinsics": "tof.json", "ir_intrinsics": "ir.json",
+                "extrinsics": f"sim-{where}/extrinsics.truth.json",
+                "output": str(workspace / f"fuse-{where}"),
+            })
+            argvs = [[command, "--config", str(workspace / f"{command}-{where}.json"), "--quiet"]
+                     for command in ("simulate", "fuse")]
+            for argv in argvs:
+                if where == "in-process":
+                    assert main(argv) == 0
+                else:
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "tofir.cli", *argv], env=self._env("1"),
+                        capture_output=True, text=True,
+                        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+                    assert proc.returncode == 0, proc.stderr
+            runs.append({name: (workspace / f"{folder}-{where}" / name).read_bytes()
+                         for folder, names in (("sim", self.ARTIFACTS["simulate"][:3]),
+                                               ("fuse", self.ARTIFACTS["fuse"]))
+                         for name in names})
+        assert runs[0] == runs[1]
 
 
 class TestStreamedMemory:

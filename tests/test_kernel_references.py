@@ -44,7 +44,7 @@ from tofir import (
     render_ir,
     render_tof,
 )
-from tofir import calibration, cli, document, fusion, segmentation, simulator, thermal, tof
+from tofir import blocks, calibration, cli, document, fusion, segmentation, simulator, thermal, tof
 from tofir.camera import distort_radius, pixel_rays, project_distorted, project_points, unit_rays
 from tofir.errors import ContainerFormatError
 from tofir.fusion import FuseReason
@@ -430,11 +430,11 @@ def test_fuse_matches_reference(tof_intr, ir_intr, blob_scene):
 def test_blocked_fuse_matches_reference_in_every_block(ir_intr, blob_scene):
     tof_intr = TofIntrinsics(focal_length=4e-3, width=200, height=170, pixel_pitch=14.4e-6)
     pixels = tof_intr.width * tof_intr.height
-    assert 2 * fusion._FUSE_BLOCK < pixels < 3 * fusion._FUSE_BLOCK  # two full, one partial
+    assert 2 * blocks.BLOCK < pixels < 3 * blocks.BLOCK  # two full, one partial
     reason = _assert_fuse_matches_reference(tof_intr, ir_intr, blob_scene)
     every_code = set(int(r) for r in FuseReason)
-    assert set(np.unique(reason[: fusion._FUSE_BLOCK])) == every_code
-    assert set(np.unique(reason[2 * fusion._FUSE_BLOCK :])) == every_code
+    assert set(np.unique(reason[: blocks.BLOCK])) == every_code
+    assert set(np.unique(reason[2 * blocks.BLOCK :])) == every_code
 
 
 def _fuse_temporaries(width, height, ir_intr, scene) -> int:

@@ -284,17 +284,19 @@ class TestFrameBaseMemo:
         assert got == _frame_bytes(_memo_render(**args))
 
     @pytest.mark.parametrize("array", ["rotation", "translation"])
-    def test_a_pose_changed_in_place_forces_a_miss(self, builds, tof_intr, blob_scene, array):
-        pose = Extrinsics(np.eye(3), np.zeros(3))
-        _memo_render(blob_scene, tof_intr, pose)
+    def test_a_keyed_pose_cannot_change_in_place(self, builds, tof_intr, blob_scene, array):
+        given = {"rotation": np.eye(3), "translation": np.zeros(3)}
+        pose = Extrinsics(**given)
+        first = _frame_bytes(_memo_render(blob_scene, tof_intr, pose))
         moved = {"rotation": rotation_about([0, 1, 0], 5.0),
                  "translation": np.array([0.1, 0.0, 0.2])}[array]
-        getattr(pose, array)[:] = moved
-        got = _frame_bytes(_memo_render(blob_scene, tof_intr, pose))
-        assert len(builds) == 2
-        simulator._memo = None
-        fresh = Extrinsics(pose.rotation.copy(), pose.translation.copy())
-        assert got == _frame_bytes(_memo_render(blob_scene, tof_intr, fresh))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pose, array)[:] = moved
+        given[array][:] = moved  # the caller's own array is not the pose's
+        np.testing.assert_array_equal(pose.rotation, np.eye(3))
+        np.testing.assert_array_equal(pose.translation, np.zeros(3))
+        assert _frame_bytes(_memo_render(blob_scene, tof_intr, pose)) == first
+        assert len(builds) == 1
 
     HITS = {
         "seed": {"noise": replace(_MEMO_NOISE, seed=8)},

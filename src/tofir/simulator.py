@@ -498,17 +498,27 @@ def _build_frame_base(scene, intr, pose, noise, amplitude_law) -> _FrameBase:
 
 def _buckets(base: _FrameBase, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
     """A frame's (H, W, 4) buckets before saturation, built from the
-    noise-free return. The phase and bucket noise are each drawn
-    whole-frame, in that order, on the calling thread; the buckets are then
-    formed a block of rows at a time, the blocks spread over a thread per
-    CPU (:mod:`tofir.blocks`), each pixel the same bytes at any count."""
+    noise-free return a block of rows at a time, the blocks spread over a
+    thread per CPU (:mod:`tofir.blocks`), each pixel the same bytes at any
+    count.
+
+    The noise is drawn on the calling thread in the stream order of
+    whole-frame draws: every phase normal, then every bucket normal, each
+    in C order. The kind drawn last is drawn a block of rows at a time, as
+    the blocks' ``draw``, so worker threads form the drawn blocks' buckets
+    while the caller draws the next block; with bucket noise, the phase
+    normals are drawn whole first."""
     shape = base.distance.shape
-    phase_normals = None
-    if noise.phase_noise_scale > 0:
-        phase_normals = rng.standard_normal(shape)
+    phase_normals = np.empty(shape) if noise.phase_noise_scale > 0 else None
     buckets = np.empty(shape + (4,))
+    drawn = phase_normals  # the normals drawn a block at a time
     if noise.bucket_noise_sigma > 0:
-        rng.standard_normal(out=buckets)  # each block's draws, overwritten by its buckets
+        if phase_normals is not None:
+            rng.standard_normal(out=phase_normals)
+        drawn = buckets  # each block's draws, overwritten by its buckets
+
+    def draw(start, stop):
+        rng.standard_normal(out=drawn[start:stop])
 
     def block_buckets(start, stop):
         rows = slice(start, stop)
@@ -528,7 +538,7 @@ def _buckets(base: _FrameBase, noise: NoiseConfig, rng: np.random.Generator) -> 
             else:
                 out[...] = plane
 
-    run_blocks(shape[0], block_buckets, shape[1])
+    run_blocks(shape[0], block_buckets, shape[1], None if drawn is None else draw)
     return buckets
 
 

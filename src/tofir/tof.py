@@ -75,7 +75,7 @@ class RawTofFrame:
             raise ValueError(f"samples must be (height, width, 4), got {samples.shape}")
         if samples.shape[0] == 0 or samples.shape[1] == 0:
             raise ValueError("frame must contain at least one pixel")
-        if np.any(samples < 0):
+        if np.fmin.reduce(samples, axis=None) < 0:  # NaN buckets are ignored
             raise ValueError("bucket intensities must be non-negative")
         object.__setattr__(self, "samples", samples)
 
@@ -238,10 +238,22 @@ def _demodulate_rows(raw: RawTofFrame, f_mod: float, limits, frame: RangeFrame,
     offset /= 4.0
     distance = np.multiply(phase, SPEED_OF_LIGHT, out=phase)
     distance /= 4.0 * math.pi * f_mod
-    valid = np.greater(amplitude, 0.0, out=frame.valid[rows])
-    # buckets are non-negative, so a NaN or inf bucket makes the offset non-finite
-    valid &= np.isfinite(offset)
-    valid &= ~exposure_outliers(amplitude, offset, *limits)
+    # valid: a positive amplitude, a finite offset (buckets are non-negative,
+    # so a NaN or inf bucket makes it non-finite) and no flag of
+    # exposure_outliers; a positive a_min implies the first, a finite b_max
+    # the second, and a limit at its default flags nothing more
+    a_min, a_max, b_max = limits
+    valid = frame.valid[rows]
+    if a_min > 0.0:
+        np.greater_equal(amplitude, a_min, out=valid)
+    else:
+        np.greater(amplitude, 0.0, out=valid)
+    if a_max < math.inf:
+        valid &= amplitude <= a_max
+    if b_max < math.inf:
+        valid &= offset <= b_max
+    else:
+        valid &= np.isfinite(offset)
 
 
 def synthesize_buckets(phase, amplitude, offset) -> np.ndarray:

@@ -1,6 +1,6 @@
 """The block runner of ``tofir.blocks`` and the kernels that use it: every
 kernel writes the same bytes on the calling thread alone as with worker
-threads, and every call returns only once all of its runs have finished."""
+threads, and every call returns only once all of its blocks have finished."""
 
 import hashlib
 import math
@@ -83,8 +83,9 @@ class TestRunBlocks:
         for start, stop, name in sorted(calls):
             by_thread.setdefault(name, []).append((start, stop))
         assert len(by_thread) <= 3
-        for spans in by_thread.values():  # each thread's blocks are contiguous
-            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        for name in by_thread:  # each thread takes its blocks in ascending order
+            starts = [start for start, _, thread in calls if thread == name]
+            assert starts == sorted(starts)
         assert by_thread[threading.current_thread().name][0][0] == 0
 
     def test_rows_per_block_follow_the_row_width(self, workers):
@@ -100,6 +101,96 @@ class TestRunBlocks:
         assert calls == [threading.current_thread()]
         blocks.run_blocks(50, lambda start, stop: calls.append(None), 64)
         assert blocks._pool is None
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_draws_run_on_the_caller_in_order_before_their_blocks(self, workers, count):
+        workers(count)
+        events = []
+        lock = threading.Lock()
+
+        def record(*event):
+            with lock:
+                events.append(event + (threading.current_thread(),))
+
+        def draw(start, stop):
+            record("draw", start)
+            time.sleep(0.002)
+            record("drawn", start)
+
+        def work(start, stop):
+            record("work", start)
+            time.sleep(0.003)
+
+        n = 7 * B + 5
+        blocks.run_blocks(n, work, draw=draw)
+        caller = threading.current_thread()
+        draws = [(kind, start) for kind, start, thread in events
+                 if kind in ("draw", "drawn") and thread is caller]
+        assert draws == [(kind, k * B) for k in range(8) for kind in ("draw", "drawn")]
+        assert len(draws) == sum(kind != "work" for kind, _, _ in events)
+        drawn_at = {start: i for i, (kind, start, _) in enumerate(events) if kind == "drawn"}
+        worked_at = {start: i for i, (kind, start, _) in enumerate(events) if kind == "work"}
+        assert sorted(worked_at) == [k * B for k in range(8)]
+        assert all(worked_at[start] > drawn_at[start] for start in worked_at)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_a_failing_draw_stops_the_hand_out(self, workers, count):
+        workers(count)
+        started, finished = [], []
+        drawn = []
+
+        def draw(start, stop):
+            time.sleep(0.005)  # the loops would outrun the draws
+            if start == 4 * B:
+                raise RuntimeError("draw 4")
+            drawn.append(start)
+
+        def work(start, stop):
+            started.append(start)
+            time.sleep(0.001)
+            finished.append(start)
+
+        with pytest.raises(RuntimeError, match="draw 4"):
+            blocks.run_blocks(8 * B, work, draw=draw)
+        assert drawn == [k * B for k in range(4)]
+        assert set(started) <= set(drawn)
+        assert sorted(finished) == sorted(started)
+
+    def test_a_one_block_call_with_a_draw_runs_inline(self, workers):
+        workers(1)
+        calls = []
+
+        def draw(start, stop):
+            calls.append(("draw", start, stop, threading.current_thread()))
+
+        def work(start, stop):
+            calls.append(("work", start, stop, threading.current_thread()))
+
+        blocks.run_blocks(50, work, 64, draw)
+        blocks.run_blocks(B, work, draw=draw)
+        caller = threading.current_thread()
+        assert calls == [("draw", 0, 50, caller), ("work", 0, 50, caller),
+                         ("draw", 0, B, caller), ("work", 0, B, caller)]
+        assert blocks._pool is None
+
+    def test_a_caller_does_not_wait_for_loops_that_never_started(self, workers):
+        workers(1)
+        gate = threading.Event()
+        busy = blocks._executor().submit(gate.wait, 30)  # holds the one worker
+        threads = []
+
+        def work(start, stop):
+            threads.append(threading.current_thread())
+
+        caller = threading.Thread(target=blocks.run_blocks, args=(3 * B, work), daemon=True)
+        try:
+            caller.start()
+            caller.join(timeout=10)
+            assert not caller.is_alive()
+        finally:
+            gate.set()
+        assert threads == [caller] * 3
+        assert busy.result(timeout=30)
 
     def test_one_block_frames_never_make_the_pool(self, workers, tof_intr, ir_intr,
                                                   blob_scene):
@@ -183,6 +274,39 @@ def test_concurrent_callers_share_one_pool_and_get_their_bytes(workers):
     assert not any(caller.is_alive() for caller in callers)
     assert got == expected
     assert len(made) == 20 and len(set(map(id, made))) == 1
+
+
+def test_concurrent_renders_draw_their_own_streams(workers, blob_scene):
+    # four callers draw their phase noise a block at a time while their
+    # loops, queued behind each other's on three workers, form buckets, with
+    # thread switches forced every 10 us
+    noises = [NoiseConfig(seed=k, saturation_fraction=0.01) for k in range(4)]
+
+    def render(k):
+        raw, truth = render_tof(blob_scene, WIDE, noise=noises[k], frame_index=k)
+        return raw.samples.tobytes() + truth.outlier_mask.tobytes()
+
+    workers(0)
+    expected = [render(k) for k in range(4)]
+    workers(3)
+    got = [None] * 4
+
+    def call(k):
+        for _ in range(5):
+            got[k] = render(k)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == expected
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -269,3 +393,25 @@ class TestKernelsAtAnyWorkerCount:
         samples, outliers = _inline_and_pooled(workers, run)
         assert outliers[-8:].any()  # saturation reaches the last, partial block
         assert (samples[outliers] == simulator.SATURATION_LEVEL).all()
+
+    def test_render_with_phase_noise_and_saturation(self, workers, blob_scene):
+        # the phase normals are each block's draw, and the saturated pixels
+        # are chosen from the stream after the last of them: the bytes of
+        # one whole-frame draw
+        noise = NoiseConfig(seed=5, saturation_fraction=0.02)
+
+        def run():
+            raw, truth = render_tof(blob_scene, WIDE, noise=noise, frame_index=2)
+            return raw.samples, truth.outlier_mask
+
+        samples, outliers = _inline_and_pooled(workers, run, counts=(1, 2, 3))
+        assert outliers[-8:].any()
+        base = simulator._frame_base(blob_scene, WIDE, None, noise, "inverse_square")
+        rng = np.random.Generator(np.random.Philox(5).jumped(2))
+        sigma = noise.phase_noise_scale / np.maximum(base.amplitude, 1e-12)
+        phase = base.phase + sigma * rng.standard_normal(base.phase.shape)
+        expected = tof.synthesize_buckets(phase, base.amplitude, base.offset)
+        chosen = rng.choice(outliers.size, size=outliers.sum(), replace=False)
+        expected.reshape(-1, 4)[chosen] = simulator.SATURATION_LEVEL
+        assert samples.tobytes() == expected.tobytes()
+        assert np.flatnonzero(outliers).tolist() == sorted(chosen)

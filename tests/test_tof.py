@@ -67,6 +67,27 @@ class TestDemodulate:
         frame = demodulate(raw, tof_intr, a_min=2.0, a_max=10.0)
         assert not frame.valid.any()  # amplitude 1 underexposed against a_min=2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("limits", [
+        {}, {"a_min": 20.0}, {"a_max": 40.0}, {"b_max": 90.0}, {"a_min": 1e-300},
+        {"a_min": 20.0, "a_max": 40.0, "b_max": 90.0},
+    ])
+    def test_validity_is_the_exposure_rule_on_finite_pixels(self, tof_intr, limits):
+        rng = np.random.default_rng(3)
+        samples = rng.uniform(0.0, 150.0, (50, 64, 4))
+        samples[0, :3, 1] = (math.nan, math.inf, 1e300)
+        samples[1, 0] = (7.0, 9.0, 7.0, 9.0)  # A1 == A3, A2 == A4: zero amplitude
+        # on the limits: offset 90 (amplitude 30), amplitude 20, amplitude 40
+        samples[2, :3] = ((120.0, 90.0, 60.0, 90.0), (100.0, 80.0, 60.0, 80.0),
+                          (120.0, 80.0, 40.0, 80.0))
+        frame = demodulate(RawTofFrame(samples), tof_intr, **limits)
+        a, b = frame.amplitude, frame.offset
+        full = {"a_min": 0.0, "a_max": math.inf, "b_max": math.inf, **limits}
+        expected = (a > 0.0) & np.isfinite(b) & ~tof.exposure_outliers(a, b, **full)
+        assert frame.valid.tobytes() == expected.tobytes()
+        assert not frame.valid[0, :2].any() and not frame.valid[1, 0]
+        assert frame.valid[2, :3].all() and not frame.valid.all()
+
     def test_tiny_negative_angle_wraps_to_zero_distance(self, tof_intr):
         # A1 - A3 infinitesimally negative used to round the phase up to 2*pi
         buckets = np.tile(np.array([1.0, 3.0, 1.0 + 1e-300, 1.0]), (50, 64, 1))
@@ -116,6 +137,27 @@ class TestNonFiniteBuckets:
         model = build_background(frames)
         assert model.count[10, 20] == 0
         assert np.count_nonzero(model.count == 3) == 64 * 50 - 1
+
+
+class TestRawFrameSigns:
+    """A negative bucket anywhere is rejected; NaN buckets are left to
+    demodulation, and neither hides nor stands in for a negative one."""
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, -math.inf])
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_a_negative_bucket_raises_beside_a_nan(self, bad, nan_first):
+        samples = np.ones((3, 5, 4))
+        samples[1, 2, 1 if nan_first else 3] = math.nan
+        samples[1, 2, 2] = bad
+        with pytest.raises(ValueError, match="non-negative"):
+            RawTofFrame(samples)
+
+    @pytest.mark.parametrize("fill", [math.nan, -0.0, 0.0, math.inf])
+    def test_nan_signed_zero_and_inf_buckets_are_accepted(self, fill):
+        samples = np.full((3, 5, 4), fill)
+        assert RawTofFrame(samples).samples.tobytes() == samples.tobytes()
+        samples[0, 0, 0] = 1.0
+        assert RawTofFrame(samples).samples.tobytes() == samples.tobytes()
 
 
 @given(

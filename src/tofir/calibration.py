@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .camera import pixel_rays, project_points
+from .container import replacing
 from .document import check
 from .errors import DegenerateGeometryError, InsufficientDataError
 from .thermal import IrIntrinsics
@@ -270,10 +271,12 @@ def load_observations(path) -> list[TargetObservation]:
 
 
 def save_observations(path, observations: Sequence[TargetObservation]) -> None:
+    """Write the observation table to ``path``, whole or not at all."""
     table = np.array(
         [[o.u, o.v, o.distance, o.ir_x, o.ir_y] for o in observations]
     )
-    np.savetxt(path, table, fmt="%.9g", header="u v distance ir_x ir_y")
+    with replacing(path, text=True) as fh:
+        np.savetxt(fh, table, fmt="%.9g", header="u v distance ir_x ir_y")
 
 
 def format_report(result: CalibrationResult) -> str:

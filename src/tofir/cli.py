@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, document, fusion, segmentation, simulator, thermal, tof
-from .container import Counted, FrameContainer, frame_writer, replacing, write_frames
+from .container import Counted, FrameContainer, frame_writer, replacing
 from .errors import (
     ContainerFormatError,
     DegenerateGeometryError,
@@ -49,8 +48,14 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, whole or not at all (see ``replacing``)."""
+    with replacing(path, text=True) as fh:
+        fh.write(text)
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _require(cfg: dict, key: str, source: str):
@@ -139,8 +144,9 @@ def cmd_simulate(args) -> int:
     out = _output_dir(args, cfg)
     with frame_writer(out / "raw.tirf", frames) as raws, \
             frame_writer(out / "raw.truth.tirf", frames) as truths:
-        for raw, truth in simulator.render_tof_frames(scene, tof_intr, None, noise, frames,
-                                                      extrinsics=ext):
+        for k in range(frames):
+            raw, truth = simulator.render_tof(scene, tof_intr, None, noise, frame_index=k,
+                                              extrinsics=ext)
             raws.append(tof.raw_frames_to_container([raw]))
             truths.append(simulator.TRUTH_SCHEMA.pack([truth]))
             del raw, truth  # freed before the next frame is rendered
@@ -191,7 +197,7 @@ def cmd_calibrate(args) -> int:
     out = _output_dir(args, cfg)
     ext = fusion.Extrinsics(result.rotation, translation)
     _write_json(out / "extrinsics.json", ext.to_json_dict())
-    (out / "calibration_report.txt").write_text(calibration.format_report(result))
+    _write_text(out / "calibration_report.txt", calibration.format_report(result))
     _say(args, f"calibrated rotation from {len(observations)} observations: "
                f"total error {result.total_error:.6g} px, "
                f"{result.iterations} iterations, {result.stop_reason}"
@@ -213,19 +219,6 @@ def _range_frames(cont: FrameContainer, tof_intr, limits: dict) -> Counted:
     return Counted(frames, cont.frames)
 
 
-def _thermograms(args, raw_cont, thermal_frames, tof_intr, ir_intr, ext, limits):
-    """Fuse raw frame k with its thermal frame as the caller asks for it,
-    printing the frame's summary line."""
-    for k in range(raw_cont.frames):
-        thermal_frame = thermal_frames[k if len(thermal_frames) > 1 else 0]
-        tg = fusion.fuse(_range_frame(raw_cont, k, tof_intr, limits), thermal_frame,
-                         tof_intr, ir_intr, ext)
-        stats = fusion.fuse_summary(tg)
-        _say(args, f"frame {k}: " + "  ".join(f"{k_}={v:.4f}" for k_, v in stats.items()))
-        yield tg
-        del tg  # not kept alive while the next frame is fused
-
-
 def cmd_fuse(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
@@ -243,21 +236,30 @@ def cmd_fuse(args) -> int:
             "need 1 or one per raw frame"
         )
 
-    # frame 0 is fused before the output directory is made; each thermogram
-    # is written to disk as it is fused, and only the first is kept whole,
-    # for the text table, which goes to disk a block of rows at a time. The
-    # table is renamed into place only after the container, so a failure in
-    # either write leaves both earlier files as they were
-    thermograms = _thermograms(args, raw_cont, thermal_frames, tof_intr, ir_intr, ext, limits)
-    first = next(thermograms)
+    def fused(k: int) -> fusion.Thermogram:
+        """Raw frame k fused with its thermal frame; prints the frame's line."""
+        thermal_frame = thermal_frames[k if len(thermal_frames) > 1 else 0]
+        tg = fusion.fuse(_range_frame(raw_cont, k, tof_intr, limits), thermal_frame,
+                         tof_intr, ir_intr, ext)
+        stats = fusion.fuse_summary(tg)
+        _say(args, f"frame {k}: " + "  ".join(f"{k_}={v:.4f}" for k_, v in stats.items()))
+        return tg
+
+    # frame 0 is fused before the output directory is made. Each thermogram
+    # is written to disk as it is fused and freed before the next frame is
+    # demodulated; the text table, from frame 0, goes to disk a block of rows
+    # at a time. The container is renamed into place before the table, so a
+    # failure in either write leaves both earlier files as they were
+    first = fused(0)
     out = _output_dir(args, cfg)
-    with replacing(out / "thermogram.txt", text=True) as fh:
+    with replacing(out / "thermogram.txt", text=True) as fh, \
+            frame_writer(out / "thermogram.tirf", raw_cont.frames) as writer:
         fusion.thermogram_to_text(first, fh)
-        # map, unlike a generator expression, holds no thermogram between frames
-        write_frames(out / "thermogram.tirf", Counted(
-            map(lambda tg: fusion.thermograms_to_container([tg]),
-                itertools.chain([first], thermograms)),
-            raw_cont.frames))
+        writer.append(fusion.thermograms_to_container([first]))
+        del first
+        for k in range(1, raw_cont.frames):
+            # the thermogram is held by the argument list only, freed on return
+            writer.append(fusion.thermograms_to_container([fused(k)]))
     return EXIT_OK
 
 
@@ -289,7 +291,7 @@ def cmd_segment(args) -> int:
     masks.write(out / "masks.tirf")
     for i in range(masks.frames):
         (mask,) = segmentation.masks_from_container(masks.frame(i))
-        (out / f"mask_{i:04d}.pbm").write_text(segmentation.mask_to_pbm(mask))
+        _write_text(out / f"mask_{i:04d}.pbm", segmentation.mask_to_pbm(mask))
         _say(args, f"frame {i}: {int(mask.foreground.sum())} foreground pixels")
     return EXIT_OK
 

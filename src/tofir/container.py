@@ -19,8 +19,7 @@ its channel layout once, as a :class:`ChannelSchema` beside its class.
 Every write goes through one :class:`FrameWriter`, opened by
 :func:`frame_writer`: it appends a frame at a time to a temporary file and
 renames it onto the target only after the last one, so a container file
-appears whole or not at all. :func:`write_frames` and
-:meth:`FrameContainer.write` are loops over it.
+appears whole or not at all. :meth:`FrameContainer.write` is a loop over it.
 """
 
 from __future__ import annotations
@@ -178,9 +177,11 @@ class FrameContainer:
         return cls(tuple(names), data)
 
     def write(self, path: str | Path) -> None:
-        """Write the container to ``path``, whole or not at all, as
-        :func:`write_frames` writes its frames."""
-        write_frames(path, [self.frame(k) for k in range(self.frames)])
+        """Write the container to ``path``, whole or not at all: its frames
+        appended in turn to one :func:`frame_writer`."""
+        with frame_writer(path, self.frames) as writer:
+            for k in range(self.frames):
+                writer.append(self.frame(k))
 
     @classmethod
     def read(cls, path: str | Path) -> "FrameContainer":
@@ -248,20 +249,6 @@ def frame_writer(path: str | Path, count: int) -> Iterator[FrameWriter]:
             raise ContainerFormatError(f"{writer.made} frames, {count} announced")
 
 
-def write_frames(path: str | Path, frames: Collection[FrameContainer]) -> None:
-    """Write one container of ``len(frames)`` frames to ``path`` through a
-    :func:`frame_writer`.
-
-    ``frames`` yields one-frame containers and is iterated once; each
-    payload goes to disk as it is yielded, so the frames may be made as they
-    are asked for, and none is held while the next one is made.
-    """
-    with frame_writer(path, len(frames)) as writer:
-        for frame in frames:
-            writer.append(frame)
-            del frame  # not kept alive while the next frame is made
-
-
 @contextmanager
 def replacing(path: str | Path, text: bool = False) -> Iterator[IO]:
     """An open file, binary or UTF-8 text, that replaces ``path`` when the
@@ -286,8 +273,7 @@ def replacing(path: str | Path, text: bool = False) -> Iterator[IO]:
 @dataclass(frozen=True)
 class Counted:
     """``count`` items made one at a time by ``items``, for a consumer that
-    reads a length before it iterates, such as :meth:`FrameContainer.stack`
-    or :func:`write_frames`.
+    reads a length before it iterates, such as :meth:`FrameContainer.stack`.
 
     Iterating it iterates ``items``; a one-shot iterator can be iterated once.
     """

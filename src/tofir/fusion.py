@@ -48,7 +48,9 @@ class Extrinsics:
     Maps range-frame points into the IR frame: p_ir = R @ p_tof + T.
     Finiteness and orthonormality are checked at construction so per-point
     code can assume a proper rotation. Both arrays are read-only copies of
-    the ones given, so a pose cannot change after it is checked.
+    the ones given, so a pose cannot change after it is checked. Two poses
+    are equal, and hash alike, when their arrays hold the same bytes, so
+    ``-0.0`` and ``0.0`` entries differ.
     """
 
     rotation: np.ndarray  # (3, 3), orthonormal, det +1
@@ -73,6 +75,17 @@ class Extrinsics:
         for name, array in (("rotation", rotation), ("translation", translation)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+
+    def _bytes(self) -> tuple[bytes, bytes]:
+        return self.rotation.tobytes(), self.translation.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, Extrinsics):
+            return NotImplemented
+        return self._bytes() == other._bytes()
+
+    def __hash__(self):
+        return hash(self._bytes())
 
     @classmethod
     def identity(cls) -> "Extrinsics":

@@ -30,15 +30,16 @@ up to its first draw depends on the scene, the intrinsics, the pose, the
 multipath and scattering settings and the amplitude law alone: the trace,
 the truth points and the noise-free return (amplitude, phase and offset
 after multipath and scattering). That part is built once and kept, for the
-last such combination only, and every frame of every later call with the
-same one starts from it. Seeds, noise levels, frame indices and the
-extrinsics a ground truth carries do not take part. The kept arrays are
-read-only, and each ground truth holds its range, temperatures and points
-without a copy.
+last such combination only (a one-entry ``functools.lru_cache``), and every
+frame of every later call with the same one starts from it. Seeds, noise
+levels, frame indices and the extrinsics a ground truth carries do not take
+part. The kept arrays are read-only, and each ground truth holds its range,
+temperatures and points without a copy.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -404,11 +405,6 @@ def _convolve_wrap(planes, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_amplitude_law(amplitude_law: str) -> None:
-    if amplitude_law not in ("inverse_square", "constant"):
-        raise ValueError(f"unknown amplitude law {amplitude_law!r}")
-
-
 def _direct_return(resp: _SceneResponse, band: slice, intr: TofIntrinsics,
                    multipath: MultipathConfig, amplitude_law: str):
     """Phasor and offset of a band of rows, before in-lens scattering."""
@@ -442,51 +438,30 @@ class _FrameBase:
     offset: np.ndarray  # (H, W) its offset
 
 
-# (key, _FrameBase) of the last frame base built, replaced whole so that a
-# reader sees a key and its base together; threads that miss at once each
-# build and use their own base, and the last one stored is kept
-_memo = None
-
-
+@functools.lru_cache(maxsize=1)
 def _frame_base(scene: Scene, intr: TofIntrinsics, pose: Extrinsics | None,
-                noise: NoiseConfig, amplitude_law: str) -> _FrameBase:
-    """The frame base of a render: the kept one when its key is equal,
-    else a new one, which is kept in its place.
-
-    The pose enters the key by the bytes of its (read-only) arrays, so an
-    equal pose hits; the seed, the noise levels and the extrinsics do not
-    enter it.
-    """
-    global _memo
-    pose_key = None if pose is None else (pose.rotation.tobytes(), pose.translation.tobytes())
-    key = (scene, intr, pose_key, noise.multipath, noise.scattering, amplitude_law)
-    entry = _memo
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    base = _build_frame_base(scene, intr, pose, noise, amplitude_law)
-    _memo = (key, base)
-    return base
-
-
-def _build_frame_base(scene, intr, pose, noise, amplitude_law) -> _FrameBase:
+                multipath: MultipathConfig, scattering: ScatteringConfig,
+                amplitude_law: str) -> _FrameBase:
     """Trace the scene and form its noise-free return, a band of rows at a
-    time. With scattering, the direct return's planes (real part, imaginary
-    part, offset) are convolved whole and then turned, in place, into
-    amplitude, phase and offset; without, the phasor is turned at once."""
+    time; the last base built is kept, and a call with equal arguments
+    takes it. The pose is equal when its arrays hold the same bytes.
+
+    With scattering, the direct return's planes (real part, imaginary part,
+    offset) are convolved whole and then turned, in place, into amplitude,
+    phase and offset; without, the phasor is turned at once.
+    """
     rays = unit_rays(intr)
     resp = _trace(scene, rays, pose or Extrinsics.identity())
     shape = resp.distance.shape
-    scattering = noise.scattering.enabled
     returns = np.empty((3,) + shape)
     for band in _bands(shape[0]):
-        phasor, returns[2, band] = _direct_return(resp, band, intr, noise.multipath,
-                                                  amplitude_law)
-        if scattering:
+        phasor, returns[2, band] = _direct_return(resp, band, intr, multipath, amplitude_law)
+        if scattering.enabled:
             returns[0, band], returns[1, band] = phasor.real, phasor.imag
         else:
             returns[0, band], returns[1, band] = np.abs(phasor), np.angle(phasor)
-    if scattering:
-        returns = _convolve_wrap(returns, _scatter_kernel(noise.scattering))
+    if scattering.enabled:
+        returns = _convolve_wrap(returns, _scatter_kernel(scattering))
         for band in _bands(shape[0]):
             phasor = returns[0, band] + 1j * returns[1, band]
             returns[0, band], returns[1, band] = np.abs(phasor), np.angle(phasor)
@@ -595,38 +570,10 @@ def render_tof(
     """
     noise = noise or NoiseConfig()
     frame_index = _count("frame_index", frame_index, 0)
-    _check_amplitude_law(amplitude_law)
-    base = _frame_base(scene, intr, pose, noise, amplitude_law)
+    if amplitude_law not in ("inverse_square", "constant"):
+        raise ValueError(f"unknown amplitude law {amplitude_law!r}")
+    base = _frame_base(scene, intr, pose, noise.multipath, noise.scattering, amplitude_law)
     return _render_frame(base, noise, frame_index, extrinsics)
-
-
-def render_tof_frames(
-    scene: Scene,
-    intr: TofIntrinsics,
-    pose: Extrinsics | None,
-    noise: NoiseConfig,
-    n_frames: int,
-    *,
-    extrinsics: Extrinsics | None = None,
-    amplitude_law: str = "inverse_square",
-) -> Iterator[tuple[RawTofFrame, GroundTruth]]:
-    """Render ``n_frames`` (a whole number >= 1) with shared geometry and
-    per-frame noise streams, one frame at a time as they are asked for.
-
-    The arguments are checked at the call. The frame base is taken, or
-    built, when the first frame is asked for, as :func:`render_tof` takes
-    it, and every frame starts from that one; a frame is not kept once it
-    has been yielded. Frame k is :func:`render_tof` with ``frame_index=k``.
-    """
-    n_frames = _count("n_frames", n_frames, 1)
-    _check_amplitude_law(amplitude_law)
-    return _frames(scene, intr, pose, noise, n_frames, extrinsics, amplitude_law)
-
-
-def _frames(scene, intr, pose, noise, n_frames, extrinsics, amplitude_law):
-    base = _frame_base(scene, intr, pose, noise, amplitude_law)
-    for k in range(n_frames):
-        yield _render_frame(base, noise, k, extrinsics)
 
 
 def render_tof_sequence(
@@ -639,10 +586,12 @@ def render_tof_sequence(
     extrinsics: Extrinsics | None = None,
     amplitude_law: str = "inverse_square",
 ) -> list[tuple[RawTofFrame, GroundTruth]]:
-    """Render ``n_frames`` with shared geometry and per-frame noise streams:
-    every frame of :func:`render_tof_frames`, in a list."""
-    return list(render_tof_frames(scene, intr, pose, noise, n_frames,
-                                  extrinsics=extrinsics, amplitude_law=amplitude_law))
+    """Render ``n_frames`` (a whole number >= 1) with shared geometry and
+    per-frame noise streams: frame k is :func:`render_tof` with
+    ``frame_index=k``."""
+    n_frames = _count("n_frames", n_frames, 1)
+    return [render_tof(scene, intr, pose, noise, frame_index=k, extrinsics=extrinsics,
+                       amplitude_law=amplitude_law) for k in range(n_frames)]
 
 
 def render_ir(

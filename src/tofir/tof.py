@@ -160,18 +160,6 @@ def unambiguous_range(f_mod: float) -> float:
     return SPEED_OF_LIGHT / (2.0 * f_mod)
 
 
-def exposure_outliers(amplitude, offset, a_min: float, a_max: float, b_max: float):
-    """Boolean mask of pixels that are under- or overexposed.
-
-    Flags amplitude < a_min (no usable signal), amplitude > a_max, and
-    offset > b_max (saturation).
-    """
-    _check_exposure_limits(a_min, a_max, b_max)
-    amplitude = np.asarray(amplitude)
-    offset = np.asarray(offset)
-    return (amplitude < a_min) | (amplitude > a_max) | (offset > b_max)
-
-
 def _check_exposure_limits(a_min: float, a_max: float, b_max: float) -> None:
     if not (a_min >= 0 and a_max >= 0 and b_max >= 0):  # NaN fails too
         raise ValueError("exposure thresholds must be non-negative")
@@ -192,9 +180,9 @@ def demodulate(
     Pixels with zero amplitude (A1 == A3 and A2 == A4) carry no phase
     information and are marked invalid rather than raising, as are pixels
     with a NaN or infinite bucket (without a RuntimeWarning). The optional
-    exposure thresholds also mark invalid every pixel
-    :func:`exposure_outliers` flags: amplitude below ``a_min`` or above
-    ``a_max``, or offset above ``b_max``.
+    exposure thresholds also mark invalid every under- or overexposed
+    pixel: amplitude below ``a_min`` or above ``a_max``, or offset above
+    ``b_max``.
 
     The four planes are filled a block of rows at a time, the blocks spread
     over a thread per CPU (:mod:`tofir.blocks`); each pixel gets the same
@@ -239,9 +227,10 @@ def _demodulate_rows(raw: RawTofFrame, f_mod: float, limits, frame: RangeFrame,
     distance = np.multiply(phase, SPEED_OF_LIGHT, out=phase)
     distance /= 4.0 * math.pi * f_mod
     # valid: a positive amplitude, a finite offset (buckets are non-negative,
-    # so a NaN or inf bucket makes it non-finite) and no flag of
-    # exposure_outliers; a positive a_min implies the first, a finite b_max
-    # the second, and a limit at its default flags nothing more
+    # so a NaN or inf bucket makes it non-finite) and no exposure flag:
+    # amplitude < a_min, amplitude > a_max or offset > b_max. A positive
+    # a_min implies the first, a finite b_max the second, and a limit at its
+    # default flags nothing more
     a_min, a_max, b_max = limits
     valid = frame.valid[rows]
     if a_min > 0.0:

@@ -19,7 +19,7 @@ from tofir.calibration import _observation_arrays, _residual_matrix
 def _no_kept_frame_base():
     """Each test starts with no range frame base kept, so a render it compares
     against is made in the test, not taken from an earlier one."""
-    simulator._memo = None
+    simulator._frame_base.cache_clear()
 
 
 @pytest.fixture

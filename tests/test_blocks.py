@@ -406,7 +406,8 @@ class TestKernelsAtAnyWorkerCount:
 
         samples, outliers = _inline_and_pooled(workers, run, counts=(1, 2, 3))
         assert outliers[-8:].any()
-        base = simulator._frame_base(blob_scene, WIDE, None, noise, "inverse_square")
+        base = simulator._frame_base(blob_scene, WIDE, None, noise.multipath, noise.scattering,
+                                      "inverse_square")
         rng = np.random.Generator(np.random.Philox(5).jumped(2))
         sigma = noise.phase_noise_scale / np.maximum(base.amplitude, 1e-12)
         phase = base.phase + sigma * rng.standard_normal(base.phase.shape)

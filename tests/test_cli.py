@@ -542,9 +542,8 @@ class TestDeterminism:
         # it; each fresh interpreter builds its own
         (workspace / "simulate.json").write_text((workspace / "sim.json").read_text())
         runs = [self._in_process(workspace, "simulate", "a")]
-        kept = tofir.simulator._memo
         runs.append(self._in_process(workspace, "simulate", "b"))
-        assert tofir.simulator._memo is kept
+        assert tofir.simulator._frame_base.cache_info().misses == 1
         runs += [self._in_subprocess(workspace, "simulate", threads) for threads in ("1", "4")]
         assert all(run == runs[0] for run in runs[1:])
 
@@ -596,8 +595,7 @@ class TestStreamedMemory:
 
     WIDTH, HEIGHT = 160, 120
     FRAME_COUNTS = (2, 12)
-    # allowance over a frame's float32 bytes: at 2 frames thermogram 0 and the
-    # last one fused are one object, from 3 on they are two
+    # allowance over a frame's float32 bytes
     SLACK = 0.2
     # float32 channels per frame read and written
     CHANNELS = {
@@ -674,9 +672,10 @@ class TestStreamedMemory:
             per_frame = step / (high - low)
             assert per_frame <= 0.25 * output_bytes, (low, high, peaks, per_frame / output_bytes)
 
-    def test_fuse_holds_no_earlier_frame_but_the_first(self, workspace, monkeypatch):
-        """Thermogram 0 is kept for the text table; every later thermogram and
-        its packed container are freed before the next frame is demodulated."""
+    def test_fuse_holds_no_earlier_frame(self, workspace, monkeypatch):
+        """Every thermogram and its packed container, the first one's after
+        the text table is written, are freed before the next frame is
+        demodulated."""
         argv = ["fuse", "--config", str(self._configs(workspace, 12)["fuse"]), "--quiet"]
         assert main(argv) == 0  # untraced first: imports and the ray cache are warm
         demodulate = tofir.tof.demodulate
@@ -695,13 +694,54 @@ class TestStreamedMemory:
         assert len(live) == 12
         # float64 points and temperature, uint8 reason
         thermogram_bytes = self.WIDTH * self.HEIGHT * (3 * 8 + 8 + 1)
-        # from frame 1 on, thermogram 0 is live and nothing else of a frame:
-        # not the packed container of frame 0 ...
-        growth = (live[1] - live[0]) / thermogram_bytes
-        assert growth <= 1.1, (growth, live)
-        # ... nor the thermogram or packed container of any later frame
-        growth = (max(live[2:]) - live[1]) / thermogram_bytes
+        # from frame 1 on, no earlier thermogram or packed container is live
+        growth = (max(live[1:]) - live[0]) / thermogram_bytes
         assert growth <= 0.1, (growth, live)
+
+
+class TestTextOutputsWholeOrNotAtAll:
+    """Every text artifact (extrinsics.json, extrinsics.truth.json,
+    calibration_report.txt, observations.txt, mask_NNNN.pbm) goes through a
+    temporary file, as containers do: a write that fails part-way leaves the
+    earlier file and no temporary file."""
+
+    # each writes a small file at size 1 and a large one at size 1000
+    WRITERS = {
+        "json": "cli._write_json(path, {'rotation': [0.5] * 9 * size})",
+        "text": "cli._write_text(path, 'P1\\n' + '0 1\\n' * size)",
+        "observations": "calibration.save_observations(path, "
+                        "[TargetObservation(1, 2, 3, 4, 5)] * size)",
+    }
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_write_that_fails_part_way_leaves_the_earlier_file(self, tmp_path, writer):
+        # the child caps the size of any file it writes (RLIMIT_FSIZE), so the
+        # second write fails with EFBIG once 200 bytes are on disk
+        script = "\n".join([
+            "import errno, resource, signal",
+            "from pathlib import Path",
+            "from tofir import calibration, cli",
+            "from tofir.calibration import TargetObservation",
+            f"path = Path({str(tmp_path / 'out.txt')!r})",
+            "size = 1",
+            self.WRITERS[writer],
+            "earlier = path.read_bytes()",
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)",
+            "resource.setrlimit(resource.RLIMIT_FSIZE,",
+            "                   (200, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))",
+            "size = 1000",
+            "try:",
+            "    " + self.WRITERS[writer],
+            "except OSError as exc:",
+            "    assert exc.errno == errno.EFBIG, exc",
+            "else:",
+            "    raise AssertionError('the write did not fail')",
+            "assert path.read_bytes() == earlier, path.read_bytes()[:200]",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], env=TestDeterminism._env("1"),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestCommonBehavior:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tofir import ContainerFormatError, DimensionMismatchError, FrameContainer
-from tofir.container import Counted, frame_writer, write_frames
+from tofir.container import Counted, frame_writer
 from tofir.fusion import THERMOGRAM_SCHEMA, thermograms_from_container
 from tofir.segmentation import BACKGROUND_SCHEMA, MASK_SCHEMA, background_from_container
 from tofir.simulator import TRUTH_SCHEMA
@@ -163,6 +163,14 @@ def _one_frame_containers(count):
     return [FrameContainer.stack([planes]) for planes in _planes(count)]
 
 
+def _write_frames(path, frames, count) -> None:
+    """Append each of ``frames`` to one ``frame_writer`` of ``count`` frames
+    as it is made."""
+    with frame_writer(path, count) as writer:
+        for frame in frames:
+            writer.append(frame)
+
+
 def test_write_frames_matches_pack_then_write(tmp_path):
     made = []
 
@@ -171,33 +179,35 @@ def test_write_frames_matches_pack_then_write(tmp_path):
             made.append(k)
             yield one
 
-    write_frames(tmp_path / "streamed.tirf", Counted(frames(), 3))
+    _write_frames(tmp_path / "streamed.tirf", frames(), 3)
     FrameContainer.stack(_planes(3)).write(tmp_path / "packed.tirf")
     assert made == [0, 1, 2]
-    assert (tmp_path / "streamed.tirf").read_bytes() == (tmp_path / "packed.tirf").read_bytes()
+    packed = (tmp_path / "packed.tirf").read_bytes()
+    assert (tmp_path / "streamed.tirf").read_bytes() == packed
+    assert packed == FrameContainer.stack(_planes(3)).to_bytes()
     (record,) = THERMOGRAM_SCHEMA.unpack(_schema_container(THERMOGRAM_SCHEMA, validity=2.0))
     records = [record] * 2
-    write_frames(tmp_path / "schema.tirf", [THERMOGRAM_SCHEMA.pack([r]) for r in records])
+    _write_frames(tmp_path / "schema.tirf", [THERMOGRAM_SCHEMA.pack([r]) for r in records], 2)
     THERMOGRAM_SCHEMA.pack(records).write(tmp_path / "schema_packed.tirf")
     assert ((tmp_path / "schema.tirf").read_bytes()
             == (tmp_path / "schema_packed.tirf").read_bytes())
 
 
-def _failed_write(directory, frames) -> None:
-    """``write_frames`` of ``frames`` into ``directory`` raises a format error
-    and leaves the directory as it was."""
+def _failed_write(directory, frames, count) -> None:
+    """``frames`` appended to a ``frame_writer`` of ``count`` frames in
+    ``directory`` raise a format error and leave the directory as it was."""
     before = {p.name: p.read_bytes() for p in directory.iterdir()}
     with pytest.raises(ContainerFormatError):
-        write_frames(directory / "out.tirf", frames)
+        _write_frames(directory / "out.tirf", frames, count)
     assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
 
 
 @pytest.mark.parametrize("yielded, announced", [(2, 3), (0, 1), (4, 3), (1, 0)])
 def test_write_frames_rejects_a_frame_count_other_than_announced(tmp_path, yielded, announced):
-    _failed_write(tmp_path, Counted(iter(_one_frame_containers(yielded)), announced))
+    _failed_write(tmp_path, _one_frame_containers(yielded), announced)
     assert list(tmp_path.iterdir()) == []  # no artifact, no temporary file
     FrameContainer.stack(_planes(1)).write(tmp_path / "out.tirf")  # an earlier artifact
-    _failed_write(tmp_path, Counted(iter(_one_frame_containers(yielded)), announced))
+    _failed_write(tmp_path, _one_frame_containers(yielded), announced)
 
 
 def test_write_frames_rejects_frames_unlike_the_first(tmp_path):
@@ -208,7 +218,7 @@ def test_write_frames_rejects_frames_unlike_the_first(tmp_path):
         FrameContainer.stack([{"a": np.zeros((4, 4)), "b": np.zeros((4, 4))}]),
         FrameContainer.stack(_planes(2)),  # two frames where one is due
     ):
-        _failed_write(tmp_path, [first, other])
+        _failed_write(tmp_path, [first, other], 2)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -221,14 +231,23 @@ def test_write_leaves_the_old_file_when_a_frame_fails(tmp_path):
 
     before = (tmp_path / "out.tirf").read_bytes()
     with pytest.raises(RuntimeError):
-        write_frames(tmp_path / "out.tirf", Counted(frames(), 2))
+        _write_frames(tmp_path / "out.tirf", frames(), 2)
     assert [p.name for p in tmp_path.iterdir()] == ["out.tirf"]
     assert (tmp_path / "out.tirf").read_bytes() == before
 
 
+def test_container_write_leaves_no_temporary_when_the_rename_fails(tmp_path):
+    (tmp_path / "out.tirf").mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        FrameContainer.stack(_planes(3)).write(tmp_path / "out.tirf")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tirf"]
+    assert list((tmp_path / "out.tirf").iterdir()) == []
+
+
 def test_two_writers_appended_in_turn_match_write_frames_and_write(tmp_path):
     """Frames made once and appended in turn to two open writers, as
-    ``tofir simulate`` writes raw.tirf and raw.truth.tirf."""
+    ``tofir simulate`` writes raw.tirf and raw.truth.tirf, give the bytes
+    of each file written alone, frame by frame or whole."""
     other = [FrameContainer.stack([{"c": np.full((2, 5), k + 0.5)}]) for k in range(3)]
     with frame_writer(tmp_path / "a.tirf", 3) as a, frame_writer(tmp_path / "c.tirf", 3) as c:
         for one, two in zip(_one_frame_containers(3), other):
@@ -236,9 +255,9 @@ def test_two_writers_appended_in_turn_match_write_frames_and_write(tmp_path):
             c.append(two)
         # nothing is renamed into place before the block ends
         assert not (tmp_path / "a.tirf").exists() and not (tmp_path / "c.tirf").exists()
-    write_frames(tmp_path / "a_frames.tirf", _one_frame_containers(3))
+    _write_frames(tmp_path / "a_frames.tirf", _one_frame_containers(3), 3)
     FrameContainer.stack(_planes(3)).write(tmp_path / "a_write.tirf")
-    write_frames(tmp_path / "c_frames.tirf", other)
+    _write_frames(tmp_path / "c_frames.tirf", other, 3)
     FrameContainer(("c",), np.concatenate([o.data for o in other])).write(
         tmp_path / "c_write.tirf")
     for name in ("a", "c"):

@@ -143,8 +143,8 @@ LIBRARY_NAN = {
         [tofir.CalibrationTarget((0.0, 0.0, 2.0))], tofir.Extrinsics.identity(),
         tofir.TofIntrinsics(**_CAMERA), tofir.IrIntrinsics(**_CAMERA), pixel_noise_sigma=nan),
     "unambiguous_range(f_mod)": lambda nan: tofir.unambiguous_range(nan),
-    "exposure_outliers(b_max)": lambda nan: tofir.tof.exposure_outliers(
-        np.ones(2), np.ones(2), 0.0, 10.0, nan),
+    "demodulate(b_max=)": lambda nan: tofir.demodulate(
+        tofir.RawTofFrame(np.ones((50, 64, 4))), tofir.TofIntrinsics(**_CAMERA), b_max=nan),
 }
 
 

@@ -91,6 +91,25 @@ class TestExtrinsics:
         with pytest.raises(KeyError, match=key):
             Extrinsics.from_json_dict(doc)
 
+    def test_equal_poses_compare_and_hash_alike(self):
+        turned = rotation_about([1, 2, 3], 25.0)
+        a = Extrinsics(turned, [0.05, 0.0, 0.01])
+        b = Extrinsics(turned.tolist(), np.array([0.05, 0.0, 0.01]))
+        assert a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert Extrinsics.identity() == Extrinsics(np.eye(3), np.zeros(3))
+
+    @pytest.mark.parametrize("other", [
+        Extrinsics(np.eye(3), [0.0, 0.0, 1e-12]),
+        Extrinsics(rotation_about([0, 1, 0], 1e-6), np.zeros(3)),
+        Extrinsics(np.eye(3), [-0.0, 0.0, 0.0]),  # the same value, other bytes
+    ])
+    def test_unequal_poses_differ(self, other):
+        identity = Extrinsics.identity()
+        assert identity != other and not identity == other
+        assert len({identity, other}) == 2
+        assert identity != "identity" and identity != None  # noqa: E711
+
 
 class TestTransformPoints:
     def test_identity(self, tof_intr):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,16 @@ from pathlib import Path
 import pytest
 
 import tofir
+
+
+def test_readme_api_sketch_runs():
+    """The README's Python blocks run as written, so a public name deleted
+    or renamed cannot leave them stale."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
 
 
 def test_every_public_name_resolves():

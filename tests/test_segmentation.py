@@ -7,11 +7,14 @@ from tofir import (
     DimensionMismatchError,
     NoiseConfig,
     RangeFrame,
+    RawTofFrame,
+    TofIntrinsics,
     build_background,
     demodulate,
     foreground_mask,
     render_tof,
     render_tof_sequence,
+    synthesize_buckets,
 )
 from tofir.segmentation import (
     BackgroundModel,
@@ -20,7 +23,6 @@ from tofir.segmentation import (
     mask_to_pbm,
     masks_to_container,
 )
-from tofir.tof import exposure_outliers
 
 
 def _frame(distance, valid=None):
@@ -196,13 +198,18 @@ class TestForegroundMask:
 
 
 class TestFlagInvalid:
-    """Exposure limits: ``exposure_outliers`` and ``demodulate``'s
-    ``a_min``/``a_max``/``b_max``, which apply it."""
+    """Exposure limits: ``demodulate``'s ``a_min``/``a_max``/``b_max``."""
+
+    @staticmethod
+    def _valid(amplitude, offset, **limits) -> np.ndarray:
+        """``demodulate``'s validity of a row of pixels with these returns."""
+        amplitude = np.asarray(amplitude, dtype=np.float64)[None, :]
+        offset = np.broadcast_to(np.asarray(offset, dtype=np.float64), amplitude.shape)
+        raw = RawTofFrame(synthesize_buckets(np.zeros(amplitude.shape), amplitude, offset))
+        return demodulate(raw, TofIntrinsics(4e-3, amplitude.shape[1], 1, 45e-6), **limits).valid
 
     def test_within_thresholds_unchanged(self, tof_intr, wall_scene):
-        outliers = exposure_outliers(np.full((3, 3), 5.0), np.full((3, 3), 20.0),
-                                     a_min=1.0, a_max=10.0, b_max=100.0)
-        assert not outliers.any()
+        assert self._valid(np.full(3, 5.0), 20.0, a_min=1.0, a_max=10.0, b_max=100.0).all()
         # limits that flag nothing leave every plane of the frame as it was
         raw, _ = render_tof(wall_scene, tof_intr, noise=NoiseConfig.quiet())
         plain = demodulate(raw, tof_intr)
@@ -212,11 +219,13 @@ class TestFlagInvalid:
             assert np.array_equal(getattr(limited, plane), getattr(plain, plane))
 
     def test_threshold_rules(self):
-        amplitude = np.array([[0.0, 0.5, 5.0, 20.0]])
-        offset = np.array([[10.0, 10.0, 500.0, 10.0]])
-        outliers = exposure_outliers(amplitude, offset, a_min=1.0, a_max=10.0, b_max=100.0)
+        amplitude = [0.0, 0.5, 5.0, 20.0]
+        offset = [10.0, 10.0, 500.0, 50.0]
+        # without limits only the zero amplitude carries no phase
+        assert self._valid(amplitude, offset).tolist() == [[False, True, True, True]]
         # zero amplitude, underexposed, saturated offset, overexposed amplitude
-        assert outliers.tolist() == [[True, True, True, True]]
+        valid = self._valid(amplitude, offset, a_min=1.0, a_max=10.0, b_max=100.0)
+        assert valid.tolist() == [[False, False, False, False]]
 
     def test_saturation_injection_flags_exactly_injected_pixels(self, tof_intr, wall_scene):
         noise = NoiseConfig(seed=21, phase_noise_scale=0.0, saturation_fraction=0.05)
@@ -226,11 +235,10 @@ class TestFlagInvalid:
         assert np.array_equal(~frame.valid, truth.outlier_mask)
 
     def test_threshold_validation(self):
-        ones = np.ones((2, 2))
         with pytest.raises(ValueError):
-            exposure_outliers(ones, ones, a_min=-1.0, a_max=10.0, b_max=5.0)
+            self._valid([1.0], 1.0, a_min=-1.0, a_max=10.0, b_max=5.0)
         with pytest.raises(ValueError):
-            exposure_outliers(ones, ones, a_min=5.0, a_max=1.0, b_max=5.0)
+            self._valid([1.0], 1.0, a_min=5.0, a_max=1.0, b_max=5.0)
 
 
 class TestSegmentationEndToEnd:

@@ -35,7 +35,6 @@ from tofir.simulator import (
     SATURATION_LEVEL,
     _scatter_kernel,
     noise_from_json,
-    render_tof_frames,
     scene_from_json,
 )
 from tofir.tof import SPEED_OF_LIGHT
@@ -163,7 +162,7 @@ class TestRenderTof:
         with pytest.raises(ValueError, match="amplitude law"):
             render_tof(wall_scene, tof_intr, noise=quiet_noise, amplitude_law="cubic")
 
-    @pytest.mark.parametrize("entry", ["render_tof", "render_tof_frames"])
+    @pytest.mark.parametrize("entry", ["render_tof", "render_tof_sequence"])
     def test_unknown_amplitude_law_rejected_before_tracing(self, tof_intr, wall_scene,
                                                           quiet_noise, monkeypatch, entry):
         def untraceable(*args):
@@ -174,17 +173,15 @@ class TestRenderTof:
             if entry == "render_tof":
                 render_tof(wall_scene, tof_intr, noise=quiet_noise, amplitude_law="cubic")
             else:
-                next(simulator.render_tof_frames(wall_scene, tof_intr, None, quiet_noise, 2,
-                                                 amplitude_law="cubic"))
+                render_tof_sequence(wall_scene, tof_intr, None, quiet_noise, 2,
+                                    amplitude_law="cubic")
 
     def test_ground_truth_holds_the_shared_trace_read_only(self, tof_intr, blob_scene):
         noise = NoiseConfig(seed=5, bucket_noise_sigma=0.2)
-        frames = simulator.render_tof_frames(blob_scene, tof_intr, None, noise, 2)
-        _, first = next(frames)
+        (_, first), (raw, second) = render_tof_sequence(blob_scene, tof_intr, None, noise, 2)
         for name in ("range", "temperature"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(first, name)[:] = 1.0
-        raw, second = next(frames)
         # every frame's truth is the one traced array, not a copy
         assert np.shares_memory(first.range, second.range)
         assert np.shares_memory(first.temperature, second.temperature)
@@ -209,11 +206,10 @@ class TestRenderArguments:
         with pytest.raises(ValueError, match="frame_index"):
             render_tof(wall_scene, tof_intr, frame_index=frame_index)
 
-    @pytest.mark.parametrize("entry", [render_tof_frames, render_tof_sequence])
+    @pytest.mark.parametrize("entry", [render_tof_sequence])
     @pytest.mark.parametrize("n_frames", [0, -2, 2.5, True])
     def test_n_frames_is_a_whole_number_from_one(self, untraced, tof_intr, wall_scene, entry,
                                                  n_frames):
-        # raised at the call: render_tof_frames checks before it returns its iterator
         with pytest.raises(ValueError, match="n_frames"):
             entry(wall_scene, tof_intr, None, NoiseConfig(), n_frames)
 
@@ -248,22 +244,15 @@ def _memo_render(scene, intr, pose=None, noise=_MEMO_NOISE, **kwargs):
     return render_tof(scene, intr, pose, noise, **kwargs)
 
 
+def _builds() -> int:
+    """Frame bases built since the cache was last cleared."""
+    return simulator._frame_base.cache_info().misses
+
+
 class TestFrameBaseMemo:
     """A range render takes the frame base the last render kept when the
     scene, intrinsics, pose, multipath, scattering and amplitude law are
     equal; otherwise it builds its own and keeps that one instead."""
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        made = []
-        build = simulator._build_frame_base
-
-        def counted(*args):
-            made.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(simulator, "_build_frame_base", counted)
-        return made
 
     MISSES = {
         "scene": {"scene": Scene((Plane("z", 3.5, 1.0, 300.0),))},
@@ -275,16 +264,16 @@ class TestFrameBaseMemo:
     }
 
     @pytest.mark.parametrize("part", list(MISSES))
-    def test_each_key_part_forces_a_miss(self, builds, tof_intr, blob_scene, part):
+    def test_each_key_part_forces_a_miss(self, tof_intr, blob_scene, part):
         args = {"scene": blob_scene, "intr": tof_intr, **self.MISSES[part]}
         _memo_render(blob_scene, tof_intr)
         got = _frame_bytes(_memo_render(**args))
-        assert len(builds) == 2
-        simulator._memo = None
+        assert _builds() == 2
+        simulator._frame_base.cache_clear()
         assert got == _frame_bytes(_memo_render(**args))
 
     @pytest.mark.parametrize("array", ["rotation", "translation"])
-    def test_a_keyed_pose_cannot_change_in_place(self, builds, tof_intr, blob_scene, array):
+    def test_a_keyed_pose_cannot_change_in_place(self, tof_intr, blob_scene, array):
         given = {"rotation": np.eye(3), "translation": np.zeros(3)}
         pose = Extrinsics(**given)
         first = _frame_bytes(_memo_render(blob_scene, tof_intr, pose))
@@ -296,7 +285,7 @@ class TestFrameBaseMemo:
         np.testing.assert_array_equal(pose.rotation, np.eye(3))
         np.testing.assert_array_equal(pose.translation, np.zeros(3))
         assert _frame_bytes(_memo_render(blob_scene, tof_intr, pose)) == first
-        assert len(builds) == 1
+        assert _builds() == 1
 
     HITS = {
         "seed": {"noise": replace(_MEMO_NOISE, seed=8)},
@@ -307,21 +296,18 @@ class TestFrameBaseMemo:
     }
 
     @pytest.mark.parametrize("part", list(HITS))
-    def test_seed_noise_levels_frame_and_extrinsics_hit(self, builds, tof_intr, blob_scene,
-                                                        part):
+    def test_seed_noise_levels_frame_and_extrinsics_hit(self, tof_intr, blob_scene, part):
         _memo_render(blob_scene, tof_intr)
         got = _frame_bytes(_memo_render(blob_scene, tof_intr, **self.HITS[part]))
-        assert len(builds) == 1
-        simulator._memo = None
+        assert _builds() == 1
+        simulator._frame_base.cache_clear()
         assert got == _frame_bytes(_memo_render(blob_scene, tof_intr, **self.HITS[part]))
 
-    def test_sequences_and_single_frames_share_the_base(self, builds, tof_intr, blob_scene):
+    def test_sequences_and_single_frames_share_the_base(self, tof_intr, blob_scene):
         single = _frame_bytes(_memo_render(blob_scene, tof_intr, frame_index=2))
-        frames = render_tof_frames(blob_scene, tof_intr, None, _MEMO_NOISE, 3)
         sequence = render_tof_sequence(blob_scene, tof_intr, None, _MEMO_NOISE, 3)
-        assert [_frame_bytes(f) for f in frames] == [_frame_bytes(f) for f in sequence]
         assert _frame_bytes(sequence[2]) == single
-        assert len(builds) == 1
+        assert _builds() == 1
 
     EQUAL = {
         "signed zero": (
@@ -348,13 +334,13 @@ class TestFrameBaseMemo:
     }
 
     @pytest.mark.parametrize("pair", list(EQUAL))
-    def test_equal_keys_of_other_forms_render_the_same_bytes(self, builds, tof_intr, pair):
+    def test_equal_keys_of_other_forms_render_the_same_bytes(self, tof_intr, pair):
         first, second = ({"intr": tof_intr, **args} for args in self.EQUAL[pair])
         expected = _frame_bytes(_memo_render(**second))
-        simulator._memo = None
+        simulator._frame_base.cache_clear()
         _memo_render(**first)
         assert _frame_bytes(_memo_render(**second)) == expected
-        assert len(builds) == 2  # the second form took the first one's base
+        assert _builds() == 1  # the second form took the first one's base
 
     def test_settings_keep_no_array_given_as_a_field(self):
         # a kept base is found by the settings' values: an array given as a
@@ -385,7 +371,9 @@ class TestFrameBaseMemo:
 
     def test_one_read_only_base_is_kept(self, tof_intr, blob_scene, wall_scene):
         raw, truth = _memo_render(blob_scene, tof_intr)
-        key, base = simulator._memo
+        base = simulator._frame_base(blob_scene, tof_intr, None, _MEMO_NOISE.multipath,
+                                     _MEMO_NOISE.scattering, "inverse_square")
+        assert simulator._frame_base.cache_info()[:2] == (1, 1)  # the render's base
         for f in fields(base):
             assert not getattr(base, f.name).flags.writeable, f.name
         for name in ("range", "points", "temperature"):
@@ -393,10 +381,11 @@ class TestFrameBaseMemo:
                 getattr(truth, name)[:] = 1.0
         assert raw.samples.flags.writeable and truth.outlier_mask.flags.writeable
         first = weakref.ref(base)
-        del key, base
+        del base
         _memo_render(wall_scene, tof_intr)
         assert first() is None  # the first base went when the second was kept
-        assert simulator._memo[0][0] is wall_scene
+        _memo_render(wall_scene, tof_intr)
+        assert simulator._frame_base.cache_info()[:2] == (2, 2)  # the second base is kept
 
     def test_threads_rendering_two_scenes_get_their_cold_bytes(self, tof_intr, blob_scene,
                                                                wall_scene):
@@ -406,11 +395,11 @@ class TestFrameBaseMemo:
         seeds = range(3)
         expected = []
         for scene in scenes:
-            simulator._memo = None
+            simulator._frame_base.cache_clear()
             expected.append([_frame_bytes(_memo_render(scene, tof_intr,
                                                        noise=replace(_MEMO_NOISE, seed=seed)))
                              for seed in seeds])
-        simulator._memo = None
+        simulator._frame_base.cache_clear()
         n_threads = 4
         start = threading.Barrier(n_threads)
         results = [None] * n_threads

@@ -127,6 +127,9 @@ class _Handout:
             for loop in loops:
                 if not loop.cancelled():
                     loop.exception()
+            # a cancelled loop stays queued, holding this hand-out: it must not
+            # keep the call's closures, and the arrays they hold, alive
+            self.work = self.draw = None
         if self.failures:
             raise self.failures[min(self.failures)]
 

@@ -83,12 +83,12 @@ class FrameContainer:
         return self.data.shape[3]
 
     def channel(self, name: str, frame: int = 0) -> np.ndarray:
-        """One (height, width) channel plane of one frame."""
+        """One (height, width) channel plane of frame ``frame``, checked as in :meth:`frame`."""
         try:
             index = self.channel_names.index(name)
         except ValueError:
             raise KeyError(f"no channel {name!r}, have {self.channel_names}") from None
-        return self.data[frame, :, :, index]
+        return self.frame(frame).data[0, :, :, index]
 
     def frame(self, k: int) -> "FrameContainer":
         """Frame ``k`` alone: a one-frame container that is a view of ``data``."""
@@ -293,16 +293,44 @@ class ChannelSchema:
     """How one record type is stored: one container frame per record.
 
     ``fields`` maps the record's stored attributes, in file order, to their
-    channel names: one name for an (H, W) attribute, n names for an
-    (H, W, n) one. ``integral`` maps an attribute to the closed range of
-    whole numbers its channels may hold; :meth:`unpack` rejects any other
-    value. Unpacked attributes are float32 views of the container, and the
-    record's constructor casts them to the record's dtypes.
+    channel names: one name for an (H, W) plane, n names for an (H, W, n)
+    stack. ``dtypes`` maps an attribute to its dtype in the record, float64
+    where it names none. ``integral`` maps an attribute to the closed range
+    of whole numbers its channels may hold; :meth:`unpack` rejects any other
+    value. Unpacked attributes are float32 views of the container.
+
+    A record's constructor calls :meth:`coerce`, which casts every field to
+    its dtype and checks that all of them share one non-empty grid.
     """
 
     record: type
     fields: Mapping[str, tuple[str, ...]]
     integral: Mapping[str, tuple[int, int]] = field(default_factory=dict)
+    dtypes: Mapping[str, type] = field(default_factory=dict)
+    # (attribute, dtype, trailing shape) per field, built once per schema
+    _layout: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_layout", tuple(
+            (attr, np.dtype(self.dtypes.get(attr, np.float64)),
+             () if len(names) == 1 else (len(names),))
+            for attr, names in self.fields.items()))
+
+    def coerce(self, record) -> None:
+        """Cast each field of ``record`` in place with ``np.asarray``, which
+        keeps an array of the field's dtype as it is, read-only or not.
+        Raises ``ValueError`` naming the field unless every field lies on one
+        non-empty (H, W) grid with its declared number of channels."""
+        values = record.__dict__  # written directly, as a frozen record allows no setattr
+        grid = None
+        for attr, dtype, depth in self._layout:
+            value = values[attr] = np.asarray(values[attr], dtype=dtype)
+            if grid is None:
+                grid = value.shape[:2]
+            if value.shape != grid + depth or len(grid) != 2 or 0 in grid:
+                want = ", ".join(["height", "width"] + [str(n) for n in depth])
+                raise ValueError(f"{type(record).__name__}.{attr} has shape {value.shape}: "
+                                 f"every field must be ({want}) on one non-empty grid")
 
     @property
     def channel_names(self) -> tuple[str, ...]:

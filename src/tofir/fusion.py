@@ -140,24 +140,7 @@ class Thermogram:
     reason: np.ndarray  # (height, width), uint8 FuseReason codes
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
-        temperature = np.asarray(self.temperature, dtype=np.float64)
-        reason = np.asarray(self.reason, dtype=np.uint8)
-        if points.ndim != 3 or points.shape[2] != 3:
-            raise ValueError(f"points must be (height, width, 3), got {points.shape}")
-        if temperature.shape != points.shape[:2] or reason.shape != points.shape[:2]:
-            raise ValueError("temperature and reason must match the point grid")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "temperature", temperature)
-        object.__setattr__(self, "reason", reason)
-
-    @property
-    def height(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.points.shape[1]
+        THERMOGRAM_SCHEMA.coerce(self)
 
     @property
     def valid(self) -> np.ndarray:
@@ -168,6 +151,7 @@ THERMOGRAM_SCHEMA = ChannelSchema(
     Thermogram,
     {"points": ("x", "y", "z"), "temperature": ("temperature",), "reason": ("validity",)},
     integral={"reason": (int(min(FuseReason)), int(max(FuseReason)))},
+    dtypes={"reason": np.uint8},
 )
 thermograms_to_container = THERMOGRAM_SCHEMA.pack
 thermograms_from_container = THERMOGRAM_SCHEMA.unpack

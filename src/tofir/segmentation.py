@@ -38,37 +38,20 @@ class BackgroundModel:
     count: np.ndarray  # valid samples per pixel
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        std = np.asarray(self.std, dtype=np.float64)
-        median = np.asarray(self.median, dtype=np.float64)
-        count = np.asarray(self.count, dtype=np.int64)
-        shapes = {mean.shape, std.shape, median.shape, count.shape}
-        if len(shapes) != 1 or mean.ndim != 2:
-            raise ValueError(f"all planes must share one 2-d shape, got {shapes}")
-        if np.any(std < 0):
+        BACKGROUND_SCHEMA.coerce(self)
+        if np.any(self.std < 0):
             raise ValueError("standard deviation cannot be negative")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-        object.__setattr__(self, "median", median)
-        object.__setattr__(self, "count", count)
 
     @property
     def valid(self) -> np.ndarray:
         return self.count >= 2
-
-    @property
-    def height(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.mean.shape[1]
 
 
 BACKGROUND_SCHEMA = ChannelSchema(
     BackgroundModel,
     {"mean": ("mean",), "std": ("std",), "median": ("median",), "count": ("count",)},
     integral={"count": (0, _MAX_STORED_COUNT)},
+    dtypes={"count": np.int64},
 )
 
 
@@ -81,15 +64,14 @@ class ForegroundMask:
     valid: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "foreground", np.asarray(self.foreground, dtype=bool))
-        object.__setattr__(self, "score", np.asarray(self.score, dtype=np.float64))
-        object.__setattr__(self, "valid", np.asarray(self.valid, dtype=bool))
+        MASK_SCHEMA.coerce(self)
 
 
 MASK_SCHEMA = ChannelSchema(
     ForegroundMask,
     {"foreground": ("foreground",), "score": ("score",), "valid": ("valid",)},
     integral={"foreground": (0, 1), "valid": (0, 1)},
+    dtypes={"foreground": bool, "valid": bool},
 )
 masks_to_container = MASK_SCHEMA.pack
 masks_from_container = MASK_SCHEMA.unpack

@@ -238,9 +238,7 @@ class GroundTruth:
     extrinsics: Extrinsics | None = None
 
     def __post_init__(self):
-        for name in ("range", "points", "temperature"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        object.__setattr__(self, "outlier_mask", np.asarray(self.outlier_mask, dtype=bool))
+        TRUTH_SCHEMA.coerce(self)
 
 
 # the extrinsics are not stored; raw.truth.tirf sits beside extrinsics.truth.json
@@ -253,6 +251,7 @@ TRUTH_SCHEMA = ChannelSchema(
         "outlier_mask": ("outlier",),
     },
     integral={"outlier_mask": (0, 1)},
+    dtypes={"outlier_mask": bool},
 )
 
 

@@ -36,14 +36,11 @@ class ThermalFrame:
     temperatures: np.ndarray
 
     def __post_init__(self):
-        temps = np.asarray(self.temperatures, dtype=np.float64)
-        if temps.ndim != 2 or temps.shape[0] == 0 or temps.shape[1] == 0:
-            raise ValueError(f"temperatures must be a non-empty 2-d grid, got {temps.shape}")
-        if not np.all(np.isfinite(temps)):
+        THERMAL_SCHEMA.coerce(self)
+        if not np.all(np.isfinite(self.temperatures)):
             raise ValueError("temperatures must be finite")
-        if np.any(temps <= 0):
+        if np.any(self.temperatures <= 0):
             raise ValueError("absolute temperatures must be positive")
-        object.__setattr__(self, "temperatures", temps)
 
     @property
     def height(self) -> int:

@@ -70,14 +70,9 @@ class RawTofFrame:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 3 or samples.shape[2] != 4:
-            raise ValueError(f"samples must be (height, width, 4), got {samples.shape}")
-        if samples.shape[0] == 0 or samples.shape[1] == 0:
-            raise ValueError("frame must contain at least one pixel")
-        if np.fmin.reduce(samples, axis=None) < 0:  # NaN buckets are ignored
+        RAW_SCHEMA.coerce(self)
+        if np.fmin.reduce(self.samples, axis=None) < 0:  # NaN buckets are ignored
             raise ValueError("bucket intensities must be non-negative")
-        object.__setattr__(self, "samples", samples)
 
     @property
     def height(self) -> int:
@@ -103,17 +98,7 @@ class RangeFrame:
     valid: np.ndarray
 
     def __post_init__(self):
-        distance = np.asarray(self.distance, dtype=np.float64)
-        amplitude = np.asarray(self.amplitude, dtype=np.float64)
-        offset = np.asarray(self.offset, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
-        shapes = {distance.shape, amplitude.shape, offset.shape, valid.shape}
-        if len(shapes) != 1 or distance.ndim != 2:
-            raise ValueError(f"all planes must share one 2-d shape, got {shapes}")
-        object.__setattr__(self, "distance", distance)
-        object.__setattr__(self, "amplitude", amplitude)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "valid", valid)
+        _RANGE_PLANES.coerce(self)
 
     @property
     def height(self) -> int:
@@ -122,6 +107,15 @@ class RangeFrame:
     @property
     def width(self) -> int:
         return self.distance.shape[1]
+
+
+# never stored: the schema declares the planes and checks them
+_RANGE_PLANES = ChannelSchema(
+    RangeFrame,
+    {"distance": ("distance",), "amplitude": ("amplitude",), "offset": ("offset",),
+     "valid": ("valid",)},
+    dtypes={"valid": bool},
+)
 
 
 @dataclass(frozen=True)

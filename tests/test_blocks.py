@@ -9,6 +9,7 @@ import signal
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +191,23 @@ class TestRunBlocks:
         finally:
             gate.set()
         assert threads == [caller] * 3
+        assert busy.result(timeout=30)
+
+    def test_a_finished_call_keeps_no_work_alive(self, workers):
+        """With the one worker busy, the caller works every block itself and
+        cancels its loop, which stays queued: that loop must not keep the
+        call's work, nor the arrays the work holds, alive."""
+        workers(1)
+        gate = threading.Event()
+        busy = blocks._executor().submit(gate.wait, 30)  # holds the one worker
+        payload = np.zeros(8)
+        alive = weakref.ref(payload)
+        try:
+            blocks.run_blocks(2 * B, lambda start, stop, held=payload: None)
+            del payload
+            assert alive() is None
+        finally:
+            gate.set()
         assert busy.result(timeout=30)
 
     def test_one_block_frames_never_make_the_pool(self, workers, tof_intr, ir_intr,

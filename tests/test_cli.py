@@ -153,7 +153,8 @@ class TestSimulate:
                     raise OSError("frame 2 failed")
                 return schema.pack(records)
 
-            monkeypatch.setattr(tofir.simulator, "TRUTH_SCHEMA", SimpleNamespace(pack=failing))
+            double = SimpleNamespace(pack=failing, coerce=schema.coerce)
+            monkeypatch.setattr(tofir.simulator, "TRUTH_SCHEMA", double)
         # another seed, so a completed call would write other bytes
         rc = main(["simulate", "--config", str(workspace / "sim.json"), "--seed", "43",
                    "--quiet"])

@@ -103,6 +103,15 @@ def test_channel_accessor():
         cont.channel("missing")
 
 
+@pytest.mark.parametrize("frame", [-1, -2, 2])
+def test_channel_of_a_frame_out_of_range_raises_like_frame(frame):
+    cont = _sample_container()  # 2 frames
+    with pytest.raises(IndexError, match=f"frame {frame} out of range"):
+        cont.channel("beta", frame)
+    with pytest.raises(IndexError, match=f"frame {frame} out of range"):
+        cont.frame(frame)
+
+
 def test_stack_and_single_frame_helpers():
     a = np.ones((3, 4))
     b = np.full((3, 4), 2.0)
@@ -408,3 +417,53 @@ def test_flag_channels_must_hold_zero_or_one(schema, channel, value):
     cont.data[1, 0, 0, schema.channel_names.index(channel)] = value
     with pytest.raises(ContainerFormatError):
         schema.unpack(cont)
+
+
+# --- the record rule: every field on one non-empty grid, with its channel count ------------
+
+
+def _record_fields(schema, grid=(3, 4), **shapes) -> dict:
+    """Ones for every field of the schema's record in its dtype, on ``grid``,
+    except the fields given a shape of their own."""
+    values = {}
+    for attr, names in schema.fields.items():
+        shape = shapes.get(attr, grid + (() if len(names) == 1 else (len(names),)))
+        values[attr] = np.ones(shape, schema.dtypes.get(attr, np.float64))
+    return values
+
+
+def _broken_records():
+    """(schema, the field named in the error, fields) for every way a record
+    can break the rule."""
+    for schema in _SCHEMAS:
+        attrs = list(schema.fields)
+        depths = {attr: len(names) for attr, names in schema.fields.items()}
+        name = schema.record.__name__
+        if len(attrs) > 1:  # the last field on another grid
+            last = attrs[-1]
+            shape = (3, 5) + ((depths[last],) if depths[last] > 1 else ())
+            yield pytest.param(schema, last, _record_fields(schema, **{last: shape}),
+                               id=f"{name}-other-grid")
+        # the widest field one channel too deep: a plane given as (H, W, 2)
+        wide = max(attrs, key=depths.get)
+        yield pytest.param(schema, wide, _record_fields(schema, **{wide: (3, 4, depths[wide] + 1)}),
+                           id=f"{name}-wrong-depth")
+        yield pytest.param(schema, attrs[0], _record_fields(schema, grid=(0, 4)),
+                           id=f"{name}-empty-grid")
+
+
+@pytest.mark.parametrize("schema, attr, fields", _broken_records())
+def test_a_record_off_one_grid_raises_naming_the_field(schema, attr, fields):
+    with pytest.raises(ValueError, match=fr"{schema.record.__name__}\.{attr} has shape"):
+        schema.record(**fields)
+
+
+@pytest.mark.parametrize("schema", _SCHEMAS, ids=lambda s: s.record.__name__)
+def test_a_record_stores_arrays_of_its_dtypes_without_a_copy(schema):
+    fields = _record_fields(schema)
+    for value in fields.values():
+        value.flags.writeable = False
+    record = schema.record(**fields)
+    for attr, value in fields.items():
+        assert getattr(record, attr) is value
+        assert not getattr(record, attr).flags.writeable

@@ -41,6 +41,7 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sHIIII")
 _NAME_LEN = struct.Struct("<H")
+_U32_MAX = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,18 @@ class FrameContainer:
 
 
 def _head(names: tuple[str, ...], width: int, height: int, frames: int) -> bytes:
-    """Header and channel name table: everything before the payload."""
+    """Header and channel name table: everything before the payload.
+    Raises ``ContainerFormatError`` for a field the header cannot hold."""
+    for what, value in (("width", width), ("height", height), ("channel count", len(names)),
+                        ("frame count", frames)):
+        if value > _U32_MAX:
+            raise ContainerFormatError(f"{what} {value} is above the header's {_U32_MAX}")
     parts = [_HEADER.pack(MAGIC, VERSION, width, height, len(names), frames)]
     for name in names:
         raw = name.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ContainerFormatError(
+                f"channel name of {len(raw)} UTF-8 bytes is above the header's 65535")
         parts.append(_NAME_LEN.pack(len(raw)))
         parts.append(raw)
     return b"".join(parts)
@@ -239,9 +248,12 @@ def frame_writer(path: str | Path, count: int) -> Iterator[FrameWriter]:
     A frame unlike the first, or a block that ends with another number of
     frames than ``count``, raises ``ContainerFormatError``; on that or any
     other error the temporary file is deleted and ``path`` is left as it was.
+    A ``count`` the header cannot hold raises before the file is opened.
     """
     if count < 1:
         raise ContainerFormatError("at least one frame required")
+    if count > _U32_MAX:
+        raise ContainerFormatError(f"frame count {count} is above the header's {_U32_MAX}")
     with replacing(path) as fh:
         writer = FrameWriter(fh, count)
         yield writer

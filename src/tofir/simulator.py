@@ -22,8 +22,11 @@ Error injection, all off by default except phase noise:
   the rest over a disc, mimicking in-lens stray light.
 
 Determinism: renders are pure functions of (scene, intrinsics, pose, config).
-The bit stream is a counter-based Philox generator keyed by the seed and
-jumped per frame index, so frame k is reproducible in isolation.
+Each band of ``_NOISE_ROWS`` image rows draws its normals from a
+counter-based Philox stream of its own, keyed by (seed, frame index, band)
+through ``np.random.SeedSequence``; the saturated pixels are chosen from a
+stream keyed by (seed, frame index). So frame k is reproducible in
+isolation, and the bands can be drawn on any thread in any order.
 
 Every random draw comes after in-lens scattering, so all of a range frame
 up to its first draw depends on the scene, the intrinsics, the pose, the
@@ -70,6 +73,7 @@ _MISS = np.inf
 _MIN_HIT = 1e-9
 _DBL_EPSILON = np.finfo(np.float64).eps
 _BAND_ROWS = 32  # image rows per band of the trace, the render and the convolution
+_NOISE_ROWS = 32  # image rows per noise band, each drawn from a stream of its own
 
 
 @dataclass(frozen=True)
@@ -470,66 +474,59 @@ def _frame_base(scene: Scene, intr: TofIntrinsics, pose: Extrinsics | None,
     return _FrameBase(resp.distance, resp.temperature, points, *returns)
 
 
-def _buckets(base: _FrameBase, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
+def _noise_stream(seed: int, *key: int) -> np.random.Generator:
+    """The Philox stream of ``seed`` under ``key``: (frame index, band) for a
+    band's normals, (frame index,) for the saturated pixels."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _buckets(base: _FrameBase, noise: NoiseConfig, frame_index: int) -> np.ndarray:
     """A frame's (H, W, 4) buckets before saturation, built from the
-    noise-free return a block of rows at a time, the blocks spread over a
-    thread per CPU (:mod:`tofir.blocks`), each pixel the same bytes at any
-    count.
+    noise-free return a noise band at a time, the bands spread over a thread
+    per CPU (:mod:`tofir.blocks`).
 
-    The noise is drawn on the calling thread in the stream order of
-    whole-frame draws: every phase normal, then every bucket normal, each
-    in C order. The kind drawn last is drawn a block of rows at a time, as
-    the blocks' ``draw``, so worker threads form the drawn blocks' buckets
-    while the caller draws the next block; with bucket noise, the phase
-    normals are drawn whole first."""
-    shape = base.distance.shape
-    phase_normals = np.empty(shape) if noise.phase_noise_scale > 0 else None
-    buckets = np.empty(shape + (4,))
-    drawn = phase_normals  # the normals drawn a block at a time
-    if noise.bucket_noise_sigma > 0:
-        if phase_normals is not None:
-            rng.standard_normal(out=phase_normals)
-        drawn = buckets  # each block's draws, overwritten by its buckets
+    Each band draws its phase normals, then its bucket normals, each in C
+    order, from its own stream (:func:`_noise_stream`), so every pixel is
+    the same bytes at any thread count and block size."""
+    height, width = base.distance.shape
+    buckets = np.empty((height, width, 4))
 
-    def draw(start, stop):
-        rng.standard_normal(out=drawn[start:stop])
+    def bands(first, stop):
+        for band in range(first, stop):
+            rows = slice(band * _NOISE_ROWS, (band + 1) * _NOISE_ROWS)
+            rng = _noise_stream(noise.seed, frame_index, band)
+            amplitude = base.amplitude[rows]
+            phase = base.phase[rows]
+            if noise.phase_noise_scale > 0:
+                sigma = noise.phase_noise_scale / np.maximum(amplitude, 1e-12)
+                phase = phase + sigma * rng.standard_normal(phase.shape)
+            if noise.bucket_noise_sigma > 0:
+                rng.standard_normal(out=buckets[rows])  # overwritten by the buckets
+            # one bucket plane at a time into the output, so a thread's
+            # temporaries stay a few planes of its band
+            for k, plane in enumerate(bucket_planes(phase, amplitude, base.offset[rows])):
+                out = buckets[rows, :, k]
+                if noise.bucket_noise_sigma > 0:  # max(plane + sigma * draw, 0)
+                    out *= noise.bucket_noise_sigma
+                    out += plane
+                    np.maximum(out, 0.0, out=out)
+                else:
+                    out[...] = plane
 
-    def block_buckets(start, stop):
-        rows = slice(start, stop)
-        amplitude = base.amplitude[rows]
-        phase = base.phase[rows]
-        if phase_normals is not None:
-            sigma = noise.phase_noise_scale / np.maximum(amplitude, 1e-12)
-            phase = phase + sigma * phase_normals[rows]
-        # one bucket plane at a time into the output, so a thread's
-        # temporaries stay a few planes of its block
-        for k, plane in enumerate(bucket_planes(phase, amplitude, base.offset[rows])):
-            out = buckets[rows, :, k]
-            if noise.bucket_noise_sigma > 0:  # max(plane + sigma * draw, 0)
-                out *= noise.bucket_noise_sigma
-                out += plane
-                np.maximum(out, 0.0, out=out)
-            else:
-                out[...] = plane
-
-    run_blocks(shape[0], block_buckets, shape[1], None if drawn is None else draw)
+    run_blocks(-(-height // _NOISE_ROWS), bands, _NOISE_ROWS * width)
     return buckets
 
 
 def _render_frame(base: _FrameBase, noise: NoiseConfig, frame_index: int,
                   extrinsics: Extrinsics | None) -> tuple[RawTofFrame, GroundTruth]:
-    rng = np.random.Generator(np.random.Philox(noise.seed).jumped(frame_index))
-    buckets = _buckets(base, noise, rng)
-
+    buckets = _buckets(base, noise, frame_index)
     outliers = np.zeros(base.distance.shape, dtype=bool)
-    if noise.saturation_fraction > 0:
-        n_pixels = outliers.size
-        n_sat = int(round(noise.saturation_fraction * n_pixels))
-        if n_sat:
-            chosen = rng.choice(n_pixels, size=n_sat, replace=False)
-            flat = buckets.reshape(n_pixels, 4)
-            flat[chosen] = SATURATION_LEVEL
-            outliers.reshape(-1)[chosen] = True
+    n_sat = int(round(noise.saturation_fraction * outliers.size))
+    if n_sat:
+        chosen = _noise_stream(noise.seed, frame_index).choice(outliers.size, size=n_sat,
+                                                               replace=False)
+        buckets.reshape(-1, 4)[chosen] = SATURATION_LEVEL
+        outliers.reshape(-1)[chosen] = True
 
     truth = GroundTruth(
         range=base.distance,

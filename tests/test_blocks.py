@@ -2,6 +2,7 @@
 kernel writes the same bytes on the calling thread alone as with worker
 threads, and every call returns only once all of its blocks have finished."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -54,6 +55,12 @@ def _inline_and_pooled(workers, run, counts=(1, 2)):
     return inline
 
 
+def _stream(seed, *key):
+    """The renderer's noise stream of ``seed`` under ``key``, built here in
+    plain numpy."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 def _raw_frame(intr, seed=0):
     """Random buckets with NaN, inf and zero-amplitude pixels in the last,
     partial block of rows."""
@@ -101,77 +108,6 @@ class TestRunBlocks:
         blocks.run_blocks(B, lambda start, stop: calls.append(threading.current_thread()))
         assert calls == [threading.current_thread()]
         blocks.run_blocks(50, lambda start, stop: calls.append(None), 64)
-        assert blocks._pool is None
-
-    @pytest.mark.parametrize("count", [1, 2, 3])
-    def test_draws_run_on_the_caller_in_order_before_their_blocks(self, workers, count):
-        workers(count)
-        events = []
-        lock = threading.Lock()
-
-        def record(*event):
-            with lock:
-                events.append(event + (threading.current_thread(),))
-
-        def draw(start, stop):
-            record("draw", start)
-            time.sleep(0.002)
-            record("drawn", start)
-
-        def work(start, stop):
-            record("work", start)
-            time.sleep(0.003)
-
-        n = 7 * B + 5
-        blocks.run_blocks(n, work, draw=draw)
-        caller = threading.current_thread()
-        draws = [(kind, start) for kind, start, thread in events
-                 if kind in ("draw", "drawn") and thread is caller]
-        assert draws == [(kind, k * B) for k in range(8) for kind in ("draw", "drawn")]
-        assert len(draws) == sum(kind != "work" for kind, _, _ in events)
-        drawn_at = {start: i for i, (kind, start, _) in enumerate(events) if kind == "drawn"}
-        worked_at = {start: i for i, (kind, start, _) in enumerate(events) if kind == "work"}
-        assert sorted(worked_at) == [k * B for k in range(8)]
-        assert all(worked_at[start] > drawn_at[start] for start in worked_at)
-
-    @pytest.mark.parametrize("count", [1, 2, 3])
-    def test_a_failing_draw_stops_the_hand_out(self, workers, count):
-        workers(count)
-        started, finished = [], []
-        drawn = []
-
-        def draw(start, stop):
-            time.sleep(0.005)  # the loops would outrun the draws
-            if start == 4 * B:
-                raise RuntimeError("draw 4")
-            drawn.append(start)
-
-        def work(start, stop):
-            started.append(start)
-            time.sleep(0.001)
-            finished.append(start)
-
-        with pytest.raises(RuntimeError, match="draw 4"):
-            blocks.run_blocks(8 * B, work, draw=draw)
-        assert drawn == [k * B for k in range(4)]
-        assert set(started) <= set(drawn)
-        assert sorted(finished) == sorted(started)
-
-    def test_a_one_block_call_with_a_draw_runs_inline(self, workers):
-        workers(1)
-        calls = []
-
-        def draw(start, stop):
-            calls.append(("draw", start, stop, threading.current_thread()))
-
-        def work(start, stop):
-            calls.append(("work", start, stop, threading.current_thread()))
-
-        blocks.run_blocks(50, work, 64, draw)
-        blocks.run_blocks(B, work, draw=draw)
-        caller = threading.current_thread()
-        assert calls == [("draw", 0, 50, caller), ("work", 0, 50, caller),
-                         ("draw", 0, B, caller), ("work", 0, B, caller)]
         assert blocks._pool is None
 
     def test_a_caller_does_not_wait_for_loops_that_never_started(self, workers):
@@ -295,9 +231,9 @@ def test_concurrent_callers_share_one_pool_and_get_their_bytes(workers):
 
 
 def test_concurrent_renders_draw_their_own_streams(workers, blob_scene):
-    # four callers draw their phase noise a block at a time while their
-    # loops, queued behind each other's on three workers, form buckets, with
-    # thread switches forced every 10 us
+    # four callers' blocks, queued behind each other's on three workers, each
+    # draw their bands' phase noise from their own keyed streams and form
+    # buckets, with thread switches forced every 10 us
     noises = [NoiseConfig(seed=k, saturation_fraction=0.01) for k in range(4)]
 
     def render(k):
@@ -413,9 +349,9 @@ class TestKernelsAtAnyWorkerCount:
         assert (samples[outliers] == simulator.SATURATION_LEVEL).all()
 
     def test_render_with_phase_noise_and_saturation(self, workers, blob_scene):
-        # the phase normals are each block's draw, and the saturated pixels
-        # are chosen from the stream after the last of them: the bytes of
-        # one whole-frame draw
+        # each band of _NOISE_ROWS rows draws its phase normals from the stream
+        # keyed by (seed, frame, band), and the saturated pixels are chosen
+        # from the stream keyed by (seed, frame)
         noise = NoiseConfig(seed=5, saturation_fraction=0.02)
 
         def run():
@@ -426,11 +362,54 @@ class TestKernelsAtAnyWorkerCount:
         assert outliers[-8:].any()
         base = simulator._frame_base(blob_scene, WIDE, None, noise.multipath, noise.scattering,
                                       "inverse_square")
-        rng = np.random.Generator(np.random.Philox(5).jumped(2))
+        tops = range(0, WIDE.height, simulator._NOISE_ROWS)
+        assert len(tops) > 1 and WIDE.height % simulator._NOISE_ROWS  # a partial last band
+        normals = np.concatenate([
+            _stream(5, 2, band).standard_normal(
+                (min(simulator._NOISE_ROWS, WIDE.height - top), WIDE.width))
+            for band, top in enumerate(tops)])
         sigma = noise.phase_noise_scale / np.maximum(base.amplitude, 1e-12)
-        phase = base.phase + sigma * rng.standard_normal(base.phase.shape)
-        expected = tof.synthesize_buckets(phase, base.amplitude, base.offset)
-        chosen = rng.choice(outliers.size, size=outliers.sum(), replace=False)
+        expected = tof.synthesize_buckets(base.phase + sigma * normals, base.amplitude,
+                                          base.offset)
+        chosen = _stream(5, 2).choice(outliers.size, size=outliers.sum(), replace=False)
         expected.reshape(-1, 4)[chosen] = simulator.SATURATION_LEVEL
         assert samples.tobytes() == expected.tobytes()
         assert np.flatnonzero(outliers).tolist() == sorted(chosen)
+
+
+# every error source on WIDE, whose 400 rows are twelve whole noise bands and
+# a partial one of 16
+EVERY_ERROR = NoiseConfig(seed=7, bucket_noise_sigma=0.3, saturation_fraction=0.02,
+                          multipath=MultipathConfig(True, 0.7, 0.3),
+                          scattering=ScatteringConfig(True, 4, 0.15))
+
+
+class TestKeyedNoise:
+    def test_same_bytes_at_any_block_size_and_worker_count(self, workers, monkeypatch,
+                                                           blob_scene):
+        assert WIDE.height // simulator._NOISE_ROWS > 1
+        assert WIDE.height % simulator._NOISE_ROWS
+
+        def run():
+            raw, truth = render_tof(blob_scene, WIDE, noise=EVERY_ERROR, frame_index=3)
+            return raw.samples.tobytes() + truth.outlier_mask.tobytes()
+
+        workers(0)
+        expected = run()
+        # a band a block, five bands a block, and the whole frame in one block
+        for block in (1000, B, 1 << 20):
+            monkeypatch.setattr(blocks, "BLOCK", block)
+            for count in range(4):
+                workers(count)
+                assert run() == expected, (block, count)
+
+    def test_saturated_pixels_do_not_depend_on_the_other_noise(self, blob_scene):
+        masks = set()
+        for phase_noise_scale in (0.0, 0.264, 1.0):
+            for bucket_noise_sigma in (0.0, 0.3, 2.0):
+                noise = dataclasses.replace(EVERY_ERROR, phase_noise_scale=phase_noise_scale,
+                                            bucket_noise_sigma=bucket_noise_sigma)
+                _, truth = render_tof(blob_scene, WIDE, noise=noise, frame_index=3)
+                assert truth.outlier_mask.sum() == round(0.02 * truth.outlier_mask.size)
+                masks.add(truth.outlier_mask.tobytes())
+        assert len(masks) == 1

@@ -163,6 +163,19 @@ class TestSimulate:
         assert made == [0, 1, 2]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
+    def test_more_frames_than_the_container_holds_exit_2_before_rendering(
+            self, workspace, capsys, monkeypatch):
+        sim = json.loads((workspace / "sim.json").read_text())
+        _write_json(workspace / "sim.json", {**sim, "frames": 2**32})
+        rendered = []
+        monkeypatch.setattr(tofir.simulator, "render_tof", lambda *a, **k: rendered.append(a))
+        rc = main(["simulate", "--config", str(workspace / "sim.json"), "--quiet"])
+        assert rc == 2
+        assert "frame count 4294967296" in capsys.readouterr().err
+        assert rendered == []
+        out = workspace / "out"
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestCalibrate:
     def _calibrate(self, workspace, quiet=True, **overrides):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tofir import ContainerFormatError, DimensionMismatchError, FrameContainer
+from tofir import ContainerFormatError, DimensionMismatchError, FrameContainer, container
 from tofir.container import Counted, frame_writer
 from tofir.fusion import THERMOGRAM_SCHEMA, thermograms_from_container
 from tofir.segmentation import BACKGROUND_SCHEMA, MASK_SCHEMA, background_from_container
@@ -308,6 +308,49 @@ def test_writer_needs_a_frame(tmp_path, count):
     with pytest.raises(ContainerFormatError):
         with frame_writer(tmp_path / "out.tirf", count):
             pass
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("count", [2**32, 2**64])
+def test_writer_rejects_a_count_the_header_cannot_hold(tmp_path, count):
+    with pytest.raises(ContainerFormatError, match="frame count"):
+        with frame_writer(tmp_path / "out.tirf", count):
+            pytest.fail("the block ran")
+    assert list(tmp_path.iterdir()) == []
+
+
+class _Names(tuple):
+    """Channel names that claim a count the header cannot hold."""
+
+    def __len__(self):
+        return 2**32
+
+
+@pytest.mark.parametrize("names, width, height, frames, field", [
+    (("a",), 2**32, 1, 1, "width"),
+    (("a",), 1, 2**32, 1, "height"),
+    (_Names(("a",)), 1, 1, 1, "channel count"),
+    (("a",), 1, 1, 2**32, "frame count"),
+])
+def test_head_rejects_a_field_above_u32(names, width, height, frames, field):
+    with pytest.raises(ContainerFormatError, match=field):
+        container._head(names, width, height, frames)
+    assert container._head(("a",), 2**32 - 1, 2**32 - 1, 2**32 - 1)[6:22] == (
+        b"\xff\xff\xff\xff" * 2 + (1).to_bytes(4, "little") + b"\xff\xff\xff\xff")
+
+
+@pytest.mark.parametrize("longest, too_long", [
+    ("x" * 65535, "x" * 65536),
+    ("é" * 32767 + "x", "é" * 32768),  # two UTF-8 bytes a character
+])
+def test_a_channel_name_over_65535_utf8_bytes_is_rejected(tmp_path, longest, too_long):
+    cont = FrameContainer(("a", longest), np.zeros((1, 2, 3, 2), np.float32))
+    assert FrameContainer.from_bytes(cont.to_bytes()).channel_names == ("a", longest)
+    cont = FrameContainer(("a", too_long), np.zeros((1, 2, 3, 2), np.float32))
+    with pytest.raises(ContainerFormatError, match="65535"):
+        cont.to_bytes()
+    with pytest.raises(ContainerFormatError, match="65535"):
+        cont.write(tmp_path / "out.tirf")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -833,6 +833,35 @@ def ref_trace(scene, rays_camera, pose):
     return best_t, reflectivity, temperature
 
 
+def ref_stream(seed, *key):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def ref_band_normals(noise, frame_index, shape):
+    """Whole-frame phase and bucket normals: band b of ``_NOISE_ROWS`` rows
+    draws its phase normals, then its bucket normals, from the stream keyed
+    by (seed, frame_index, b); a kind that is off draws nothing."""
+    phase, buckets = [], []
+    for band, top in enumerate(range(0, shape[0], simulator._NOISE_ROWS)):
+        rows = min(simulator._NOISE_ROWS, shape[0] - top)
+        rng = ref_stream(noise.seed, frame_index, band)
+        if noise.phase_noise_scale > 0:
+            phase.append(rng.standard_normal((rows, shape[1])))
+        if noise.bucket_noise_sigma > 0:
+            buckets.append(rng.standard_normal((rows, shape[1], 4)))
+    return (np.concatenate(phase) if phase else None,
+            np.concatenate(buckets) if buckets else None)
+
+
+def ref_saturated_pixels(noise, frame_index, n_pixels):
+    """Flat indices of the saturated pixels, from the stream keyed by
+    (seed, frame_index)."""
+    n_sat = int(round(noise.saturation_fraction * n_pixels))
+    if not n_sat:
+        return np.array([], dtype=np.int64)
+    return ref_stream(noise.seed, frame_index).choice(n_pixels, size=n_sat, replace=False)
+
+
 def ref_render_tof(scene, intr, pose, noise, frame_index, extrinsics, amplitude_law):
     rays = ref_unit_rays(intr)
     dist, reflectivity, temperature = ref_trace(scene, rays, pose or Extrinsics.identity())
@@ -857,27 +886,22 @@ def ref_render_tof(scene, intr, pose, noise, frame_index, extrinsics, amplitude_
                               for plane in (phasor.real, phasor.imag, offset)]
         phasor = real + 1j * imag
 
-    rng = np.random.Generator(np.random.Philox(noise.seed).jumped(frame_index))
     final_amplitude = np.abs(phasor)
     final_phase = np.angle(phasor)
+    phase_normals, bucket_normals = ref_band_normals(noise, frame_index, dist.shape)
     if noise.phase_noise_scale > 0:
         sigma = noise.phase_noise_scale / np.maximum(final_amplitude, 1e-12)
-        final_phase = final_phase + sigma * rng.standard_normal(final_phase.shape)
+        final_phase = final_phase + sigma * phase_normals
 
     buckets = tof.synthesize_buckets(final_phase, final_amplitude, offset)
     if noise.bucket_noise_sigma > 0:
-        buckets = buckets + noise.bucket_noise_sigma * rng.standard_normal(buckets.shape)
+        buckets = buckets + noise.bucket_noise_sigma * bucket_normals
         buckets = np.maximum(buckets, 0.0)
 
     outliers = np.zeros(dist.shape, dtype=bool)
-    if noise.saturation_fraction > 0:
-        n_pixels = dist.size
-        n_sat = int(round(noise.saturation_fraction * n_pixels))
-        if n_sat:
-            chosen = rng.choice(n_pixels, size=n_sat, replace=False)
-            flat = buckets.reshape(n_pixels, 4)
-            flat[chosen] = simulator.SATURATION_LEVEL
-            outliers.reshape(-1)[chosen] = True
+    chosen = ref_saturated_pixels(noise, frame_index, dist.size)
+    buckets.reshape(-1, 4)[chosen] = simulator.SATURATION_LEVEL
+    outliers.reshape(-1)[chosen] = True
 
     truth = GroundTruth(range=dist, points=dist[..., None] * rays, temperature=temperature,
                         outlier_mask=outliers, extrinsics=extrinsics)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, document, fusion, segmentation, simulator, thermal, tof
-from .container import Counted, FrameContainer, frame_writer, replacing
+from .container import Counted, FrameContainer, check_frame_count, frame_writer, replacing
 from .errors import (
     ContainerFormatError,
     DegenerateGeometryError,
@@ -110,8 +110,10 @@ def cmd_simulate(args) -> int:
     settings = document.read(cfg, "config", frames=document.whole, seed=document.whole,
                              ir_blur_sigma=document.number)
     frames = settings.get("frames", 1)
-    if frames < 1:
-        raise ConfigError(f"config field 'frames': expected at least 1 frame, got {frames}")
+    try:
+        check_frame_count(frames)  # before anything is rendered or the output made
+    except ContainerFormatError as exc:
+        raise ConfigError(f"config field 'frames': {exc}") from None
     scene = simulator.scene_from_json(_load_json(_resolve(cfg, "scene", base)))
     tof_intr = _load_document(cfg, base, "tof_intrinsics", tof.TofIntrinsics)
     ir_intr = _load_document(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)

@@ -198,7 +198,10 @@ def _head(names: tuple[str, ...], width: int, height: int, frames: int) -> bytes
             raise ContainerFormatError(f"{what} {value} is above the header's {_U32_MAX}")
     parts = [_HEADER.pack(MAGIC, VERSION, width, height, len(names), frames)]
     for name in names:
-        raw = name.encode("utf-8")
+        try:
+            raw = name.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise ContainerFormatError(f"channel name {name!r} is not UTF-8: {exc}") from None
         if len(raw) > 0xFFFF:
             raise ContainerFormatError(
                 f"channel name of {len(raw)} UTF-8 bytes is above the header's 65535")
@@ -239,6 +242,15 @@ class FrameWriter:
         self.made += 1
 
 
+def check_frame_count(count: int) -> None:
+    """Raise ``ContainerFormatError`` unless a container header can announce
+    ``count`` frames: at least one and at most the largest u32."""
+    if count < 1:
+        raise ContainerFormatError("at least one frame required")
+    if count > _U32_MAX:
+        raise ContainerFormatError(f"frame count {count} is above the header's {_U32_MAX}")
+
+
 @contextmanager
 def frame_writer(path: str | Path, count: int) -> Iterator[FrameWriter]:
     """A :class:`FrameWriter` of ``count`` frames that replaces ``path`` when
@@ -250,10 +262,7 @@ def frame_writer(path: str | Path, count: int) -> Iterator[FrameWriter]:
     other error the temporary file is deleted and ``path`` is left as it was.
     A ``count`` the header cannot hold raises before the file is opened.
     """
-    if count < 1:
-        raise ContainerFormatError("at least one frame required")
-    if count > _U32_MAX:
-        raise ContainerFormatError(f"frame count {count} is above the header's {_U32_MAX}")
+    check_frame_count(count)
     with replacing(path) as fh:
         writer = FrameWriter(fh, count)
         yield writer

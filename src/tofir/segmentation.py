@@ -93,6 +93,9 @@ def build_background(
             shape = frame.distance.shape
             mean, m2, median = np.zeros(shape), np.zeros(shape), np.zeros(shape)
             count = np.zeros(shape, dtype=np.int64)
+            # scratch planes, read only where they were written this frame
+            delta, step = np.empty(shape), np.empty(shape)
+            first, later = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
         elif frame.distance.shape != shape:
             raise DimensionMismatchError(
                 f"frame {n_frames} has shape {frame.distance.shape}, expected {shape}"
@@ -100,14 +103,24 @@ def build_background(
         n_frames += 1
         v = frame.valid
         d = frame.distance
-        first = v & (count == 0)
-        later = v & ~first
-        median[first] = d[first]
-        median[later] += median_step * np.sign(d[later] - median[later])
+        # every update runs only where its mask holds, so an invalid pixel's
+        # distance (NaN, inf or anything else) is never read
+        np.equal(count, 0, out=first)
+        np.logical_and(first, v, out=first)
+        np.logical_xor(first, v, out=later)  # valid and seen before
+        np.copyto(median, d, where=first)
+        np.subtract(d, median, out=delta, where=later)
+        # not in place: an in-place np.sign timed about 3x slower at 64x50
+        np.sign(delta, out=step, where=later)
+        np.multiply(median_step, step, out=delta, where=later)
+        np.add(median, delta, out=median, where=later)
         count += v
-        delta = d[v] - mean[v]
-        mean[v] += delta / count[v]
-        m2[v] += delta * (d[v] - mean[v])
+        np.subtract(d, mean, out=delta, where=v)
+        np.divide(delta, count, out=step, where=v)
+        np.add(mean, step, out=mean, where=v)
+        np.subtract(d, mean, out=step, where=v)
+        np.multiply(delta, step, out=step, where=v)
+        np.add(m2, step, out=m2, where=v)
     if n_frames < 2:
         raise ValueError(f"need at least 2 frames to model the background, got {n_frames}")
     std = np.zeros(count.shape)
@@ -141,11 +154,20 @@ def foreground_mask(
 
 
 def mask_to_pbm(mask: ForegroundMask) -> str:
-    """Portable-bitmap (P1) text rendering of the foreground flags."""
-    lines = ["P1", f"{mask.foreground.shape[1]} {mask.foreground.shape[0]}"]
-    for row in mask.foreground.astype(np.uint8):
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Portable-bitmap (P1) text rendering of the foreground flags.
+
+    The line ``P1``, the line ``W H`` (width, then height), then one line per
+    image row, top row first, of W space-separated digits, ``1`` for a
+    foreground pixel and ``0`` for any other, and a final newline after the
+    last row.
+    """
+    height, width = mask.foreground.shape
+    # one byte per character: a digit in each even column, a space in each
+    # odd one, and the row's newline in place of its last space
+    grid = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
+    np.add(mask.foreground, np.uint8(ord("0")), out=grid[:, ::2])
+    grid[:, -1] = ord("\n")
+    return f"P1\n{width} {height}\n" + grid.tobytes().decode("ascii")
 
 
 def background_to_container(model: BackgroundModel) -> FrameContainer:

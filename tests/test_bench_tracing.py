@@ -75,4 +75,5 @@ def test_cli_reaches_every_adapter_through_its_traced_name(tmp_path):
     assert {
         "tof.pack", "tof.unpack", "thermal.pack", "thermal.unpack",
         "fusion.pack", "fusion.text", "segmentation.pack", "container.stack",
+        "segmentation.background", "segmentation.mask", "segmentation.pbm",
     } <= names

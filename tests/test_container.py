@@ -76,6 +76,16 @@ def test_non_utf8_channel_name_rejected():
         FrameContainer.from_bytes(bytes(blob))
 
 
+def test_a_channel_name_utf8_cannot_hold_is_rejected_on_write(tmp_path):
+    cont = FrameContainer(("a", "\ud800"), np.zeros((1, 2, 2, 2), np.float32))  # lone surrogate
+    with pytest.raises(ContainerFormatError, match="UTF-8"):
+        cont.to_bytes()
+    with pytest.raises(ContainerFormatError, match="UTF-8"):
+        with frame_writer(tmp_path / "out.tirf", 1) as writer:
+            writer.append(cont)
+    assert list(tmp_path.iterdir()) == []
+
+
 _VALID_BLOB = _sample_container().to_bytes()
 
 

@@ -13,11 +13,12 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import calibration, document, fusion, segmentation, simulator, thermal, tof
-from .container import Counted, FrameContainer, check_frame_count, frame_writer, replacing
+from .container import FrameContainer, check_frame_count, frame_writer, replacing
 from .errors import (
     ContainerFormatError,
     DegenerateGeometryError,
@@ -214,11 +215,27 @@ def _range_frame(cont: FrameContainer, k: int, tof_intr, limits: dict) -> tof.Ra
     return tof.demodulate(raw, tof_intr, **limits)
 
 
-def _range_frames(cont: FrameContainer, tof_intr, limits: dict) -> Counted:
+@dataclasses.dataclass(frozen=True)
+class _Counted:
+    """``count`` items made one at a time by ``items``. ``build_background``
+    takes any iterable, but the benchmark's ``segmentation.background`` span
+    reads ``len(frames)``, so the frames it is given must have a length."""
+
+    items: Iterable
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return iter(self.items)
+
+
+def _range_frames(cont: FrameContainer, tof_intr, limits: dict) -> _Counted:
     """The demodulated frames of a raw container, one raw frame in float64
     at a time."""
     frames = (_range_frame(cont, k, tof_intr, limits) for k in range(cont.frames))
-    return Counted(frames, cont.frames)
+    return _Counted(frames, cont.frames)
 
 
 def cmd_fuse(args) -> int:
@@ -231,16 +248,23 @@ def cmd_fuse(args) -> int:
     ir_intr = _load_document(cfg, base, "ir_intrinsics", thermal.IrIntrinsics)
     ext = _load_document(cfg, base, "extrinsics", fusion.Extrinsics)
 
-    thermal_frames = thermal.thermal_frames_from_container(thermal_cont)
-    if len(thermal_frames) not in (1, raw_cont.frames):
+    if thermal_cont.frames not in (1, raw_cont.frames):
         raise ConfigError(
-            f"{len(thermal_frames)} thermal frames for {raw_cont.frames} raw frames: "
+            f"{thermal_cont.frames} thermal frames for {raw_cont.frames} raw frames: "
             "need 1 or one per raw frame"
         )
+    # one thermal frame is unpacked once; one per raw frame is unpacked, in
+    # float64, only while its raw frame is fused
+    single = None
+    if thermal_cont.frames == 1:
+        (single,) = thermal.thermal_frames_from_container(thermal_cont)
 
     def fused(k: int) -> fusion.Thermogram:
         """Raw frame k fused with its thermal frame; prints the frame's line."""
-        thermal_frame = thermal_frames[k if len(thermal_frames) > 1 else 0]
+        if single is None:
+            (thermal_frame,) = thermal.thermal_frames_from_container(thermal_cont.frame(k))
+        else:
+            thermal_frame = single
         tg = fusion.fuse(_range_frame(raw_cont, k, tof_intr, limits), thermal_frame,
                          tof_intr, ir_intr, ext)
         stats = fusion.fuse_summary(tg)
@@ -283,16 +307,15 @@ def cmd_segment(args) -> int:
     test_cont = background_cont
     if "frames" in cfg:
         test_cont = FrameContainer.read(_resolve(cfg, "frames", base))
-    masks = segmentation.masks_to_container(Counted(
-        (segmentation.foreground_mask(f, model, k, **mask_settings)
-         for f in _range_frames(test_cont, tof_intr, limits)),
-        test_cont.frames))
+    masks = [segmentation.foreground_mask(f, model, k, **mask_settings)
+             for f in _range_frames(test_cont, tof_intr, limits)]
 
     out = _output_dir(args, cfg)
     segmentation.background_to_container(model).write(out / "background.tirf")
-    masks.write(out / "masks.tirf")
-    for i in range(masks.frames):
-        (mask,) = segmentation.masks_from_container(masks.frame(i))
+    with frame_writer(out / "masks.tirf", len(masks)) as writer:
+        for mask in masks:
+            writer.append(segmentation.masks_to_container([mask]))
+    for i, mask in enumerate(masks):
         _write_text(out / f"mask_{i:04d}.pbm", segmentation.mask_to_pbm(mask))
         _say(args, f"frame {i}: {int(mask.foreground.sum())} foreground pixels")
     return EXIT_OK

@@ -30,7 +30,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Collection, Iterable, Iterator, Mapping
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -98,33 +98,23 @@ class FrameContainer:
         return FrameContainer(self.channel_names, self.data[k : k + 1])
 
     @classmethod
-    def stack(cls, frames: Collection[Mapping[str, np.ndarray]]) -> "FrameContainer":
+    def stack(cls, frames: Sequence[Mapping[str, np.ndarray]]) -> "FrameContainer":
         """Build a container from per-frame mappings of name -> (H, W) plane.
 
-        ``frames`` is iterated once, a frame at a time, so it may make each
-        mapping as it is asked for; its ``len()`` sizes the float32 stack and
-        must equal the number of frames it yields. All frames must share the
-        same channel names in the same order and every plane the shape of
-        the first one; planes are written straight into the stack.
+        All frames must share the same channel names in the same order and
+        every plane the shape of the first one; planes are written straight
+        into the float32 stack.
         """
-        count = len(frames)
-        if count == 0:
+        if len(frames) == 0:
             raise ContainerFormatError("at least one frame required")
-        data = None
-        made = 0
+        names = tuple(frames[0])
+        if not names:
+            raise ContainerFormatError("at least one channel required")
+        shape = np.shape(frames[0][names[0]])
+        if len(shape) != 2:
+            raise ContainerFormatError(f"planes must be 2-d (height, width), got shape {shape}")
+        data = np.empty((len(frames),) + shape + (len(names),), dtype="<f4")
         for i, frame in enumerate(frames):
-            if i == count:
-                raise ContainerFormatError(f"more frames than the {count} announced")
-            if data is None:
-                names = tuple(frame)
-                if not names:
-                    raise ContainerFormatError("at least one channel required")
-                shape = np.shape(frame[names[0]])
-                if len(shape) != 2:
-                    raise ContainerFormatError(
-                        f"planes must be 2-d (height, width), got shape {shape}"
-                    )
-                data = np.empty((count,) + shape + (len(names),), dtype="<f4")
             if tuple(frame) != names:
                 raise ContainerFormatError(f"frame {i} channels {tuple(frame)} != {names}")
             for c, name in enumerate(names):
@@ -134,10 +124,6 @@ class FrameContainer:
                         f"frame {i} channel {name!r} has shape {plane.shape}, expected {shape}"
                     )
                 data[i, :, :, c] = plane
-            made = i + 1
-        if made != count:
-            # the rows past ``made`` were never written
-            raise ContainerFormatError(f"{made} frames, {count} announced")
         return cls(names, data)
 
     def to_bytes(self) -> bytes:
@@ -292,24 +278,6 @@ def replacing(path: str | Path, text: bool = False) -> Iterator[IO]:
 
 
 @dataclass(frozen=True)
-class Counted:
-    """``count`` items made one at a time by ``items``, for a consumer that
-    reads a length before it iterates, such as :meth:`FrameContainer.stack`.
-
-    Iterating it iterates ``items``; a one-shot iterator can be iterated once.
-    """
-
-    items: Iterable
-    count: int
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        return iter(self.items)
-
-
-@dataclass(frozen=True)
 class ChannelSchema:
     """How one record type is stored: one container frame per record.
 
@@ -357,9 +325,9 @@ class ChannelSchema:
     def channel_names(self) -> tuple[str, ...]:
         return tuple(name for names in self.fields.values() for name in names)
 
-    def pack(self, records: Collection) -> FrameContainer:
-        """One container frame per record, each record read as it is iterated."""
-        return FrameContainer.stack(Counted(map(self._planes, records), len(records)))
+    def pack(self, records: Sequence) -> FrameContainer:
+        """One container frame per record."""
+        return FrameContainer.stack([self._planes(record) for record in records])
 
     def _planes(self, record) -> dict:
         planes = {}

@@ -441,6 +441,20 @@ class TestFuse:
         assert "non-negative" in capsys.readouterr().err
         assert files() == earlier
 
+    def test_nan_in_a_later_thermal_frame_leaves_the_earlier_outputs(self, workspace, capsys):
+        """Thermal frame k is unpacked as raw frame k is fused: a NaN in
+        frame 1 exits 2 and leaves an earlier call's files as they were."""
+        assert self._fuse_with_thermal_frames(workspace, 3) == 0
+        fused = workspace / "fused"
+        earlier = {p.name: p.read_bytes() for p in fused.iterdir()}
+        assert sorted(earlier) == ["thermogram.tirf", "thermogram.txt"]
+        temperatures = np.full((3, 120, 160, 1), 310.0)
+        temperatures[1, 60, 80, 0] = np.nan
+        FrameContainer(("temperature",), temperatures).write(workspace / "thermal_seq.tirf")
+        assert main(["fuse", "--config", str(workspace / "fuse.json"), "--quiet"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in fused.iterdir()} == earlier
+
 
 class TestSegment:
     def test_background_and_masks(self, workspace, capsys):
@@ -472,6 +486,40 @@ class TestSegment:
             "output": str(workspace / "seg"),
         })
         assert main(["segment", "--config", str(workspace / "seg.json"), "--quiet"]) == 2
+
+    def test_failing_last_frame_writes_nothing(self, workspace, capsys):
+        """No file is written until every test frame has succeeded: a bad
+        last frame makes no output directory and leaves an earlier call's
+        background, masks and PBMs as they were."""
+        out = _simulate(workspace)  # 3 raw frames
+        # other frames, so a completed failing call would write other bytes
+        other = _simulate(workspace, ("--output", str(workspace / "other"), "--seed", "43"))
+        raw = FrameContainer.read(other / "raw.tirf")
+        data = raw.data.copy()
+        data[-1, 0, 0, 0] = -1.0  # a negative bucket in the last frame only
+        FrameContainer(raw.channel_names, data).write(workspace / "bad_raw.tirf")
+
+        def segment(sim, frames, output):
+            _write_json(workspace / "seg.json", {
+                "background": str(sim / "raw.tirf"),
+                "frames": str(frames),
+                "tof_intrinsics": "tof.json",
+                "output": str(workspace / output),
+            })
+            return main(["segment", "--config", str(workspace / "seg.json"), "--quiet"])
+
+        def files(output):
+            return {p.name: p.read_bytes() for p in (workspace / output).iterdir()}
+
+        assert segment(other, workspace / "bad_raw.tirf", "fresh") == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not (workspace / "fresh").exists()
+        assert segment(out, out / "raw.tirf", "earlier") == 0
+        earlier = files("earlier")
+        assert sorted(earlier) == ["background.tirf", "mask_0000.pbm", "mask_0001.pbm",
+                                   "mask_0002.pbm", "masks.tirf"]
+        assert segment(other, workspace / "bad_raw.tirf", "earlier") == 2
+        assert files("earlier") == earlier
 
 
 class TestDeterminism:
@@ -601,8 +649,8 @@ class TestDeterminism:
 
 class TestStreamedMemory:
     """fuse and segment hold one raw frame in float64 at a time: per extra
-    frame, their peak grows by the frame's float32 input payload and output
-    stack only; simulate writes each frame as it is rendered, so its peak
+    frame, their peak grows by the frame's float32 input payload and, for
+    segment, its mask record only; simulate writes each frame as it is rendered, so its peak
     does not grow with the frame count. tracemalloc counts numpy's buffers;
     RSS would follow glibc's heap thresholds as much as live memory."""
 
@@ -610,10 +658,12 @@ class TestStreamedMemory:
     FRAME_COUNTS = (2, 12)
     # allowance over a frame's float32 bytes
     SLACK = 0.2
-    # float32 channels per frame read and written
+    # float32 channels per frame read and written or held
     CHANNELS = {
         "fuse": 4 + 5,  # raw a1..a4; thermogram x, y, z, temperature, validity
-        "segment": 4 + 4 + 3,  # background and test raw; foreground, score, valid
+        # background and test raw; the mask record's foreground, score and
+        # valid (bool, float64, bool: 10 bytes a pixel, under 3 channels' 12)
+        "segment": 4 + 4 + 3,
     }
 
     def _configs(self, workspace, frames: int) -> dict:
@@ -670,6 +720,26 @@ class TestStreamedMemory:
         per_frame = (peaks[1] - peaks[0]) / (high - low)
         input_bytes = self.WIDTH * self.HEIGHT * 4 * 4  # raw a1..a4
         assert per_frame <= 1.5 * input_bytes, (peaks, per_frame / input_bytes)
+
+    def test_fuse_peak_with_a_thermal_frame_per_raw_frame(self, workspace):
+        # thermal frame k is unpacked to float64 only while raw frame k is
+        # fused, so only the two float32 inputs grow with the frame count
+        ir = json.loads((workspace / "ir.json").read_text())
+        peaks = []
+        for n in self.FRAME_COUNTS:
+            config = self._configs(workspace, n)["fuse"]
+            thermal_path = workspace / f"thermal{n}.tirf"
+            FrameContainer.stack(
+                [{"temperature": np.full((ir["height"], ir["width"]), 300.0 + k)}
+                 for k in range(n)]
+            ).write(thermal_path)
+            _write_json(config, {**json.loads(config.read_text()), "thermal": str(thermal_path)})
+            peaks.append(self._peak(["fuse", "--config", str(config), "--quiet"]))
+        low, high = self.FRAME_COUNTS
+        per_frame = (peaks[1] - peaks[0]) / (high - low)
+        # raw a1..a4 and one temperature channel
+        input_bytes = self.WIDTH * self.HEIGHT * 4 * 4 + ir["width"] * ir["height"] * 4
+        assert per_frame <= (1 + self.SLACK) * input_bytes, (peaks, per_frame / input_bytes)
 
     def test_simulate_peak_does_not_grow_with_frames(self, workspace):
         # each frame is appended to raw.tirf and raw.truth.tirf as it is

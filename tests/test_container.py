@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tofir import ContainerFormatError, DimensionMismatchError, FrameContainer, container
-from tofir.container import Counted, frame_writer
+from tofir.container import frame_writer
 from tofir.fusion import THERMOGRAM_SCHEMA, thermograms_from_container
 from tofir.segmentation import BACKGROUND_SCHEMA, MASK_SCHEMA, background_from_container
 from tofir.simulator import TRUTH_SCHEMA
@@ -144,36 +144,17 @@ def test_frame_is_a_one_frame_view():
             cont.frame(k)
 
 
-# --- stacking from a sized iterable ---------------------------------------------------
+# --- stacking ---------------------------------------------------------------------
 
 def _planes(count):
     return [{"a": np.full((3, 4), float(k)), "b": np.full((3, 4), -float(k))}
             for k in range(count)]
 
 
-def test_stack_takes_frames_as_they_are_made():
-    made = []
-
-    def frames():
-        for planes in _planes(3):
-            made.append(len(made))
-            yield planes
-
-    cont = FrameContainer.stack(Counted(frames(), 3))
-    assert made == [0, 1, 2]
-    assert cont.to_bytes() == FrameContainer.stack(_planes(3)).to_bytes()
-
-
-@pytest.mark.parametrize("yielded, announced", [(2, 3), (0, 1), (4, 3), (1, 0)])
-def test_stack_rejects_a_frame_count_other_than_announced(yielded, announced):
-    with pytest.raises(ContainerFormatError):
-        FrameContainer.stack(Counted(iter(_planes(yielded)), announced))
-
-
 def test_stack_still_rejects_no_frames_no_channels_and_mismatched_planes():
     for frames in ([], [{}], [{"a": np.zeros((3, 4))}, {"a": np.zeros((3, 5))}]):
         with pytest.raises(ContainerFormatError):
-            FrameContainer.stack(Counted(iter(frames), len(frames)))
+            FrameContainer.stack(frames)
 
 
 # --- writing a frame at a time ---------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .camera import pixel_rays, project_points
-from .container import replacing
+from .container import format_rows, replacing
 from .document import check
 from .errors import DegenerateGeometryError, InsufficientDataError
 from .thermal import IrIntrinsics
@@ -271,12 +271,15 @@ def load_observations(path) -> list[TargetObservation]:
 
 
 def save_observations(path, observations: Sequence[TargetObservation]) -> None:
-    """Write the observation table to ``path``, whole or not at all."""
+    """Write the observation table to ``path``, whole or not at all: a
+    ``#`` header line, then ``u v distance ir_x ir_y`` per observation,
+    each value as ``%.9g``."""
     table = np.array(
-        [[o.u, o.v, o.distance, o.ir_x, o.ir_y] for o in observations]
-    )
+        [[o.u, o.v, o.distance, o.ir_x, o.ir_y] for o in observations], dtype=np.float64
+    ).reshape(-1, 5)
     with replacing(path, text=True) as fh:
-        np.savetxt(fh, table, fmt="%.9g", header="u v distance ir_x ir_y")
+        fh.write("# u v distance ir_x ir_y\n")
+        fh.write(format_rows(table))
 
 
 def format_report(result: CalibrationResult) -> str:

@@ -260,15 +260,17 @@ def cmd_fuse(args) -> int:
         (single,) = thermal.thermal_frames_from_container(thermal_cont)
 
     def fused(k: int) -> fusion.Thermogram:
-        """Raw frame k fused with its thermal frame; prints the frame's line."""
+        """Raw frame k fused with its thermal frame; prints the frame's line
+        unless --quiet."""
         if single is None:
             (thermal_frame,) = thermal.thermal_frames_from_container(thermal_cont.frame(k))
         else:
             thermal_frame = single
         tg = fusion.fuse(_range_frame(raw_cont, k, tof_intr, limits), thermal_frame,
                          tof_intr, ir_intr, ext)
-        stats = fusion.fuse_summary(tg)
-        _say(args, f"frame {k}: " + "  ".join(f"{k_}={v:.4f}" for k_, v in stats.items()))
+        if not args.quiet:  # the summary counts every reason code: only when printed
+            stats = fusion.fuse_summary(tg)
+            print(f"frame {k}: " + "  ".join(f"{k_}={v:.4f}" for k_, v in stats.items()))
         return tg
 
     # frame 0 is fused before the output directory is made. Each thermogram

@@ -365,3 +365,105 @@ class ChannelSchema:
                 start = stop
             records.append(self.record(**values))
         return records
+
+
+# --- %.9g text tables -------------------------------------------------------------
+
+# Per decimal exponent e of -5..7, index e + 5: the exact power of ten that
+# scales a value to 9 integer digits, and the one that then scales those
+# digits to the value times 10**12. The ends are NaN, so no value there
+# takes the vectorized path
+_SCALE = np.array([np.nan] + [10.0**k for k in range(12, 1, -1)] + [np.nan])
+_SHIFT = np.array([0] + [10**k for k in range(11)] + [0], dtype=np.uint64)
+_BYTES = 0x0101010101010101  # 1 in each byte of a uint64 word
+_ASCII = np.uint64(0x30 * _BYTES)  # "0" in each byte
+
+
+def _g9(value: float) -> str:
+    """One value the vectorized path cannot prove it formats as ``%`` does."""
+    return "%.9g" % value
+
+
+def _digits8(words: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each uint64 below 10**8, most significant
+    first from the word's lowest byte: 4 digits in each 32-bit half, then 2
+    in each 16-bit quarter, then 1 in each byte. Each step divides every
+    lane at once by a multiply and a shift, exact for lanes this small."""
+    high = words // np.uint64(10000)
+    words = high | (words - high * np.uint64(10000)) << np.uint64(32)
+    for divisor, multiplier, shift, width, mask in ((100, 5243, 19, 16, 0x7F0000007F),
+                                                     (10, 103, 10, 8, 0xF000F000F000F)):
+        quotient = (words * np.uint64(multiplier)) >> np.uint64(shift) & np.uint64(mask)
+        words = quotient | (words - quotient * np.uint64(divisor)) << np.uint64(width)
+    return words
+
+
+def _kept(words: np.ndarray, upward: bool) -> np.ndarray:
+    """0xFF in each byte of a word of digits from its lowest nonzero byte
+    up (``upward``), or up to its highest nonzero byte; 0 in the others."""
+    flags = (words + np.uint64(0x7F * _BYTES)) & np.uint64(0x80 * _BYTES)
+    for shift in (8, 16, 32):
+        flags |= flags << np.uint64(shift) if upward else flags >> np.uint64(shift)
+    return (flags >> np.uint64(7)) * np.uint64(0xFF)
+
+
+def format_rows(table: np.ndarray) -> str:
+    """The rows of the 2-d ``table``, each value as ``"%.9g" % value``, one
+    space between values and a newline after each row: the text of
+    ``np.savetxt(fmt="%.9g")``.
+
+    A value is formatted without ``%`` when its ``%.9g`` form is fixed
+    notation with at most 7 integer digits, and its rounding to 9
+    significant digits provably matches the correctly rounded one of ``%``:
+    with ``e`` its decimal exponent, ``s = |value| * 10**(8-e)`` lies in
+    [1e8, 1e9) and is more than 1e-6 from a half-integer, while the product
+    itself is off by at most 6e-8 (half an ulp). The rounded value times
+    10**12 is a uint64 whose 19 digits turn into ASCII 8 at a time; zero
+    bytes stand for leading integer zeros, trailing fraction zeros and a
+    bare point, and are dropped at the end. Zeros are written ``0`` or
+    ``-0``. Every other value (exponent notation, ``|value| >= 1e7``, NaN,
+    infinities, subnormals, near-ties) goes through ``%``.
+    """
+    values = np.asarray(table, dtype=np.float64)
+    rows, cols = values.shape
+    flat = values.ravel()
+    magnitude = np.abs(flat)
+    # a signalling NaN, and inf times NaN, raise the invalid flag: such
+    # values go through %
+    with np.errstate(invalid="ignore"):
+        # the decimal exponent, clamped to -4..7 (-5 if log10 falls short)
+        index = np.floor(np.log10(np.fmin(np.fmax(magnitude, 1e-4), 1e7))).astype(np.intp) + 5
+        scaled = magnitude * _SCALE[index]
+        rounded = np.rint(scaled)
+        # rounded below 1e9, the integer part leaves byte 0 free for the sign
+        fast = (scaled >= 1e8) & (rounded < 1e9) & (np.abs(scaled - rounded) < 0.5 - 1e-6)
+        np.copyto(rounded, 0.0, where=~fast)
+        fixed = rounded.astype(np.uint64) * _SHIFT[index]  # the value times 10**12
+        fast |= magnitude == 0.0
+    # 7 integer digits, 7 fraction digits and 5 more as 8 digits each
+    whole = fixed // np.uint64(10**12)
+    fraction = fixed - whole * np.uint64(10**12)
+    high = fraction // np.uint64(10**5)
+    low = (fraction - high * np.uint64(10**5)) * np.uint64(1000)
+    whole, high, low = _digits8(np.concatenate([whole, high, low])).reshape(3, -1)
+
+    # one 24-byte slot per value, 3 words: the sign in byte 0, where the
+    # integer's top digit is always 0, then a point in byte 0 of the next
+    # word, and the separator in the last byte
+    text = np.empty((flat.size, 3), dtype="<u8")
+    # the units digit always stays, and a nonzero digit in low keeps every
+    # digit of high and the point
+    text[:, 0] = ((whole | _ASCII) & _kept(whole | np.uint64(1 << 56), upward=True)
+                  | np.signbit(flat) * np.uint64(ord("-")))
+    text[:, 1] = ((high | (_ASCII ^ np.uint64(0x30 ^ ord("."))))
+                  & _kept(high | (low != 0) * np.uint64(1 << 56), upward=False))
+    separators = np.full(cols, ord(" ") << 56, dtype=np.uint64)
+    separators[-1] = ord("\n") << 56
+    text.reshape(rows, cols, 3)[:, :, 2] = (
+        ((low | _ASCII) & _kept(low, upward=False)).reshape(rows, cols) | separators)
+
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        formatted = np.array([_g9(value) for value in flat[slow].tolist()], dtype="S23")
+        text.view(np.uint8)[slow, :23] = formatted.view(np.uint8).reshape(-1, 23)
+    return text.tobytes().translate(None, b"\0").decode("ascii")

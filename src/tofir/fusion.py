@@ -20,7 +20,7 @@ import numpy as np
 
 from .blocks import run_blocks
 from .camera import project_points
-from .container import ChannelSchema
+from .container import ChannelSchema, format_rows
 from .document import check, number, read, triple
 from .errors import DimensionMismatchError
 from .thermal import IrIntrinsics, ThermalFrame, sample_temperature_grid
@@ -28,8 +28,7 @@ from .tof import PointCloud, RangeFrame, TofIntrinsics, backproject
 
 _ORTHONORMALITY_TOL = 1e-9
 
-_TEXT_ROW = " ".join(["%.9g"] * 5) + "\n"
-_TEXT_BLOCK_ROWS = 4096  # rows formatted per % operation
+_TEXT_BLOCK_ROWS = 4096  # rows formatted and written at a time
 
 
 class FuseReason(IntEnum):
@@ -235,7 +234,11 @@ def thermogram_to_text(thermogram: Thermogram, file: TextIO) -> None:
     pixel, written to the open text ``file`` a block of rows at a time.
 
     Each value is formatted with ``%.9g``; the bytes equal those of
-    ``np.savetxt(fmt="%.9g")``, formatted a block of rows per ``%``.
+    ``np.savetxt(fmt="%.9g")``. A block is formatted by
+    :func:`tofir.container.format_rows`: values whose 9-digit rounding it
+    can prove (finite, fixed notation with at most 7 integer digits, not
+    within 1e-6 of a rounding tie) are turned into digits by integer array
+    arithmetic, and every other value goes through ``%`` on its own.
     """
     points = thermogram.points.reshape(-1, 3)
     temperature = thermogram.temperature.ravel()
@@ -246,4 +249,4 @@ def thermogram_to_text(thermogram: Thermogram, file: TextIO) -> None:
         block = np.column_stack(
             [points[rows], temperature[rows], reason[rows].astype(np.float64)]
         )
-        file.write((_TEXT_ROW * len(block)) % tuple(block.ravel().tolist()))
+        file.write(format_rows(block))

@@ -305,6 +305,23 @@ class TestFuse:
         text = (workspace / "fused" / "thermogram.txt").read_text()
         assert len([l for l in text.splitlines() if not l.startswith("#")]) == 64 * 50
 
+    def test_quiet_builds_no_summary(self, workspace, capsys, monkeypatch):
+        out = _simulate(workspace)
+        _write_json(workspace / "fuse.json", {
+            "raw": str(out / "raw.tirf"),
+            "thermal": str(out / "thermal.tirf"),
+            "tof_intrinsics": "tof.json",
+            "ir_intrinsics": "ir.json",
+            "extrinsics": str(out / "extrinsics.truth.json"),
+            "output": str(workspace / "fused"),
+        })
+        capsys.readouterr()
+        summaries = []
+        monkeypatch.setattr(tofir.fusion, "fuse_summary", summaries.append)
+        assert main(["fuse", "--config", str(workspace / "fuse.json"), "--quiet"]) == 0
+        assert summaries == []
+        assert capsys.readouterr().out == ""
+
     def test_dimension_mismatch_exit_2(self, workspace):
         out = _simulate(workspace)
         _write_json(workspace / "fuse.json", {

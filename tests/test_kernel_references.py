@@ -7,7 +7,8 @@ expressions those kernels started from; every test demands the same bytes,
 so a rewrite that reorders a floating-point operation fails here before it
 changes a CLI artifact. The same holds for the hand-written per-record
 container adapters that the channel schemas replaced, for the
-``np.savetxt`` thermogram table, for the bitmap text as it was written a
+``np.savetxt`` thermogram and observation tables, whose vectorized ``%.9g``
+is also held to ``%`` value by value, for the bitmap text as it was written a
 pixel at a time, for the ``simulate``, ``fuse`` and ``segment`` commands as
 they were before they streamed their frames, for the
 range render as it was before it worked in row bands, for the
@@ -26,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from tofir import (
@@ -46,7 +49,8 @@ from tofir import (
     render_ir,
     render_tof,
 )
-from tofir import blocks, calibration, cli, document, fusion, segmentation, simulator, thermal, tof
+from tofir import (blocks, calibration, cli, container, document, fusion, segmentation, simulator,
+                   thermal, tof)
 from tofir.camera import distort_radius, pixel_rays, project_distorted, project_points, unit_rays
 from tofir.errors import ContainerFormatError
 from tofir.fusion import FuseReason
@@ -1113,6 +1117,104 @@ def test_thermogram_text_goes_to_a_file_a_block_of_rows_at_a_time():
     fusion.thermogram_to_text(tg, file)
     assert writes == [1, 4096, 4096, 4096, 4096, 2816]
     assert file.getvalue() == ref_thermogram_to_text(tg)
+
+
+def ref_format_rows(table):
+    return "".join(" ".join("%.9g" % value for value in row) + "\n" for row in table.tolist())
+
+
+# the bit patterns of the doubles from 1e-4 to 1e7, either sign: the span
+# format_rows writes without %, which arbitrary patterns hit about 1 in 50
+_FIXED_BITS = st.builds(
+    int.__or__, st.sampled_from([0, 1 << 63]),
+    st.integers(*np.array([1e-4, 1e7]).view(np.uint64).tolist()),
+)
+
+
+@given(bits=st.lists(st.one_of(st.integers(0, 2**64 - 1), _FIXED_BITS), min_size=1, max_size=60),
+       cols=st.integers(1, 5))
+@settings(max_examples=500, deadline=None)
+def test_format_rows_matches_percent_on_any_bit_pattern(bits, cols):
+    # NaN payloads, signalling NaNs, infinities, zeros and subnormals among them
+    bits += [0] * (-len(bits) % cols)
+    table = np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, cols)
+    assert container.format_rows(table) == ref_format_rows(table)
+
+
+@pytest.mark.parametrize("value", [
+    9.99999999e-05, 9.999999995e-05, 1e-4, 0.5, 12345678.25, 9999999.5, 999999.9995, 1e7,
+    -0.0, 5e-324, 1.7976931348623157e308,
+    # 9 digits that round up to 8 integer digits
+    9999999.996,
+    # scaled to 9 integer digits, these products round onto a half that the
+    # exact product is not: the correct rounding goes the other way
+    56.06394615, 0.09554173255,
+])
+def test_format_rows_matches_percent_at_bounds_and_ties(value):
+    table = np.array([[value, -value, math.nextafter(value, 0.0), math.nextafter(value, math.inf)]])
+    assert container.format_rows(table) == ref_format_rows(table)
+
+
+def test_a_fused_thermogram_takes_no_fallback(monkeypatch, tof_intr, ir_intr, baseline_ext,
+                                              blob_scene):
+    # points in metres, kelvin and reason codes, zeros where a saturated
+    # pixel has no range, as fuse writes them: the table takes the vectorized
+    # path throughout, so % formats no value
+    noise = simulator.NoiseConfig(seed=3, bucket_noise_sigma=0.2, saturation_fraction=0.01)
+    raw, _ = render_tof(blob_scene, tof_intr, noise=noise)
+    thermal = render_ir(blob_scene, ir_intr, baseline_ext.inverse())
+    tg = fuse(demodulate(raw, tof_intr), thermal, tof_intr, ir_intr, baseline_ext)
+    assert 0 < np.count_nonzero(tg.valid) < tg.valid.size
+    fallbacks = []
+    monkeypatch.setattr(container, "_g9", lambda value: fallbacks.append(value) or "%.9g" % value)
+    file = io.StringIO()
+    fusion.thermogram_to_text(tg, file)
+    assert fallbacks == []
+    assert file.getvalue() == ref_thermogram_to_text(tg)
+
+
+def _text_peak(height, width):
+    """tracemalloc peak of writing a height x width thermogram's table to a
+    file that keeps nothing."""
+    rng = np.random.default_rng(19)
+    shape = (height, width)
+    tg = Thermogram(rng.uniform(-2.0, 2.0, shape + (3,)), rng.uniform(250.0, 350.0, shape),
+                    rng.integers(0, 4, shape))
+
+    class Discard(io.TextIOBase):
+        def write(self, text):
+            return len(text)
+
+    fusion.thermogram_to_text(tg, Discard())
+    tracemalloc.start()
+    try:
+        fusion.thermogram_to_text(tg, Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_thermogram_text_temporaries_stay_one_block():
+    # 19200 and 307200 rows: both tables are formatted in full 4096-row
+    # blocks, so the larger may not hold even one more block of float64 values
+    small = _text_peak(120, 160)
+    large = _text_peak(480, 640)
+    assert large - small < 4096 * 5 * 8, (small, large)
+
+
+@pytest.mark.parametrize("count", [0, 1, 20])
+def test_observation_file_matches_savetxt(tmp_path, count):
+    rng = np.random.default_rng(23)
+    rows = np.column_stack([rng.uniform(0, 64, count), rng.uniform(0, 50, count),
+                            rng.uniform(0.5, 4.0, count), rng.uniform(0, 160, count),
+                            rng.uniform(0, 120, count)])
+    rows[:1, 0] = 5e-07  # exponent notation
+    observations = [calibration.TargetObservation(*row) for row in rows.tolist()]
+    calibration.save_observations(tmp_path / "observations.txt", observations)
+    reference = io.StringIO()
+    np.savetxt(reference, np.array([[o.u, o.v, o.distance, o.ir_x, o.ir_y] for o in observations]),
+               fmt="%.9g", header="u v distance ir_x ir_y")
+    assert (tmp_path / "observations.txt").read_text() == reference.getvalue()
 
 
 # --- streamed simulate, fuse and segment commands -------------------------------------------

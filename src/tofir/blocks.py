@@ -1,15 +1,15 @@
 """A frame's independent blocks of work, run on a thread per CPU.
 
-The per-pixel kernels (demodulation, backprojection, fusion and the range
-renderer's buckets) work through a frame in blocks of about ``BLOCK``
-pixels, each block writing its own slice of preallocated outputs. A call's
-blocks are handed out one at a time, in ascending order, from a shared
-cursor: the calling thread takes block 0 first, and a pool of worker
-threads, made when first needed, takes the others as they come. numpy
-releases the GIL inside its loops, so the blocks overlap. Every operation
-stays elementwise on the same floats, so the outputs are the same bytes at
-any worker count. A frame of one block, and a call made from a worker,
-runs inline on the calling thread.
+The per-pixel kernels (demodulation, backprojection, fusion, and the
+renderer's trace, direct return, scattering stencil and buckets) work
+through a frame in blocks of about ``BLOCK`` pixels, each block writing its
+own slice of preallocated outputs. A call's blocks are handed out one at a
+time, in ascending order, from a shared cursor: the calling thread takes
+block 0 first, and a pool of worker threads, made when first needed, takes
+the others as they come. numpy releases the GIL inside its loops, so the
+blocks overlap. Every operation stays elementwise on the same floats, so the
+outputs are the same bytes at any worker count. A frame of one block, and a
+call made from a worker, runs inline on the calling thread.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _executor() -> ThreadPoolExecutor:
 def run_blocks(n: int, work: Callable[[int, int], None], unit_pixels: int = 1) -> None:
     """Call ``work(start, stop)`` once for every block of ``range(n)``.
 
-    A unit of work (a point, an image row, or a band of rows) covers
+    A unit of work (a point, an image row, or a noise band of rows) covers
     ``unit_pixels`` pixels, and a block holds ``max(1, BLOCK // unit_pixels)``
     units. The blocks must be independent of each other.
 

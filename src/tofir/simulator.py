@@ -26,7 +26,7 @@ Each band of ``_NOISE_ROWS`` image rows draws its normals from a
 counter-based Philox stream of its own, keyed by (seed, frame index, band)
 through ``np.random.SeedSequence``; the saturated pixels are chosen from a
 stream keyed by (seed, frame index). So frame k is reproducible in
-isolation, and the bands can be drawn on any thread in any order.
+isolation, and its blocks (:mod:`tofir.blocks`) can run on any thread.
 
 Every random draw comes after in-lens scattering, so all of a range frame
 up to its first draw depends on the scene, the intrinsics, the pose, the
@@ -45,14 +45,14 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import document
 from .blocks import run_blocks
 from .calibration import TargetObservation
-from .camera import project_distorted, project_points, unit_rays
+from .camera import pixel_rays, project_distorted, project_points, unit_rays
 from .container import ChannelSchema
 from .fusion import Extrinsics
 from .thermal import IrIntrinsics, ThermalFrame
@@ -72,7 +72,6 @@ _AXES = {"x": 0, "y": 1, "z": 2}
 _MISS = np.inf
 _MIN_HIT = 1e-9
 _DBL_EPSILON = np.finfo(np.float64).eps
-_BAND_ROWS = 32  # image rows per band of the trace, the render and the convolution
 _NOISE_ROWS = 32  # image rows per noise band, each drawn from a stream of its own
 
 
@@ -298,58 +297,44 @@ def _intersect_sphere(origin, rays, center, radius):
     return np.where((disc >= 0) & (t > _MIN_HIT), t, _MISS)
 
 
-@dataclass(frozen=True)
-class _SceneResponse:
-    distance: np.ndarray
-    reflectivity: np.ndarray
-    temperature: np.ndarray
+def _trace(scene: Scene, rays_camera: np.ndarray, pose: Extrinsics):
+    """Nearest hit per ray, traced a block of rows at a time
+    (:mod:`tofir.blocks`): the distance, reflectivity and temperature planes.
 
-
-def _bands(height: int) -> Iterator[slice]:
-    for top in range(0, height, _BAND_ROWS):
-        yield slice(top, top + _BAND_ROWS)
-
-
-def _trace(scene: Scene, rays_camera: np.ndarray, pose: Extrinsics) -> _SceneResponse:
-    """Nearest hit per ray, traced a band of rows at a time.
-
-    The three per-pixel arrays are returned read-only: the range and the
-    temperatures are kept in a frame base, whose ground truths hold them
-    without a copy.
+    The planes are returned read-only: the range and the temperatures are
+    kept in a frame base, whose ground truths hold them without a copy.
     """
-    distance = np.empty(rays_camera.shape[:-1])
-    reflectivity = np.empty_like(distance)
-    temperature = np.empty_like(distance)
-    for band in _bands(distance.shape[0]):
-        distance[band], reflectivity[band], temperature[band] = _trace_band(
-            scene, rays_camera[band], pose)
-    for array in (distance, reflectivity, temperature):
-        array.flags.writeable = False
-    return _SceneResponse(distance, reflectivity, temperature)
+    height, width = rays_camera.shape[:2]
+    planes = tuple(np.empty((height, width)) for _ in range(3))
 
+    def trace(first, stop):
+        rays_world = rays_camera[first:stop] @ pose.rotation.T
+        origin = pose.translation
+        best_t = np.full(rays_world.shape[:-1], _MISS)
+        reflectivity = np.full_like(best_t, scene.background_reflectivity)
+        temperature = np.full_like(best_t, scene.ambient_temperature)
+        for prim in scene.primitives:
+            if isinstance(prim, Plane):
+                t = _intersect_plane(origin, rays_world, _AXES[prim.axis], prim.offset)
+            else:
+                t = _intersect_sphere(origin, rays_world, prim.center, prim.radius)
+            closer = t < best_t
+            best_t = np.where(closer, t, best_t)
+            reflectivity = np.where(closer, prim.reflectivity, reflectivity)
+            temperature = np.where(closer, prim.temperature, temperature)
+        missed = np.isinf(best_t)
+        if np.any(missed):
+            t_bg = _intersect_plane(origin, rays_world, 2, scene.background_distance)
+            # rays parallel to the background plane fall back to the radial distance
+            t_bg = np.where(np.isinf(t_bg), scene.background_distance, t_bg)
+            best_t = np.where(missed, t_bg, best_t)
+        for plane, traced in zip(planes, (best_t, reflectivity, temperature)):
+            plane[first:stop] = traced
 
-def _trace_band(scene: Scene, rays_camera: np.ndarray, pose: Extrinsics):
-    rays_world = rays_camera @ pose.rotation.T
-    origin = pose.translation
-    best_t = np.full(rays_world.shape[:-1], _MISS)
-    reflectivity = np.full_like(best_t, scene.background_reflectivity)
-    temperature = np.full_like(best_t, scene.ambient_temperature)
-    for prim in scene.primitives:
-        if isinstance(prim, Plane):
-            t = _intersect_plane(origin, rays_world, _AXES[prim.axis], prim.offset)
-        else:
-            t = _intersect_sphere(origin, rays_world, prim.center, prim.radius)
-        closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        reflectivity = np.where(closer, prim.reflectivity, reflectivity)
-        temperature = np.where(closer, prim.temperature, temperature)
-    missed = np.isinf(best_t)
-    if np.any(missed):
-        t_bg = _intersect_plane(origin, rays_world, 2, scene.background_distance)
-        # rays parallel to the background plane fall back to the radial distance
-        t_bg = np.where(np.isinf(t_bg), scene.background_distance, t_bg)
-        best_t = np.where(missed, t_bg, best_t)
-    return best_t, reflectivity, temperature
+    run_blocks(height, trace, width)
+    for plane in planes:
+        plane.flags.writeable = False
+    return planes
 
 
 # --- range-camera rendering -----------------------------------------------------
@@ -373,13 +358,13 @@ def _convolve_wrap(planes, kernel: np.ndarray) -> np.ndarray:
     flipped kernel's taps are taken in C order, each added as ``plane * w``
     to a sum that starts at 0.0, and a tap with ``|w| <= DBL_EPSILON`` is
     skipped, as ndimage's footprint skips it. ``planes`` may be a (n, H, W)
-    array, which is not copied. The planes are padded once and summed a band
-    of rows at a time. In a band, each distinct weight multiplies the padded
-    rows once, the same float ``plane * w`` would give, and the rows are
-    taken flat: tap (u, v) adds the one contiguous window that starts at
-    padded row u, column v. Each row of the sum then runs past column W into
-    the next padded row; those columns are summed but never copied out, and
-    the last row stops at column W, so no window reaches past the product.
+    array, which is not copied. The planes are padded once; each block of rows
+    (:mod:`tofir.blocks`) multiplies them by each distinct weight once, into
+    scratch of its own, the same float ``plane * w`` would give, and takes the
+    rows flat: tap (u, v) adds the one contiguous window that starts at padded
+    row u, column v. Each row of the sum then runs past column W into the next
+    padded row; those columns are summed but never copied out, and the last
+    row stops at column W, so no window reaches past the product.
     """
     stack = np.asarray(planes)
     n, height, width = stack.shape
@@ -392,28 +377,29 @@ def _convolve_wrap(planes, kernel: np.ndarray) -> np.ndarray:
     weights = list(dict.fromkeys(w for _, _, w in taps))  # the scattering disc has two
     taps = [(u * span + v, weights.index(w)) for u, v, w in taps]
     out = np.empty((n, height, width))
-    products = np.empty((len(weights), n, (_BAND_ROWS + 2 * ry) * span))
-    total = np.empty((n, _BAND_ROWS * span))
-    for top in range(0, height, _BAND_ROWS):
-        rows = min(_BAND_ROWS, height - top)
+
+    def convolve(top, stop):
+        rows = stop - top
         size = (rows + 2 * ry) * span
+        products = np.empty((len(weights), n, size))
         for product, w in zip(products, weights):
-            np.multiply(flat[:, top * span:top * span + size], w, out=product[:, :size])
+            np.multiply(flat[:, top * span:top * span + size], w, out=product)
+        total = np.zeros((n, rows * span))
         summed = total[:, :(rows - 1) * span + width]
-        summed.fill(0.0)
         length = summed.shape[1]
         for start, i in taps:
             summed += products[i, :, start:start + length]
-        out[:, top:top + rows] = total[:, :rows * span].reshape(n, rows, span)[:, :, :width]
+        out[:, top:stop] = total.reshape(n, rows, span)[:, :, :width]
+
+    run_blocks(height, convolve, width)
     return out
 
 
-def _direct_return(resp: _SceneResponse, band: slice, intr: TofIntrinsics,
+def _direct_return(dist: np.ndarray, reflectivity: np.ndarray, intr: TofIntrinsics,
                    multipath: MultipathConfig, amplitude_law: str):
-    """Phasor and offset of a band of rows, before in-lens scattering."""
-    dist = resp.distance[band]
+    """Phasor and offset of a block of rows, before in-lens scattering."""
     # the "constant" law: distance-independent radiometry, for controlled phase experiments
-    amplitude = resp.reflectivity[band] * DEFAULT_AMPLITUDE_REF
+    amplitude = reflectivity * DEFAULT_AMPLITUDE_REF
     if amplitude_law == "inverse_square":
         amplitude = amplitude / (dist * dist)
     phasor = amplitude * np.exp(1j * phase_for_distance(dist, intr.f_mod))
@@ -445,7 +431,7 @@ class _FrameBase:
 def _frame_base(scene: Scene, intr: TofIntrinsics, pose: Extrinsics | None,
                 multipath: MultipathConfig, scattering: ScatteringConfig,
                 amplitude_law: str) -> _FrameBase:
-    """Trace the scene and form its noise-free return, a band of rows at a
+    """Trace the scene and form its noise-free return, a block of rows at a
     time; the last base built is kept, and a call with equal arguments
     takes it. The pose is equal when its arrays hold the same bytes.
 
@@ -454,24 +440,32 @@ def _frame_base(scene: Scene, intr: TofIntrinsics, pose: Extrinsics | None,
     phase and offset; without, the phasor is turned at once.
     """
     rays = unit_rays(intr)
-    resp = _trace(scene, rays, pose or Extrinsics.identity())
-    shape = resp.distance.shape
-    returns = np.empty((3,) + shape)
-    for band in _bands(shape[0]):
-        phasor, returns[2, band] = _direct_return(resp, band, intr, multipath, amplitude_law)
+    distance, reflectivity, temperature = _trace(scene, rays, pose or Extrinsics.identity())
+    height, width = distance.shape
+    returns = np.empty((3, height, width))
+
+    def direct(first, stop):
+        rows = slice(first, stop)
+        phasor, returns[2, rows] = _direct_return(distance[rows], reflectivity[rows], intr,
+                                                  multipath, amplitude_law)
         if scattering.enabled:
-            returns[0, band], returns[1, band] = phasor.real, phasor.imag
+            returns[0, rows], returns[1, rows] = phasor.real, phasor.imag
         else:
-            returns[0, band], returns[1, band] = np.abs(phasor), np.angle(phasor)
+            returns[0, rows], returns[1, rows] = np.abs(phasor), np.angle(phasor)
+
+    def polar(first, stop):
+        rows = slice(first, stop)
+        phasor = scattered[0, rows] + 1j * scattered[1, rows]
+        scattered[0, rows], scattered[1, rows] = np.abs(phasor), np.angle(phasor)
+
+    run_blocks(height, direct, width)
     if scattering.enabled:
-        returns = _convolve_wrap(returns, _scatter_kernel(scattering))
-        for band in _bands(shape[0]):
-            phasor = returns[0, band] + 1j * returns[1, band]
-            returns[0, band], returns[1, band] = np.abs(phasor), np.angle(phasor)
-    points = resp.distance[..., None] * rays
+        returns = scattered = _convolve_wrap(returns, _scatter_kernel(scattering))
+        run_blocks(height, polar, width)
+    points = distance[..., None] * rays
     for array in (returns, points):
         array.flags.writeable = False
-    return _FrameBase(resp.distance, resp.temperature, points, *returns)
+    return _FrameBase(distance, temperature, points, *returns)
 
 
 def _noise_stream(seed: int, *key: int) -> np.random.Generator:
@@ -604,8 +598,7 @@ def render_ir(
     4 sigma, reflected boundaries). Zero means exactly no blur.
     """
     document.check("blur_sigma", blur_sigma, "non-negative")
-    resp = _trace(scene, unit_rays(intr), pose or Extrinsics.identity())
-    temps = resp.temperature
+    temps = _trace(scene, unit_rays(intr), pose or Extrinsics.identity())[2]
     if blur_sigma > 0:
         temps = _gaussian_blur(temps, blur_sigma)
     return ThermalFrame(temps)
@@ -662,8 +655,10 @@ def make_calibration_set(
     The known distance is the exact point norm and the range-camera position
     is exact. ``pixel_noise_sigma`` perturbs the measured IR position (the
     quantity a real pipeline extracts from the image). Targets behind either
-    camera or outside either sensor are dropped; the count is logged as a
-    warning.
+    camera or outside either sensor are dropped, and so is a target whose
+    range pixel, lifted through :func:`~tofir.camera.pixel_rays` at its
+    distance, lands more than 1e-9 of that distance off it (a point past the
+    radius a barrel lens can invert); the count is logged as a warning.
     """
     document.check("pixel_noise_sigma", pixel_noise_sigma, "non-negative")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -671,16 +666,20 @@ def make_calibration_set(
     if positions.shape[0] == 0:
         return []
 
+    distances = np.linalg.norm(positions, axis=1)
     tof_pix, tof_front = project_distorted(positions, tof_intr)
     ir_pix, ir_front = project_points(true_extrinsics.apply(positions), ir_intr)
-    usable = (tof_front & ir_front & _on_sensor(tof_pix, tof_intr)
+    with np.errstate(invalid="ignore", over="ignore"):
+        uu, vu, length = pixel_rays(tof_intr, tof_pix[:, 0], tof_pix[:, 1])
+        lifted = np.stack([uu, vu, np.ones_like(uu)], axis=-1) * (distances / length)[:, None]
+        on_ray = np.linalg.norm(lifted - positions, axis=1) <= 1e-9 * distances
+    usable = (tof_front & ir_front & on_ray & _on_sensor(tof_pix, tof_intr)
               & _on_sensor(ir_pix, ir_intr))
     dropped = int(np.count_nonzero(~usable))
     if dropped:
-        logger.warning("dropped %d of %d calibration targets (behind a camera or off-sensor)",
-                       dropped, len(targets))
+        logger.warning("dropped %d of %d calibration targets (behind a camera, off-sensor or "
+                       "past the range lens's invertible radius)", dropped, len(targets))
 
-    distances = np.linalg.norm(positions, axis=1)
     observations = []
     for i in np.flatnonzero(usable):
         u, v = tof_pix[i]

@@ -16,12 +16,20 @@ import numpy as np
 import pytest
 
 from tofir import blocks, fusion, simulator, tof
-from tofir import Extrinsics, FuseReason, RangeFrame, RawTofFrame, TofIntrinsics
-from tofir.simulator import MultipathConfig, NoiseConfig, ScatteringConfig, render_ir, render_tof
+from tofir import Extrinsics, FuseReason, IrIntrinsics, RangeFrame, RawTofFrame, TofIntrinsics
+from tofir.simulator import (MultipathConfig, NoiseConfig, Plane, ScatteringConfig, Scene, Sphere,
+                             render_ir, render_tof)
 
 B = blocks.BLOCK
-# 100 columns: 163 rows a block, so 400 rows are two whole blocks and one of 74
-WIDE = TofIntrinsics(focal_length=4e-3, width=100, height=400, pixel_pitch=6e-6)
+# 100 columns: 163 rows a block, so 405 rows are two whole blocks and one of 79
+WIDE = TofIntrinsics(focal_length=4e-3, width=100, height=405, pixel_pitch=6e-6)
+WIDE_IR = IrIntrinsics(focal_length=4e-3, width=100, height=405, pixel_pitch=6e-6)
+# on WIDE: ten rows a block with a last one of five, 163 rows a block with a
+# last one of 79, and the whole frame in one block
+BLOCK_SIZES = (1000, B, 1 << 20)
+# a wall and a sphere of different reflectivities, so a return formed from
+# another block's rows shows
+MIXED = Scene((Plane("z", 3.0, 0.6, 300.0), Sphere((0.0, 0.0, 1.0), 0.2, 0.9, 310.0)))
 
 
 @pytest.fixture
@@ -53,6 +61,23 @@ def _inline_and_pooled(workers, run, counts=(1, 2)):
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
     return inline
+
+
+def _at_every_block_size(workers, monkeypatch, run):
+    """Checks that ``run()`` gives the bytes of an inline run at the default
+    block size at every size of ``BLOCK_SIZES`` and every worker count, and
+    that a frame of more than one block makes the pool."""
+    workers(0)
+    expected = run()
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(blocks, "BLOCK", block)
+        for count in range(3):
+            workers(count)
+            for want, got in zip(expected, run()):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (block, count)
+            assert (blocks._pool is not None) == (count > 0 and block < 1 << 20)
+    return expected
 
 
 def _stream(seed, *key):
@@ -148,12 +173,13 @@ class TestRunBlocks:
 
     def test_one_block_frames_never_make_the_pool(self, workers, tof_intr, ir_intr,
                                                   blob_scene):
+        workers(0)
+        thermal = render_ir(blob_scene, ir_intr)  # 160x120 is two blocks
         workers(1)
         raw, _ = render_tof(blob_scene, tof_intr, noise=NoiseConfig(seed=1,
                                                                     bucket_noise_sigma=0.2))
         frame = tof.demodulate(raw, tof_intr)
-        fusion.fuse(frame, render_ir(blob_scene, ir_intr), tof_intr, ir_intr,
-                    Extrinsics.identity())
+        fusion.fuse(frame, thermal, tof_intr, ir_intr, Extrinsics.identity())
         assert blocks._pool is None
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
@@ -335,18 +361,22 @@ class TestKernelsAtAnyWorkerCount:
         assert set(np.unique(reason)) == every_code
         assert set(np.unique(reason.ravel()[2 * B:])) == every_code  # the partial block
 
-    def test_render_with_every_error_source(self, workers, blob_scene):
-        noise = NoiseConfig(seed=5, bucket_noise_sigma=0.3, saturation_fraction=0.02,
-                            multipath=MultipathConfig(True, 0.7, 0.3),
-                            scattering=ScatteringConfig(True, 4, 0.15))
+    def test_render_with_every_error_source(self, workers, monkeypatch):
+        # each render traces, returns and scatters afresh, not from a kept base
+        for radius in (1, 4, 6):
+            noise = NoiseConfig(seed=5, bucket_noise_sigma=0.3, saturation_fraction=0.02,
+                                multipath=MultipathConfig(True, 0.7, 0.3),
+                                scattering=ScatteringConfig(True, radius, 0.15))
 
-        def run():
-            raw, truth = render_tof(blob_scene, WIDE, noise=noise, frame_index=2)
-            return raw.samples, truth.outlier_mask
+            def run():
+                simulator._frame_base.cache_clear()
+                raw, truth = render_tof(MIXED, WIDE, noise=noise, frame_index=2)
+                return (raw.samples, truth.range, truth.points, truth.temperature,
+                        truth.outlier_mask)
 
-        samples, outliers = _inline_and_pooled(workers, run)
-        assert outliers[-8:].any()  # saturation reaches the last, partial block
-        assert (samples[outliers] == simulator.SATURATION_LEVEL).all()
+            samples, *_, outliers = _at_every_block_size(workers, monkeypatch, run)
+            assert outliers[-5:].any()  # saturation reaches the last, partial block
+            assert (samples[outliers] == simulator.SATURATION_LEVEL).all()
 
     def test_render_with_phase_noise_and_saturation(self, workers, blob_scene):
         # each band of _NOISE_ROWS rows draws its phase normals from the stream
@@ -355,6 +385,7 @@ class TestKernelsAtAnyWorkerCount:
         noise = NoiseConfig(seed=5, saturation_fraction=0.02)
 
         def run():
+            simulator._frame_base.cache_clear()
             raw, truth = render_tof(blob_scene, WIDE, noise=noise, frame_index=2)
             return raw.samples, truth.outlier_mask
 
@@ -376,9 +407,19 @@ class TestKernelsAtAnyWorkerCount:
         assert samples.tobytes() == expected.tobytes()
         assert np.flatnonzero(outliers).tolist() == sorted(chosen)
 
+    @pytest.mark.parametrize("blur_sigma", [0.0, 1.3])
+    def test_render_ir(self, workers, monkeypatch, blur_sigma):
+        pose = Extrinsics(np.eye(3), np.array([0.1, -0.05, 0.2]))
 
-# every error source on WIDE, whose 400 rows are twelve whole noise bands and
-# a partial one of 16
+        def run():
+            return (render_ir(MIXED, WIDE_IR, pose, blur_sigma=blur_sigma).temperatures,)
+
+        (temperatures,) = _at_every_block_size(workers, monkeypatch, run)
+        assert np.ptp(temperatures[-5:]) > 5.0  # the sphere's edge reaches the last block
+
+
+# every error source on WIDE, whose 405 rows are twelve whole noise bands and
+# a partial one of 21
 EVERY_ERROR = NoiseConfig(seed=7, bucket_noise_sigma=0.3, saturation_fraction=0.02,
                           multipath=MultipathConfig(True, 0.7, 0.3),
                           scattering=ScatteringConfig(True, 4, 0.15))
@@ -391,6 +432,7 @@ class TestKeyedNoise:
         assert WIDE.height % simulator._NOISE_ROWS
 
         def run():
+            simulator._frame_base.cache_clear()
             raw, truth = render_tof(blob_scene, WIDE, noise=EVERY_ERROR, frame_index=3)
             return raw.samples.tobytes() + truth.outlier_mask.tobytes()
 

@@ -333,8 +333,16 @@ def test_calibration_set_matches_reference_projections(k1, k2):
                   & (tof_pix[:, 1] >= 0) & (tof_pix[:, 1] <= tof_intr.height))
         on_ir = ((ir_pix[:, 0] >= 0) & (ir_pix[:, 0] <= IR.width)
                  & (ir_pix[:, 1] >= 0) & (ir_pix[:, 1] <= IR.height))
-    usable = np.flatnonzero(tof_front & ir_front & on_tof & on_ir)
     distances = np.linalg.norm(positions, axis=1)
+    # a range pixel whose ray misses its target by more than 1e-9 of the
+    # distance (past the radius the k1 = -1 lens can invert) is dropped
+    with np.errstate(invalid="ignore"):
+        un = (tof_pix - (tof_intr.cx, tof_intr.cy)) * tof_intr.pixel_pitch / tof_intr.focal_length
+        r_sq = (un * un).sum(axis=1, keepdims=True)
+        rays = np.column_stack([un * (1.0 + k1 * r_sq + k2 * r_sq * r_sq), np.ones(len(un))])
+        lifted = rays * (distances / np.linalg.norm(rays, axis=1))[:, None]
+        on_ray = np.linalg.norm(lifted - positions, axis=1) <= 1e-9 * distances
+    usable = np.flatnonzero(tof_front & ir_front & on_tof & on_ir & on_ray)
     expected = np.column_stack([tof_pix[usable], distances[usable], ir_pix[usable]])
     actual = np.array([dataclasses.astuple(o) for o in observations]).reshape(-1, 5)
     assert_same_bytes(actual, expected)
@@ -832,9 +840,10 @@ def test_renders_match_ndimage_renders(tof_intr, ir_intr, blob_scene, monkeypatc
 
 
 @pytest.mark.parametrize("shape, radius", [((33, 40), 4), ((45, 70), 6), ((65, 9), 1)])
-def test_convolve_wrap_matches_ndimage_with_a_partial_last_band(shape, radius):
-    # 33 rows leave a last band of one row
-    assert shape[0] % simulator._BAND_ROWS != 0
+def test_convolve_wrap_matches_ndimage_with_a_partial_last_band(monkeypatch, shape, radius):
+    # blocks of 32 rows: 33 rows leave a last block of one row
+    monkeypatch.setattr(blocks, "BLOCK", 32 * shape[1])
+    assert shape[0] % 32 != 0
     _assert_wrap_matches_ndimage(shape, _disc(radius, 0.3))
 
 
@@ -987,8 +996,9 @@ def test_render_matches_reference_per_error_source(amplitude_law, errors):
 
 @pytest.mark.parametrize("radius", [1, 4, 6])
 @pytest.mark.parametrize("width, height", [(64, 50), (70, 45)])
-def test_render_matches_reference_turned_with_every_error(width, height, radius):
-    assert height % simulator._BAND_ROWS != 0  # the last band is partial
+def test_render_matches_reference_turned_with_every_error(monkeypatch, width, height, radius):
+    monkeypatch.setattr(blocks, "BLOCK", 32 * width)
+    assert height % 32 != 0  # the last block of 32 rows is partial
     errors = {**_EVERY_ERROR, "scattering": simulator.ScatteringConfig(True, radius, 0.15)}
     truth = _assert_render_matches_reference(width, height, _TURNED, **errors)
     # the background plane is hit, and so is every primitive
@@ -1002,7 +1012,9 @@ def test_render_matches_reference_at_vga(pose):
 
 @pytest.mark.parametrize("band_rows", [1, 7, 16, 100])
 def test_render_does_not_depend_on_the_band_height(monkeypatch, band_rows):
-    monkeypatch.setattr(simulator, "_BAND_ROWS", band_rows)
+    # blocks of band_rows rows; past one row, 45 rows leave a partial last block
+    monkeypatch.setattr(blocks, "BLOCK", band_rows * 70)
+    assert band_rows == 1 or 45 % band_rows
     _assert_render_matches_reference(70, 45, _TURNED, **_EVERY_ERROR)
 
 

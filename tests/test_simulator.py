@@ -29,6 +29,7 @@ from tofir import (
     synthesize_buckets,
     unambiguous_range,
 )
+from tofir.camera import pixel_rays
 from tofir.simulator import (
     DEFAULT_AMPLITUDE_REF,
     DEFAULT_OFFSET_REF,
@@ -360,9 +361,8 @@ class TestFrameBaseMemo:
                                                    monkeypatch):
         # a phasor rebuilt as re + 1j * im loses the sign of a -0.0 imaginary
         # part, and its angle turns from -pi to pi
-        def direct(resp, band, *args):
-            shape = resp.distance[band].shape
-            return np.full(shape, complex(-2.0, -0.0)), np.full(shape, 2.0)
+        def direct(dist, reflectivity, *args):
+            return np.full(dist.shape, complex(-2.0, -0.0)), np.full(dist.shape, 2.0)
 
         monkeypatch.setattr(simulator, "_direct_return", direct)
         raw, _ = render_tof(wall_scene, tof_intr, noise=quiet_noise)
@@ -622,6 +622,31 @@ class TestMakeCalibrationSet:
         err = projection_error(obs, baseline_ext.rotation, baseline_ext.translation,
                                distorted, ir_intr)
         assert err == pytest.approx(0.0, abs=1e-8)
+
+    def test_targets_past_the_invertible_radius_dropped(self, tof_intr, ir_intr,
+                                                         baseline_ext, caplog):
+        # with k1 = -1 no distorted radius reaches an undistorted one past
+        # 0.385, and 25 Newton steps stop on a pixel whose ray misses the
+        # target: of the 71 targets seen on both sensors, 2 land on such
+        # pixels, which lift up to 0.52 m off
+        barrel = replace(tof_intr, k1=-1.0)
+        rng = np.random.default_rng(0)
+        z = rng.uniform(1.0, 5.0, 2000)
+        half_width = math.tan(math.radians(56.0))
+        x = rng.uniform(-1.0, 1.0, 2000) * half_width * z
+        y = rng.uniform(-1.0, 1.0, 2000) * half_width * z
+        positions = np.column_stack([x, y, z])
+        targets = [CalibrationTarget(p) for p in positions]
+        with caplog.at_level(logging.WARNING):
+            obs = make_calibration_set(targets, baseline_ext, barrel, ir_intr)
+        assert len(obs) == 69
+        assert "dropped 1931 of 2000" in caplog.text and "invertible radius" in caplog.text
+        distances = np.linalg.norm(positions, axis=1)  # each observation's, to the bit
+        for o in obs:
+            (i,) = np.flatnonzero(distances == o.distance)
+            uu, vu, length = pixel_rays(barrel, o.u, o.v)
+            lifted = o.distance / length * np.array([uu, vu, 1.0])
+            assert np.linalg.norm(lifted - positions[i]) <= 1e-9 * o.distance
 
 
 class TestJsonDocuments:

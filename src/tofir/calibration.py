@@ -20,13 +20,12 @@ wrong. An analytic Jacobian can replace `_jacobian` behind the same interface.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .camera import pixel_rays, project_points
+from .camera import lift, project_points
 from .container import format_rows, replacing
 from .document import check
 from .errors import DegenerateGeometryError, InsufficientDataError
@@ -45,8 +44,9 @@ _MAX_ITERATIONS = 200
 class TargetObservation:
     """One calibration target: range-camera pixel + known distance + IR pixel.
 
-    Every field must be finite: a NaN or infinite value raises ``ValueError``
-    here instead of reaching the solver, which could not converge on it.
+    Every field must be finite and the distance positive: a NaN or infinite
+    value raises ``ValueError`` here instead of reaching the solver, which
+    could not converge on it.
     """
 
     u: float  # range-camera x, pixels
@@ -56,13 +56,8 @@ class TargetObservation:
     ir_y: float  # measured IR y, pixels
 
     def __post_init__(self):
-        values = (self.u, self.v, self.distance, self.ir_x, self.ir_y)
-        if not all(math.isfinite(value) for value in values):
-            raise ValueError(
-                f"observation values must be finite, got {[float(v) for v in values]}"
-            )
-        if self.distance <= 0:
-            raise ValueError(f"target distance must be positive, got {self.distance}")
+        check("observation values", (self.u, self.v, self.distance, self.ir_x, self.ir_y))
+        check("target distance", self.distance, "positive")
 
 
 @dataclass(frozen=True)
@@ -110,9 +105,7 @@ def _observation_arrays(observations: Sequence[TargetObservation], tof_intr: Tof
     u = np.array([o.u for o in observations])
     v = np.array([o.v for o in observations])
     dist = np.array([o.distance for o in observations])
-    uu, vu, norm = pixel_rays(tof_intr, u, v)
-    scale = dist / norm
-    points = np.stack([scale * uu, scale * vu, scale], axis=-1)
+    points = lift(tof_intr, u, v, dist)
     measured = np.array([[o.ir_x, o.ir_y] for o in observations])
     return points, measured
 

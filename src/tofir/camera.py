@@ -4,8 +4,9 @@ Both sensors are pinholes with the same six parameters; the range camera adds
 radial distortion. This module is the only one that knows the camera model:
 the distortion polynomial in both directions (:func:`undistort_pixel`,
 :func:`distort_radius`), pixel -> view ray (:func:`pixel_rays`,
-:func:`unit_rays`), and camera-frame point -> pixel through a pinhole
-(:func:`project_points`) or a distorted lens (:func:`project_distorted`).
+:func:`unit_rays`), pixel and distance -> point (:func:`lift`), and
+camera-frame point -> pixel through a pinhole (:func:`project_points`) or a
+distorted lens (:func:`project_distorted`).
 
 Conventions used throughout the package:
 
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .document import check, number, read, whole
+from .document import check, count, number, read, whole
+from .errors import DimensionMismatchError
 
 _JSON_KEYS = {"focal_length": "f"}  # field name -> JSON key, where they differ
 
@@ -38,8 +40,8 @@ class Pinhole:
     point (cx, cy) is in pixels and defaults to the image center. JSON
     documents store the focal length under ``"f"``; keys that are not fields
     of the class are ignored when loading. A width or height that is not a
-    whole number (a fraction or a boolean) raises ``ValueError``, from JSON
-    and from the library alike; numpy integers are stored as ``int``.
+    whole number >= 1 (a fraction, a boolean, 0) raises ``ValueError``, from
+    JSON and from the library alike; numpy integers are stored as ``int``.
     """
 
     focal_length: float
@@ -51,24 +53,28 @@ class Pinhole:
 
     def __post_init__(self):
         for name in ("width", "height"):
-            try:  # numpy integers too; a fraction or a boolean raises
-                object.__setattr__(self, name, whole(getattr(self, name)))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+            object.__setattr__(self, name, count(name, getattr(self, name), 1))
         if self.cx is None:
             object.__setattr__(self, "cx", self.width / 2.0)
         if self.cy is None:
             object.__setattr__(self, "cy", self.height / 2.0)
         check("focal_length", self.focal_length, "positive")
         check("pixel_pitch", self.pixel_pitch, "positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"sensor must be non-empty, got {self.width}x{self.height}")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ValueError(f"principal point ({self.cx}, {self.cy}) outside sensor")
 
     def undistort(self, u_d, v_d):
         """Undistorted normalized coordinates; the identity for a pinhole."""
         return u_d, v_d
+
+    def check_frame(self, what: str, frame) -> None:
+        """Raise ``DimensionMismatchError`` unless ``frame``, anything with a
+        ``width`` and a ``height``, is the sensor's size; ``what`` names it."""
+        if (frame.height, frame.width) != (self.height, self.width):
+            raise DimensionMismatchError(
+                f"{what} is {frame.width}x{frame.height}, intrinsics say "
+                f"{self.width}x{self.height}"
+            )
 
     def to_json_dict(self) -> dict:
         return {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name)
@@ -121,6 +127,14 @@ def pixel_rays(intr: Pinhole, x, y):
     vn = (y - intr.cy) * intr.pixel_pitch / intr.focal_length
     uu, vu = intr.undistort(un, vn)
     return uu, vu, np.sqrt(1.0 + uu * uu + vu * vu)
+
+
+def lift(intr: Pinhole, x, y, distance) -> np.ndarray:
+    """Points (..., 3) at ``distance`` along the rays through pixel coordinates
+    (x, y): ``(D / length) * (uu, vu, 1)`` of :func:`pixel_rays`, broadcast."""
+    uu, vu, length = pixel_rays(intr, x, y)
+    scale = distance / length
+    return np.stack([scale * uu, scale * vu, scale], axis=-1)
 
 
 @functools.lru_cache(maxsize=1)

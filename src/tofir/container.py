@@ -79,10 +79,6 @@ class FrameContainer:
     def width(self) -> int:
         return self.data.shape[2]
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[3]
-
     def channel(self, name: str, frame: int = 0) -> np.ndarray:
         """One (height, width) channel plane of frame ``frame``, checked as in :meth:`frame`."""
         try:
@@ -125,10 +121,6 @@ class FrameContainer:
                     )
                 data[i, :, :, c] = plane
         return cls(names, data)
-
-    def to_bytes(self) -> bytes:
-        head = _head(self.channel_names, self.width, self.height, self.frames)
-        return head + self.data.tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "FrameContainer":

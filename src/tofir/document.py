@@ -5,8 +5,8 @@ Every setting the package takes from a JSON document goes through
 declared once, in the dataclass or the signature the settings are passed to.
 A value of the wrong kind raises ``ValueError`` naming the document and the
 key; JSON's loose spots are closed: ``2.5`` is not a frame count,
-``"false"`` is not false and ``NaN`` is not a number. :func:`check` holds
-the library's own classes and functions to the same rule.
+``"false"`` is not false and ``NaN`` is not a number. :func:`check` and
+:func:`count` hold the library's own classes and functions to the same rule.
 """
 
 from __future__ import annotations
@@ -78,21 +78,42 @@ def flag(value) -> bool:
     raise ValueError(f"expected true or false, got {value!r}")
 
 
+def count(name: str, value, least: int) -> int:
+    """``value`` as an exact ``int`` (:func:`whole`) of at least ``least``; a
+    fraction, a boolean or a smaller count raises ``ValueError`` naming it."""
+    try:
+        value = whole(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 _RULES = {
     "finite": lambda x: True,
     "positive": lambda x: x > 0,
     "non-negative": lambda x: x >= 0,
+    "in (0, 1]": lambda x: 0 < x <= 1,
+    "in [0, 1)": lambda x: 0 <= x < 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
 }
+
+
+def _number(x) -> bool:
+    # booleans (numpy's and 0-d bool arrays too) and strings are not numbers
+    return isinstance(x, float) or not isinstance(x, (bool, str)) and getattr(x, "dtype", None) != bool
 
 
 def check(name: str, value, rule: str = "finite") -> None:
     """Raise ``ValueError`` unless ``value``, a number or a sequence of
-    numbers, is finite and meets ``rule``: "finite", "positive" or
-    "non-negative".
+    numbers, is finite and meets ``rule``: "finite", "positive",
+    "non-negative", "in (0, 1]", "in [0, 1)" or "in [0, 1]".
 
-    NaN and infinity fail every rule, where a test written ``x <= 0`` lets
-    NaN through.
+    NaN, infinity, booleans and strings fail every rule, where a test written
+    ``x <= 0`` lets NaN through; numpy numbers pass, 0-d arrays too.
     """
-    values = value if isinstance(value, (tuple, list)) else (value,)
-    if not all(math.isfinite(x) and _RULES[rule](x) for x in values):
-        raise ValueError(f"{name} must be {rule}, got {value}")
+    meets = _RULES[rule]
+    for x in value if isinstance(value, (tuple, list)) else (value,):
+        if not (_number(x) and math.isfinite(x) and meets(x)):
+            raise ValueError(f"{name} must be {rule}, got {value}")

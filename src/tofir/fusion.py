@@ -22,7 +22,6 @@ from .blocks import run_blocks
 from .camera import project_points
 from .container import ChannelSchema, format_rows
 from .document import check, number, read, triple
-from .errors import DimensionMismatchError
 from .thermal import IrIntrinsics, ThermalFrame, sample_temperature_grid
 from .tof import PointCloud, RangeFrame, TofIntrinsics, backproject
 
@@ -186,11 +185,7 @@ def fuse(
     over a thread per CPU (:mod:`tofir.blocks`); every entry gets the same
     bytes at any thread count.
     """
-    if (thermal.height, thermal.width) != (ir_intr.height, ir_intr.width):
-        raise DimensionMismatchError(
-            f"thermal frame is {thermal.width}x{thermal.height}, IR intrinsics say "
-            f"{ir_intr.width}x{ir_intr.height}"
-        )
+    ir_intr.check_frame("thermal frame", thermal)
     cloud = backproject(range_frame, tof_intr)  # also checks TOF dimensions
     temps = np.empty(len(cloud))
     reason = np.empty(len(cloud), dtype=np.uint8)

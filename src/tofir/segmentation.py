@@ -16,7 +16,7 @@ import numpy as np
 
 from .container import ChannelSchema, FrameContainer
 from .document import check
-from .errors import ContainerFormatError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .tof import RangeFrame
 
 DEFAULT_MEDIAN_STEP = 0.01  # meters
@@ -74,7 +74,6 @@ MASK_SCHEMA = ChannelSchema(
     dtypes={"foreground": bool, "valid": bool},
 )
 masks_to_container = MASK_SCHEMA.pack
-masks_from_container = MASK_SCHEMA.unpack
 
 
 def build_background(
@@ -172,9 +171,3 @@ def mask_to_pbm(mask: ForegroundMask) -> str:
 
 def background_to_container(model: BackgroundModel) -> FrameContainer:
     return BACKGROUND_SCHEMA.pack([model])
-
-
-def background_from_container(cont: FrameContainer) -> BackgroundModel:
-    if cont.frames != 1:
-        raise ContainerFormatError(f"a background model is one frame, got {cont.frames}")
-    return BACKGROUND_SCHEMA.unpack(cont)[0]

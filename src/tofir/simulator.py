@@ -52,7 +52,7 @@ import numpy as np
 from . import document
 from .blocks import run_blocks
 from .calibration import TargetObservation
-from .camera import pixel_rays, project_distorted, project_points, unit_rays
+from .camera import lift, project_distorted, project_points, unit_rays
 from .container import ChannelSchema
 from .fusion import Extrinsics
 from .thermal import IrIntrinsics, ThermalFrame
@@ -120,22 +120,8 @@ def _store_floats(settings, *names) -> None:
         object.__setattr__(settings, name, float(getattr(settings, name)))
 
 
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an exact ``int`` of at least ``least``; numpy integers and
-    integral floats pass, fractions and booleans raise ``ValueError`` naming
-    ``name``."""
-    try:
-        value = document.whole(value)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
 def _check_surface(reflectivity, temperature):
-    if not 0 < reflectivity <= 1:
-        raise ValueError(f"reflectivity must be in (0, 1], got {reflectivity}")
+    document.check("reflectivity", reflectivity, "in (0, 1]")
     document.check("surface temperature", temperature, "positive")
 
 
@@ -161,10 +147,7 @@ class Scene:
                 raise ValueError(f"unsupported primitive {type(p).__name__}")
         document.check("ambient temperature", self.ambient_temperature, "positive")
         document.check("background distance", self.background_distance, "positive")
-        if not 0 < self.background_reflectivity <= 1:
-            raise ValueError(
-                f"background reflectivity must be in (0, 1], got {self.background_reflectivity}"
-            )
+        document.check("background reflectivity", self.background_reflectivity, "in (0, 1]")
         object.__setattr__(self, "primitives", prims)
         _store_floats(self, "ambient_temperature", "background_distance",
                       "background_reflectivity")
@@ -180,10 +163,7 @@ class MultipathConfig:
     relative_amplitude: float = 0.2
 
     def __post_init__(self):
-        if not 0 <= self.relative_amplitude < 1:
-            raise ValueError(
-                f"relative_amplitude must be in [0, 1), got {self.relative_amplitude}"
-            )
+        document.check("relative_amplitude", self.relative_amplitude, "in [0, 1)")
         document.check("extra_distance", self.extra_distance, "non-negative")
         _store_floats(self, "extra_distance", "relative_amplitude")
 
@@ -198,9 +178,9 @@ class ScatteringConfig:
     energy_fraction: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel_radius", _count("kernel_radius", self.kernel_radius, 1))
-        if not 0 <= self.energy_fraction < 1:
-            raise ValueError(f"energy_fraction must be in [0, 1), got {self.energy_fraction}")
+        object.__setattr__(self, "kernel_radius",
+                           document.count("kernel_radius", self.kernel_radius, 1))
+        document.check("energy_fraction", self.energy_fraction, "in [0, 1)")
         _store_floats(self, "energy_fraction")
 
 
@@ -214,13 +194,10 @@ class NoiseConfig:
     scattering: ScatteringConfig = field(default_factory=ScatteringConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
+        object.__setattr__(self, "seed", document.count("seed", self.seed, 0))
         document.check("phase_noise_scale", self.phase_noise_scale, "non-negative")
         document.check("bucket_noise_sigma", self.bucket_noise_sigma, "non-negative")
-        if not 0 <= self.saturation_fraction <= 1:
-            raise ValueError(
-                f"saturation_fraction must be in [0, 1], got {self.saturation_fraction}"
-            )
+        document.check("saturation_fraction", self.saturation_fraction, "in [0, 1]")
 
     @classmethod
     def quiet(cls, seed: int = 0) -> "NoiseConfig":
@@ -559,7 +536,7 @@ def render_tof(
     with every frame made from them; its outlier mask is its own.
     """
     noise = noise or NoiseConfig()
-    frame_index = _count("frame_index", frame_index, 0)
+    frame_index = document.count("frame_index", frame_index, 0)
     if amplitude_law not in ("inverse_square", "constant"):
         raise ValueError(f"unknown amplitude law {amplitude_law!r}")
     base = _frame_base(scene, intr, pose, noise.multipath, noise.scattering, amplitude_law)
@@ -579,7 +556,7 @@ def render_tof_sequence(
     """Render ``n_frames`` (a whole number >= 1) with shared geometry and
     per-frame noise streams: frame k is :func:`render_tof` with
     ``frame_index=k``."""
-    n_frames = _count("n_frames", n_frames, 1)
+    n_frames = document.count("n_frames", n_frames, 1)
     return [render_tof(scene, intr, pose, noise, frame_index=k, extrinsics=extrinsics,
                        amplitude_law=amplitude_law) for k in range(n_frames)]
 
@@ -656,8 +633,8 @@ def make_calibration_set(
     is exact. ``pixel_noise_sigma`` perturbs the measured IR position (the
     quantity a real pipeline extracts from the image). Targets behind either
     camera or outside either sensor are dropped, and so is a target whose
-    range pixel, lifted through :func:`~tofir.camera.pixel_rays` at its
-    distance, lands more than 1e-9 of that distance off it (a point past the
+    range pixel, lifted by :func:`~tofir.camera.lift` to its distance,
+    lands more than 1e-9 of that distance off it (a point past the
     radius a barrel lens can invert); the count is logged as a warning.
     """
     document.check("pixel_noise_sigma", pixel_noise_sigma, "non-negative")
@@ -670,8 +647,7 @@ def make_calibration_set(
     tof_pix, tof_front = project_distorted(positions, tof_intr)
     ir_pix, ir_front = project_points(true_extrinsics.apply(positions), ir_intr)
     with np.errstate(invalid="ignore", over="ignore"):
-        uu, vu, length = pixel_rays(tof_intr, tof_pix[:, 0], tof_pix[:, 1])
-        lifted = np.stack([uu, vu, np.ones_like(uu)], axis=-1) * (distances / length)[:, None]
+        lifted = lift(tof_intr, tof_pix[:, 0], tof_pix[:, 1], distances)
         on_ray = np.linalg.norm(lifted - positions, axis=1) <= 1e-9 * distances
     usable = (tof_front & ir_front & on_ray & _on_sensor(tof_pix, tof_intr)
               & _on_sensor(ir_pix, ir_intr))

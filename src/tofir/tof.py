@@ -34,7 +34,6 @@ from .blocks import run_blocks
 from .camera import Pinhole, undistort_pixel, unit_rays
 from .container import ChannelSchema
 from .document import check
-from .errors import DimensionMismatchError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, in air
 
@@ -182,11 +181,7 @@ def demodulate(
     over a thread per CPU (:mod:`tofir.blocks`); each pixel gets the same
     bytes at any thread count.
     """
-    if (raw.height, raw.width) != (intr.height, intr.width):
-        raise DimensionMismatchError(
-            f"raw frame is {raw.width}x{raw.height}, intrinsics say "
-            f"{intr.width}x{intr.height}"
-        )
+    intr.check_frame("raw frame", raw)
     _check_exposure_limits(a_min, a_max, b_max)
     shape = (raw.height, raw.width)
     frame = RangeFrame(np.empty(shape), np.empty(shape), np.empty(shape),
@@ -285,11 +280,7 @@ def backproject(frame: RangeFrame, intr: TofIntrinsics) -> PointCloud:
     points are filled a block at a time, the blocks spread over a thread per
     CPU (:mod:`tofir.blocks`).
     """
-    if (frame.height, frame.width) != (intr.height, intr.width):
-        raise DimensionMismatchError(
-            f"range frame is {frame.width}x{frame.height}, intrinsics say "
-            f"{intr.width}x{intr.height}"
-        )
+    intr.check_frame("range frame", frame)
     rays = unit_rays(intr).reshape(-1, 3)
     distance = frame.distance.reshape(-1)
     valid = frame.valid.ravel().copy()

@@ -25,7 +25,7 @@ from tofir.calibration import (
     rotation_angle_between,
     save_observations,
 )
-from tofir.camera import pixel_rays
+from tofir.camera import lift
 
 
 def _targets(rng, count, spread=0.7):
@@ -143,11 +143,11 @@ class TestEstimateRotation:
         obs = _observation_set(tof_intr, ir_intr, r_true, [0.05, 0.0, 0.0], count=10)
         calls = []
 
-        def counted_rays(*args):
+        def counted_lift(*args):
             calls.append(args)
-            return pixel_rays(*args)
+            return lift(*args)
 
-        monkeypatch.setattr(calibration, "pixel_rays", counted_rays)
+        monkeypatch.setattr(calibration, "lift", counted_lift)
         result = estimate_rotation(obs, [0.05, 0.0, 0.0], tof_intr, ir_intr, robust=robust)
         assert result.iterations > 0
         assert len(calls) == 1

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import tofir
-from tofir.document import check, flag, number, read, triple, whole
+from tofir.document import check, count, flag, number, read, triple, whole
 
 
 @pytest.mark.parametrize("value", [0, 4, 4.0, -3.0, 2**62 - 1, 2**80])
@@ -24,6 +25,25 @@ def test_whole_converts_numpy_integers_exactly(value):
 def test_whole_rejects_everything_else(value):
     with pytest.raises(ValueError, match="whole number"):
         whole(value)
+
+
+@pytest.mark.parametrize("value, least", [(0, 0), (1, 1), (7.0, 1), (np.int64(3), 3),
+                                          (2**80, 1)])
+def test_count_keeps_a_whole_number_of_at_least_least(value, least):
+    converted = count("frames", value, least)
+    assert type(converted) is int and converted == value
+
+
+@pytest.mark.parametrize("value, least, message", [
+    (0, 1, "frames must be >= 1, got 0"),
+    (-1, 0, "frames must be >= 0, got -1"),
+    (2, 3, "frames must be >= 3, got 2"),
+    (2.5, 1, "frames: expected a whole number"),
+    (True, 0, "frames: expected a whole number"),
+])
+def test_count_names_the_setting_and_its_lower_bound(value, least, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        count("frames", value, least)
 
 
 @pytest.mark.parametrize("value", [0, -3, 2.5, 1e-300, -1.7976931348623157e308, 2**62])
@@ -82,17 +102,28 @@ def test_triple_rejects_everything_else(value):
         triple(value)
 
 
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+
+# every row also rejects a boolean; numpy numbers and 0-d arrays pass, booleans
+# of every kind and strings do not
 @pytest.mark.parametrize("rule, accepted, rejected", [
-    ("finite", [-1.0, 0.0, 1e300, (1.0, -2.0, 0.0)],
-     [math.nan, math.inf, -math.inf, (1.0, math.nan, 0.0)]),
-    ("positive", [1e-300, 2.0], [0.0, -1.0, math.nan, math.inf]),
-    ("non-negative", [0.0, 2.0], [-1e-300, math.nan, math.inf]),
+    ("finite", [-1.0, 0.0, 1e300, (1.0, -2.0, 0.0), np.float32(1.5), np.int64(3),
+                np.array(2.0)],
+     [math.nan, math.inf, -math.inf, (1.0, math.nan, 0.0), True, False, np.bool_(True),
+      np.array(False), (1.0, True, 0.0), "3", "nan"]),
+    ("positive", [1e-300, 2.0], [0.0, -1.0, math.nan, math.inf, -math.inf, True]),
+    ("non-negative", [0.0, 2.0], [-1e-300, math.nan, math.inf, -math.inf, True]),
+    ("in (0, 1]", [5e-324, 1.0], [0.0, _ABOVE_ONE, math.nan, math.inf, -math.inf, True]),
+    ("in [0, 1)", [0.0, _BELOW_ONE], [-5e-324, 1.0, math.nan, math.inf, -math.inf, True]),
+    ("in [0, 1]", [0.0, 1.0], [-5e-324, _ABOVE_ONE, math.nan, math.inf, -math.inf, True]),
 ])
 def test_check_rules(rule, accepted, rejected):
     for value in accepted:
         check("setting", value, rule)
     for value in rejected:
-        with pytest.raises(ValueError, match=f"setting must be {rule}"):
+        with pytest.raises(ValueError, match=re.escape(f"setting must be {rule}")):
             check("setting", value, rule)
 
 
@@ -107,6 +138,12 @@ def _background():
 
 _CAMERA = dict(focal_length=4e-3, width=64, height=50, pixel_pitch=45e-6)
 _SCENE = tofir.Scene((tofir.Plane("z", 3.0, 1.0, 300.0),))
+_OBSERVATION = dict(u=10.0, v=20.0, distance=2.0, ir_x=80.0, ir_y=60.0)
+
+
+def _observation(field):
+    return lambda nan: tofir.TargetObservation(**{**_OBSERVATION, field: nan})
+
 
 # every library check a NaN used to pass, each written as "x <= 0" or "x < 0"
 # or not written at all: (what is checked, a call that gives it NaN)
@@ -121,13 +158,22 @@ LIBRARY_NAN = {
     "MultipathConfig.extra_distance": lambda nan: tofir.MultipathConfig(extra_distance=nan),
     "ScatteringConfig.kernel_radius": lambda nan: tofir.ScatteringConfig(kernel_radius=nan),
     "Plane.offset": lambda nan: tofir.Plane("z", nan, 1.0, 300.0),
+    "Plane.reflectivity": lambda nan: tofir.Plane("z", 3.0, nan, 300.0),
     "Plane.temperature": lambda nan: tofir.Plane("z", 3.0, 1.0, nan),
     "Sphere.center": lambda nan: tofir.Sphere((0.0, nan, 1.0), 0.2, 1.0, 310.0),
     "Sphere.radius": lambda nan: tofir.Sphere((0.0, 0.0, 1.0), nan, 1.0, 310.0),
+    "Sphere.reflectivity": lambda nan: tofir.Sphere((0.0, 0.0, 1.0), 0.2, nan, 310.0),
     "Scene.ambient_temperature": lambda nan: tofir.Scene(_SCENE.primitives,
                                                          ambient_temperature=nan),
     "Scene.background_distance": lambda nan: tofir.Scene(_SCENE.primitives,
                                                          background_distance=nan),
+    "Scene.background_reflectivity": lambda nan: tofir.Scene(_SCENE.primitives,
+                                                             background_reflectivity=nan),
+    "MultipathConfig.relative_amplitude": lambda nan: tofir.MultipathConfig(
+        relative_amplitude=nan),
+    "ScatteringConfig.energy_fraction": lambda nan: tofir.ScatteringConfig(energy_fraction=nan),
+    "NoiseConfig.saturation_fraction": lambda nan: tofir.NoiseConfig(saturation_fraction=nan),
+    **{f"TargetObservation.{field}": _observation(field) for field in _OBSERVATION},
     "CalibrationTarget.position": lambda nan: tofir.CalibrationTarget((0.0, nan, 2.0)),
     "CalibrationTarget.temperature": lambda nan: tofir.CalibrationTarget((0.0, 0.0, 2.0), nan),
     "Extrinsics.rotation": lambda nan: tofir.Extrinsics(np.full((3, 3), nan), np.zeros(3)),
@@ -152,3 +198,11 @@ LIBRARY_NAN = {
 def test_library_rejects_nan(call):
     with pytest.raises(ValueError):
         call(math.nan)
+
+
+# checks a boolean used to pass: a wall at True metres, a blur of sigma True
+@pytest.mark.parametrize("what", ["Plane.offset", "render_ir(blur_sigma=)",
+                                  "Pinhole.focal_length"])
+def test_library_rejects_a_boolean(what):
+    with pytest.raises(ValueError, match="must be"):
+        LIBRARY_NAN[what](True)

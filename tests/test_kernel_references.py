@@ -753,7 +753,7 @@ _UNPACKERS = {
     "raw": (tof.raw_frames_from_container, ref_raw_from_container),
     "thermal": (thermal.thermal_frames_from_container, ref_thermal_from_container),
     "thermogram": (fusion.thermograms_from_container, ref_thermograms_from_container),
-    "background": (lambda cont: [segmentation.background_from_container(cont)],
+    "background": (segmentation.BACKGROUND_SCHEMA.unpack,
                    lambda cont: [ref_background_from_container(cont)]),
 }
 
@@ -762,7 +762,10 @@ _UNPACKERS = {
 def test_schema_pack_matches_old_adapter(kind):
     records = _records(kind, np.random.default_rng(11))
     pack, ref_pack = _PACKERS[kind]
-    assert pack(records).to_bytes() == ref_pack(records).to_bytes()
+    got, expected = pack(records), ref_pack(records)
+    assert got.channel_names == expected.channel_names
+    assert got.data.shape == expected.data.shape
+    assert got.data.tobytes() == expected.data.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(_UNPACKERS))

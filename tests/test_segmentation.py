@@ -17,8 +17,8 @@ from tofir import (
     synthesize_buckets,
 )
 from tofir.segmentation import (
+    BACKGROUND_SCHEMA,
     BackgroundModel,
-    background_from_container,
     background_to_container,
     mask_to_pbm,
     masks_to_container,
@@ -282,7 +282,7 @@ class TestExports:
             rng.uniform(1, 4, (5, 6)),
             rng.integers(0, 50, (5, 6)),
         )
-        back = background_from_container(background_to_container(model))
+        (back,) = BACKGROUND_SCHEMA.unpack(background_to_container(model))
         assert np.array_equal(back.count, model.count)
         assert np.allclose(back.mean, model.mean, rtol=1e-6)
 

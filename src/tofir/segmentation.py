@@ -9,6 +9,7 @@ distance deviates from the mean by more than k standard deviations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,7 +30,8 @@ class BackgroundModel:
     """Per-pixel distance statistics over the frames used to build it.
 
     Pixels observed valid fewer than twice have no spread estimate and are
-    marked invalid.
+    marked invalid. The planes are not written after construction, so the
+    validity plane is computed once per model and returned read-only.
     """
 
     mean: np.ndarray
@@ -42,9 +44,11 @@ class BackgroundModel:
         if np.any(self.std < 0):
             raise ValueError("standard deviation cannot be negative")
 
-    @property
+    @functools.cached_property
     def valid(self) -> np.ndarray:
-        return self.count >= 2
+        valid = self.count >= 2
+        valid.flags.writeable = False
+        return valid
 
 
 BACKGROUND_SCHEMA = ChannelSchema(

@@ -25,7 +25,9 @@ thread.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,12 +172,18 @@ def demodulate(
 ) -> RangeFrame:
     """Recover distance, amplitude and offset from the four buckets.
 
+    The amplitude is ``sqrt((A1 - A3)**2 + (A2 - A4)**2) / 2``, squared and
+    summed in float64: bucket differences above ~1e154 overflow it to inf,
+    and differences both below ~1e-162 underflow it to zero (below ~1e-154
+    the squares are subnormal and lose precision). Buckets read from a
+    float32 container reach neither end.
+
     Pixels with zero amplitude (A1 == A3 and A2 == A4) carry no phase
     information and are marked invalid rather than raising, as are pixels
-    with a NaN or infinite bucket (without a RuntimeWarning). The optional
-    exposure thresholds also mark invalid every under- or overexposed
-    pixel: amplitude below ``a_min`` or above ``a_max``, or offset above
-    ``b_max``.
+    with a NaN or infinite bucket or a non-finite amplitude (without a
+    RuntimeWarning). The optional exposure thresholds also mark invalid
+    every under- or overexposed pixel: amplitude below ``a_min`` or above
+    ``a_max``, or offset above ``b_max``.
 
     The four planes are filled a block of rows at a time, the blocks spread
     over a thread per CPU (:mod:`tofir.blocks`); each pixel gets the same
@@ -192,6 +200,9 @@ def demodulate(
     return frame
 
 
+# two inf buckets of one pair make inf - inf NaN, and a bucket difference
+# past ~1e154 squares to inf: each such pixel is marked invalid, silently
+@np.errstate(over="ignore", invalid="ignore")
 def _demodulate_rows(raw: RawTofFrame, f_mod: float, limits, frame: RangeFrame,
                      rows: slice) -> None:
     """Demodulate the ``rows`` of ``raw`` into those of ``frame``."""
@@ -207,7 +218,13 @@ def _demodulate_rows(raw: RawTofFrame, f_mod: float, limits, frame: RangeFrame,
     phase += (phase < 0.0) * _TWO_PI
     # adding 2*pi can round a tiny negative angle up to exactly 2*pi
     phase[phase >= _TWO_PI] = 0.0
-    amplitude = np.hypot(d13, d24, out=d13)
+    # the docstring's sqrt(d13^2 + d24^2) / 2, squared in place: a square
+    # that overflows makes the amplitude inf, which the upper test below
+    # flags, and squares that both underflow make it zero
+    np.multiply(d13, d13, out=d13)
+    np.multiply(d24, d24, out=d24)
+    d13 += d24
+    amplitude = np.sqrt(d13, out=d13)
     amplitude /= 2.0
     offset = np.add(s0, s1, out=d24)
     offset += s2
@@ -215,19 +232,18 @@ def _demodulate_rows(raw: RawTofFrame, f_mod: float, limits, frame: RangeFrame,
     offset /= 4.0
     distance = np.multiply(phase, SPEED_OF_LIGHT, out=phase)
     distance /= 4.0 * math.pi * f_mod
-    # valid: a positive amplitude, a finite offset (buckets are non-negative,
-    # so a NaN or inf bucket makes it non-finite) and no exposure flag:
-    # amplitude < a_min, amplitude > a_max or offset > b_max. A positive
-    # a_min implies the first, a finite b_max the second, and a limit at its
-    # default flags nothing more
+    # valid: an amplitude in (0, float max], a finite offset (buckets are
+    # non-negative, so a NaN or inf bucket makes it non-finite) and no
+    # exposure flag: amplitude < a_min, amplitude > a_max or offset > b_max.
+    # A positive a_min implies the amplitude's lower end, a finite b_max the
+    # finite offset, and a_min or b_max at its default flags nothing more
     a_min, a_max, b_max = limits
     valid = frame.valid[rows]
     if a_min > 0.0:
         np.greater_equal(amplitude, a_min, out=valid)
     else:
         np.greater(amplitude, 0.0, out=valid)
-    if a_max < math.inf:
-        valid &= amplitude <= a_max
+    valid &= amplitude <= min(a_max, sys.float_info.max)
     if b_max < math.inf:
         valid &= offset <= b_max
     else:
@@ -293,5 +309,13 @@ def backproject(frame: RangeFrame, intr: TofIntrinsics) -> PointCloud:
         block[~valid[start:stop]] = 0.0
 
     run_blocks(len(points), lift)
-    indices = np.arange(points.shape[0], dtype=np.int64)
-    return PointCloud(points, indices, valid, intr.width, intr.height)
+    return PointCloud(points, _pixel_indices(len(points)), valid, intr.width, intr.height)
+
+
+@functools.lru_cache(maxsize=1)
+def _pixel_indices(n: int) -> np.ndarray:
+    """The flat pixel indices ``0 .. n-1``; the last count's are kept and
+    returned read-only, as :func:`tofir.camera.unit_rays` keeps its rays."""
+    indices = np.arange(n, dtype=np.int64)
+    indices.flags.writeable = False
+    return indices

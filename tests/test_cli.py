@@ -758,11 +758,15 @@ class TestStreamedMemory:
         input_bytes = self.WIDTH * self.HEIGHT * 4 * 4 + ir["width"] * ir["height"] * 4
         assert per_frame <= (1 + self.SLACK) * input_bytes, (peaks, per_frame / input_bytes)
 
-    def test_simulate_peak_does_not_grow_with_frames(self, workspace):
+    def test_simulate_peak_does_not_grow_with_frames(self, workspace, monkeypatch):
         # each frame is appended to raw.tirf and raw.truth.tirf as it is
         # rendered and freed before the next one; the whole-recording list grew
         # by 1.88 frames' float32 bytes per frame. From 1 to 2 frames, frame 1
-        # is the first rendered while an earlier frame could still be held
+        # is the first rendered while an earlier frame could still be held.
+        # The renderer's blocks run on the calling thread alone: with a
+        # worker thread, whether two blocks' temporaries are live at once
+        # depends on scheduling, which moved a step by 0.44 of a frame
+        monkeypatch.setattr(tofir.blocks, "_workers", 0)
         counts = (1,) + self.FRAME_COUNTS
         configs = {n: self._configs(workspace, n) for n in counts}
         peaks = [self._peak(["simulate", "--config", str(configs[n]["simulate"]), "--quiet"])

@@ -75,10 +75,11 @@ def ref_demodulate(samples, intr, a_min=0.0, a_max=math.inf, b_max=math.inf):
     d24 = s[..., 1] - s[..., 3]
     phase = np.mod(np.arctan2(d13, d24), _TWO_PI)
     phase[phase >= _TWO_PI] = 0.0
-    amplitude = np.hypot(d13, d24) / 2.0
+    with np.errstate(over="ignore"):
+        amplitude = np.sqrt(d13 * d13 + d24 * d24) / 2.0
     offset = s.sum(axis=-1) / 4.0
     distance = SPEED_OF_LIGHT * phase / (4.0 * math.pi * intr.f_mod)
-    valid = amplitude > 0.0
+    valid = (amplitude > 0.0) & np.isfinite(amplitude)
     valid &= ~((amplitude < a_min) | (amplitude > a_max) | (offset > b_max))
     return distance, amplitude, offset, valid
 
@@ -181,7 +182,9 @@ def _signed_zero_and_tiny_angle_buckets():
         (1.0, 1e3, 1.0 + eps, 0.0),  # tiny negative angle, rounds up to 2*pi
         (1.0, 1.0, 1.0 + eps, 0.0),  # small negative angle that survives
         (1e-300, 1.0, 2e-300, 0.0),
-        (0.0, 0.0, 5e-324, 0.0),  # atan2(-min subnormal, 0) = -pi/2
+        # atan2(-min subnormal, 0) = -pi/2; the square underflows, so the
+        # amplitude is zero
+        (0.0, 0.0, 5e-324, 0.0),
         (3.0, 3.0, 3.0, 3.0),  # zero amplitude
         (0.0, 0.0, 0.0, 0.0),
     ]

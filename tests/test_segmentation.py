@@ -80,6 +80,10 @@ class TestBuildBackground:
         model = build_background(frames)
         assert model.valid[0, 0]
         assert not model.valid[0, 1]
+        # computed once per model, and read-only
+        assert model.valid is model.valid
+        with pytest.raises(ValueError):
+            model.valid[0, 1] = True
 
     def test_mean_and_std_permutation_invariant(self):
         rng = np.random.default_rng(0)

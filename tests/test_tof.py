@@ -84,10 +84,47 @@ class TestDemodulate:
         a, b = frame.amplitude, frame.offset
         full = {"a_min": 0.0, "a_max": math.inf, "b_max": math.inf, **limits}
         flagged = (a < full["a_min"]) | (a > full["a_max"]) | (b > full["b_max"])
-        expected = (a > 0.0) & np.isfinite(b) & ~flagged
+        expected = (a > 0.0) & np.isfinite(a) & np.isfinite(b) & ~flagged
         assert frame.valid.tobytes() == expected.tobytes()
-        assert not frame.valid[0, :2].any() and not frame.valid[1, 0]
+        assert not frame.valid[0, :3].any() and not frame.valid[1, 0]
         assert frame.valid[2, :3].all() and not frame.valid.all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_amplitude_is_within_one_ulp_of_hypot(self, tof_intr):
+        # the buckets a float32 container holds, over six decades
+        rng = np.random.default_rng(11)
+        scale = 10.0 ** rng.integers(-2, 4, (50, 64, 1))
+        samples = (rng.random((50, 64, 4)) * scale).astype(np.float32).astype(np.float64)
+        amplitude = demodulate(RawTofFrame(samples), tof_intr).amplitude
+        wanted = np.hypot(samples[..., 0] - samples[..., 2], samples[..., 1] - samples[..., 3])
+        wanted /= 2.0
+        near = ((amplitude == wanted) | (amplitude == np.nextafter(wanted, 0.0))
+                | (amplitude == np.nextafter(wanted, np.inf)))
+        assert near.all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("limits", [{}, {"a_max": 1e305}, {"b_max": 1e305}])
+    def test_overflowing_amplitude_marks_invalid_silently(self, tof_intr, limits):
+        # a bucket difference of 1e300 squares past float max
+        samples = np.tile([2.0, 1.0, 0.0, 1.0], (50, 64, 1))  # amplitude 1
+        samples[3, 5, 1] = 1e300
+        frame = demodulate(RawTofFrame(samples), tof_intr, **limits)
+        assert frame.amplitude[3, 5] == math.inf and math.isfinite(frame.offset[3, 5])
+        expected = np.ones((50, 64), dtype=bool)
+        expected[3, 5] = False
+        assert frame.valid.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_differences_read_zero_amplitude(self, tof_intr):
+        # both squares underflow to zero below ~1e-162
+        samples = np.zeros((50, 64, 4))
+        samples[..., :2] = 1e-163
+        samples[0, 0, :2] = 1e-150
+        frame = demodulate(RawTofFrame(samples), tof_intr)
+        assert frame.amplitude[0, 0] > 0.0 and not frame.amplitude.ravel()[1:].any()
+        expected = np.zeros((50, 64), dtype=bool)
+        expected[0, 0] = True
+        assert frame.valid.tobytes() == expected.tobytes()
 
     def test_tiny_negative_angle_wraps_to_zero_distance(self, tof_intr):
         # A1 - A3 infinitesimally negative used to round the phase up to 2*pi
@@ -138,6 +175,16 @@ class TestNonFiniteBuckets:
         model = build_background(frames)
         assert model.count[10, 20] == 0
         assert np.count_nonzero(model.count == 3) == 64 * 50 - 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pair", [(0, 2), (1, 3)])
+    def test_inf_buckets_of_one_pair_make_no_warning(self, tof_intr, pair):
+        # inf - inf is NaN, which used to raise an invalid-value RuntimeWarning
+        buckets = np.tile(np.array([2.0, 1.0, 0.0, 1.0]), (50, 64, 1))
+        buckets[10, 20, list(pair)] = math.inf
+        frame = demodulate(RawTofFrame(buckets), tof_intr)
+        assert not frame.valid[10, 20]
+        assert np.count_nonzero(~frame.valid) == 1
 
 
 class TestRawFrameSigns:
@@ -293,6 +340,15 @@ class TestBackproject:
         assert len(cloud) == 64 * 50
         assert np.array_equal(cloud.points[10 * 64 + 20], [0.0, 0.0, 0.0])
         assert not cloud.valid[10 * 64 + 20]
+
+    def test_pixel_indices_are_one_read_only_grid(self, tof_intr):
+        frame = RangeFrame(np.ones((50, 64)), np.ones((50, 64)), np.ones((50, 64)),
+                           np.ones((50, 64), bool))
+        first = backproject(frame, tof_intr).pixel_indices
+        assert backproject(frame, tof_intr).pixel_indices is first
+        assert np.array_equal(first, np.arange(64 * 50)) and first.dtype == np.int64
+        with pytest.raises(ValueError):
+            first[0] = 1
 
     def test_dimension_mismatch(self, tof_intr):
         frame = RangeFrame(np.ones((5, 5)), np.ones((5, 5)), np.ones((5, 5)),

@@ -16,7 +16,7 @@ from .errors import (
     DimensionMismatchError,
     InsufficientDataError,
 )
-from .fusion import Extrinsics, FuseReason, Thermogram, fuse, transform_points
+from .fusion import Extrinsics, FuseReason, Thermogram, fuse
 from .segmentation import (
     BackgroundModel,
     ForegroundMask,
@@ -39,7 +39,6 @@ from .simulator import (
 )
 from .thermal import IrIntrinsics, ThermalFrame
 from .tof import (
-    PointCloud,
     RangeFrame,
     RawTofFrame,
     SPEED_OF_LIGHT,
@@ -70,7 +69,6 @@ __all__ = [
     "MultipathConfig",
     "NoiseConfig",
     "Plane",
-    "PointCloud",
     "RangeFrame",
     "RawTofFrame",
     "SPEED_OF_LIGHT",
@@ -93,7 +91,6 @@ __all__ = [
     "render_tof",
     "render_tof_sequence",
     "synthesize_buckets",
-    "transform_points",
     "unambiguous_range",
     "undistort_pixel",
 ]

@@ -20,6 +20,7 @@ wrong. An analytic Jacobian can replace `_jacobian` behind the same interface.
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -125,6 +126,17 @@ def _residual_matrix(rotation, translation, points, measured, ir_intr):
 
 # --- rotation estimation --------------------------------------------------------
 
+def _check_on_sensor(observations, tof_intr: TofIntrinsics) -> None:
+    """Raise ``ValueError`` naming the first observation whose range pixel is
+    outside the range image, [0, width] x [0, height]."""
+    pixels = np.array([[o.u, o.v] for o in observations], dtype=np.float64).reshape(-1, 2)
+    outside = np.flatnonzero(~tof_intr.on_sensor(pixels))
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(f"observation {i}: range pixel {tuple(pixels[i].tolist())} "
+                         f"is outside the {tof_intr.width}x{tof_intr.height} range image")
+
+
 def _check_geometry(observations):
     if len(observations) < 3:
         raise InsufficientDataError(
@@ -156,12 +168,14 @@ def estimate_rotation(
     axis-angle increments until the step norm drops below 1e-10 rad, the
     relative cost decrease drops below 1e-12, or 200 iterations are done.
     The returned rotation is re-orthonormalized. A NaN or infinite entry in
-    ``translation`` or ``initial_rotation`` raises ``ValueError``.
+    ``translation`` or ``initial_rotation``, or an observation whose range
+    pixel is outside the range image, raises ``ValueError``.
     """
     translation = np.asarray(translation, dtype=np.float64).reshape(3)
     check("translation", translation.tolist())
     if initial_rotation is not None:
         check("initial_rotation", np.asarray(initial_rotation, dtype=np.float64).ravel().tolist())
+    _check_on_sensor(observations, tof_intr)
     _check_geometry(observations)
     points, measured = _observation_arrays(observations, tof_intr)
 
@@ -254,13 +268,16 @@ def _jacobian(residuals, rotation, weights):
 # --- observation files and reports ----------------------------------------------
 
 def load_observations(path) -> list[TargetObservation]:
-    """Read observations from delimited text: u v distance ir_x ir_y per line."""
-    table = np.loadtxt(path, ndmin=2)
+    """Read observations from delimited text: u v distance ir_x ir_y per line.
+    A file with no rows gives no observations, without a warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(path, ndmin=2)
     if table.size == 0:
         return []
     if table.shape[1] != 5:
         raise ValueError(f"expected 5 columns (u v distance ir_x ir_y), got {table.shape[1]}")
-    return [TargetObservation(*row) for row in table]
+    return [TargetObservation(*row) for row in table.tolist()]
 
 
 def save_observations(path, observations: Sequence[TargetObservation]) -> None:

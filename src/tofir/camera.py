@@ -76,6 +76,12 @@ class Pinhole:
                 f"{self.width}x{self.height}"
             )
 
+    def on_sensor(self, pixels) -> np.ndarray:
+        """Rows of (n, 2) pixel coordinates inside [0, width] x [0, height];
+        NaN rows are not."""
+        with np.errstate(invalid="ignore"):
+            return np.all((pixels >= 0) & (pixels <= (self.width, self.height)), axis=1)
+
     def to_json_dict(self) -> dict:
         return {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name)
                 for f in dataclasses.fields(self)}

@@ -132,7 +132,8 @@ def cmd_simulate(args) -> int:
     if "extrinsics" in cfg:
         ext = _load_document(cfg, base, "extrinsics", fusion.Extrinsics)
 
-    # everything but the range frames is computed before the first file is written
+    # everything but range frames 1 on is computed before the output
+    # directory is made, so a setting the renderer rejects leaves none
     blur = {"blur_sigma": settings["ir_blur_sigma"]} if "ir_blur_sigma" in settings else {}
     ir_frame = simulator.render_ir(scene, ir_intr, ext.inverse(), **blur)
     observations = None
@@ -141,15 +142,20 @@ def cmd_simulate(args) -> int:
             targets.pop("points"), ext, tof_intr, ir_intr, seed=noise.seed, **targets
         )
 
+    def rendered(k: int):
+        return simulator.render_tof(scene, tof_intr, None, noise, frame_index=k,
+                                    extrinsics=ext)
+
     # each frame is rendered once and appended to both files, which are
     # renamed into place only after the last frame: a failure leaves the
     # earlier raw.tirf and raw.truth.tirf as they were
+    raw, truth = rendered(0)
     out = _output_dir(args, cfg)
     with frame_writer(out / "raw.tirf", frames) as raws, \
             frame_writer(out / "raw.truth.tirf", frames) as truths:
         for k in range(frames):
-            raw, truth = simulator.render_tof(scene, tof_intr, None, noise, frame_index=k,
-                                              extrinsics=ext)
+            if k:
+                raw, truth = rendered(k)
             raws.append(tof.raw_frames_to_container([raw]))
             truths.append(simulator.TRUTH_SCHEMA.pack([truth]))
             del raw, truth  # freed before the next frame is rendered

@@ -23,7 +23,7 @@ from .camera import project_points
 from .container import ChannelSchema, format_rows
 from .document import check, number, read, triple
 from .thermal import IrIntrinsics, ThermalFrame, sample_temperature_grid
-from .tof import PointCloud, RangeFrame, TofIntrinsics, backproject
+from .tof import RangeFrame, TofIntrinsics, backproject
 
 _ORTHONORMALITY_TOL = 1e-9
 
@@ -155,17 +155,6 @@ thermograms_to_container = THERMOGRAM_SCHEMA.pack
 thermograms_from_container = THERMOGRAM_SCHEMA.unpack
 
 
-def transform_points(cloud: PointCloud, ext: Extrinsics) -> PointCloud:
-    """Map every cloud point through the rigid transform, keeping flags."""
-    return PointCloud(
-        ext.apply(cloud.points),
-        cloud.pixel_indices,
-        cloud.valid,
-        cloud.width,
-        cloud.height,
-    )
-
-
 def fuse(
     range_frame: RangeFrame,
     thermal: ThermalFrame,
@@ -186,13 +175,15 @@ def fuse(
     bytes at any thread count.
     """
     ir_intr.check_frame("thermal frame", thermal)
-    cloud = backproject(range_frame, tof_intr)  # also checks TOF dimensions
-    temps = np.empty(len(cloud))
-    reason = np.empty(len(cloud), dtype=np.uint8)
+    grid = backproject(range_frame, tof_intr)  # also checks TOF dimensions
+    points = grid.reshape(-1, 3)
+    valid = range_frame.valid.reshape(-1)
+    temps = np.empty(len(points))
+    reason = np.empty(len(points), dtype=np.uint8)
 
     def fuse_block(start, stop):
         rows = slice(start, stop)
-        pixels, in_front = project_points(ext.apply(cloud.points[rows]), ir_intr)
+        pixels, in_front = project_points(ext.apply(points[rows]), ir_intr)
         temps[rows], in_field = sample_temperature_grid(thermal, pixels[:, 0], pixels[:, 1])
         # later stages overwrite earlier ones: a point behind the camera
         # projects to NaN and is never in the field, and an invalid range
@@ -201,18 +192,16 @@ def fuse(
         block.fill(int(FuseReason.OUT_OF_IR_FIELD))
         block[in_field] = FuseReason.VALID
         block[~in_front] = FuseReason.BEHIND_IR_CAMERA
-        invalid = ~cloud.valid[rows]
+        invalid = ~valid[rows]
         block[invalid] = FuseReason.INVALID_RANGE
         temps[rows][invalid] = 0.0  # sampling already zeroed every entry outside the field
 
     # a block of points at a time, so the float64 temporaries stay a few
     # blocks in size whatever the resolution, spread over a thread per CPU
-    run_blocks(len(cloud), fuse_block)
+    run_blocks(len(points), fuse_block)
 
-    shape = (range_frame.height, range_frame.width)
-    return Thermogram(
-        cloud.points.reshape(shape + (3,)), temps.reshape(shape), reason.reshape(shape)
-    )
+    shape = grid.shape[:2]
+    return Thermogram(grid, temps.reshape(shape), reason.reshape(shape))
 
 
 def fuse_summary(thermogram: Thermogram) -> dict[str, float]:

@@ -534,11 +534,17 @@ def render_tof(
     setting or amplitude law (see the module docstring). The ground truth's
     range, temperatures and points are the kept read-only arrays, shared
     with every frame made from them; its outlier mask is its own.
+
+    An enabled scattering kernel whose radius is more than the larger side
+    of the image raises ``ValueError`` (:func:`_check_kernel_radius`).
     """
     noise = noise or NoiseConfig()
     frame_index = document.count("frame_index", frame_index, 0)
     if amplitude_law not in ("inverse_square", "constant"):
         raise ValueError(f"unknown amplitude law {amplitude_law!r}")
+    if noise.scattering.enabled:
+        radius = noise.scattering.kernel_radius
+        _check_kernel_radius(f"kernel_radius {radius}", radius, intr)
     base = _frame_base(scene, intr, pose, noise.multipath, noise.scattering, amplitude_law)
     return _render_frame(base, noise, frame_index, extrinsics)
 
@@ -572,13 +578,27 @@ def render_ir(
     pixel, ambient where every primitive is missed.
 
     ``blur_sigma`` > 0 applies a truncated Gaussian point-spread (radius
-    4 sigma, reflected boundaries). Zero means exactly no blur.
+    4 sigma, reflected boundaries). Zero means exactly no blur. A sigma whose
+    radius ``4 sigma + 0.5`` is more than the larger side of the image
+    raises ``ValueError`` (:func:`_check_kernel_radius`).
     """
     document.check("blur_sigma", blur_sigma, "non-negative")
+    _check_kernel_radius(f"blur_sigma {blur_sigma:g}", 4.0 * float(blur_sigma) + 0.5, intr)
     temps = _trace(scene, unit_rays(intr), pose or Extrinsics.identity())[2]
     if blur_sigma > 0:
         temps = _gaussian_blur(temps, blur_sigma)
     return ThermalFrame(temps)
+
+
+def _check_kernel_radius(what: str, radius: float, intr) -> None:
+    """Raise ``ValueError`` unless a kernel ``radius`` in pixels, a float
+    that may be inf, is at most the larger side of ``intr``'s image: a wider
+    kernel reaches past the whole frame both ways, and its taps, time and
+    memory grow with the square of the radius."""
+    side = max(intr.width, intr.height)
+    if not radius <= side:
+        raise ValueError(f"{what}: a kernel radius of {radius:g} pixels is more than the "
+                         f"{intr.width}x{intr.height} image's larger side, {side}")
 
 
 def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
@@ -612,12 +632,6 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
 
 # --- calibration data generation -------------------------------------------------
 
-def _on_sensor(pixels, intr) -> np.ndarray:
-    """Rows of (n, 2) pixels inside [0, width] x [0, height]; NaN rows are not."""
-    with np.errstate(invalid="ignore"):
-        return np.all((pixels >= 0) & (pixels <= (intr.width, intr.height)), axis=1)
-
-
 def make_calibration_set(
     targets: Sequence[CalibrationTarget],
     true_extrinsics: Extrinsics,
@@ -649,8 +663,8 @@ def make_calibration_set(
     with np.errstate(invalid="ignore", over="ignore"):
         lifted = lift(tof_intr, tof_pix[:, 0], tof_pix[:, 1], distances)
         on_ray = np.linalg.norm(lifted - positions, axis=1) <= 1e-9 * distances
-    usable = (tof_front & ir_front & on_ray & _on_sensor(tof_pix, tof_intr)
-              & _on_sensor(ir_pix, ir_intr))
+    usable = (tof_front & ir_front & on_ray & tof_intr.on_sensor(tof_pix)
+              & ir_intr.on_sensor(ir_pix))
     dropped = int(np.count_nonzero(~usable))
     if dropped:
         logger.warning("dropped %d of %d calibration targets (behind a camera, off-sensor or "

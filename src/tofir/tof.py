@@ -25,7 +25,6 @@ thread.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -117,36 +116,6 @@ _RANGE_PLANES = ChannelSchema(
      "valid": ("valid",)},
     dtypes={"valid": bool},
 )
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """Metric 3D points, one per source pixel (row-major flat indices).
-
-    Invalid pixels keep a zero placeholder row so the grid structure survives
-    and downstream consumers stay index-aligned.
-    """
-
-    points: np.ndarray  # (n, 3)
-    pixel_indices: np.ndarray  # (n,) flat row-major source pixel
-    valid: np.ndarray  # (n,) bool
-    width: int
-    height: int
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
-        idx = np.asarray(self.pixel_indices, dtype=np.int64)
-        valid = np.asarray(self.valid, dtype=bool)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"points must be (n, 3), got {points.shape}")
-        if idx.shape != (points.shape[0],) or valid.shape != (points.shape[0],):
-            raise ValueError("pixel_indices and valid must match the point count")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "pixel_indices", idx)
-        object.__setattr__(self, "valid", valid)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 def unambiguous_range(f_mod: float) -> float:
@@ -287,19 +256,20 @@ def phase_for_distance(distance, f_mod: float):
     return _TWO_PI * wrapped / period
 
 
-def backproject(frame: RangeFrame, intr: TofIntrinsics) -> PointCloud:
+def backproject(frame: RangeFrame, intr: TofIntrinsics) -> np.ndarray:
     """Lift a range frame to metric 3D points along the undistorted view rays.
 
-    Each valid pixel yields (X, Y, Z) = D / d * (u, v, f) with
-    d = sqrt(f^2 + u^2 + v^2), so the point norm equals the measured distance.
-    Invalid pixels yield zero placeholder rows, preserving the grid. The
-    points are filled a block at a time, the blocks spread over a thread per
-    CPU (:mod:`tofir.blocks`).
+    Returns the float64 (height, width, 3) point grid: each valid pixel
+    yields (X, Y, Z) = D / d * (u, v, f) with d = sqrt(f^2 + u^2 + v^2), so
+    the point norm equals the measured distance, and each invalid pixel
+    yields +0.0 in all three, preserving the grid. The points are filled a
+    block at a time, the blocks spread over a thread per CPU
+    (:mod:`tofir.blocks`).
     """
     intr.check_frame("range frame", frame)
     rays = unit_rays(intr).reshape(-1, 3)
     distance = frame.distance.reshape(-1)
-    valid = frame.valid.ravel().copy()
+    valid = frame.valid.reshape(-1)
     points = np.empty(rays.shape)
 
     def lift(start, stop):
@@ -309,13 +279,4 @@ def backproject(frame: RangeFrame, intr: TofIntrinsics) -> PointCloud:
         block[~valid[start:stop]] = 0.0
 
     run_blocks(len(points), lift)
-    return PointCloud(points, _pixel_indices(len(points)), valid, intr.width, intr.height)
-
-
-@functools.lru_cache(maxsize=1)
-def _pixel_indices(n: int) -> np.ndarray:
-    """The flat pixel indices ``0 .. n-1``; the last count's are kept and
-    returned read-only, as :func:`tofir.camera.unit_rays` keeps its rays."""
-    indices = np.arange(n, dtype=np.int64)
-    indices.flags.writeable = False
-    return indices
+    return points.reshape(frame.height, frame.width, 3)

@@ -41,7 +41,6 @@ from tofir import (
     render_tof,
     render_tof_sequence,
     synthesize_buckets,
-    transform_points,
     unambiguous_range,
     undistort_pixel,
 )
@@ -263,12 +262,8 @@ def test_criterion_8_geometry_property_suite():
     partner = rng.uniform(-3, 3, size=(n, 3))
     rotation = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
     ext = Extrinsics(rotation, rng.normal(size=3))
-    from tofir import PointCloud
-
-    cloud_a = transform_points(PointCloud(points, np.arange(n), np.ones(n, bool), n, 1), ext)
-    cloud_b = transform_points(PointCloud(partner, np.arange(n), np.ones(n, bool), n, 1), ext)
     before = np.linalg.norm(points - partner, axis=1)
-    after = np.linalg.norm(cloud_a.points - cloud_b.points, axis=1)
+    after = np.linalg.norm(ext.apply(points) - ext.apply(partner), axis=1)
     failures["isometry"] = int(np.count_nonzero(np.abs(after - before) > 1e-9 * np.maximum(before, 1.0)))
 
     # projective scale invariance

@@ -331,11 +331,10 @@ class TestKernelsAtAnyWorkerCount:
         frame = tof.demodulate(_raw_frame(WIDE, seed=1), WIDE)
 
         def run():
-            cloud = tof.backproject(frame, WIDE)
-            return cloud.points, cloud.valid, cloud.pixel_indices
+            return (tof.backproject(frame, WIDE),)
 
-        points, valid, _ = _inline_and_pooled(workers, run)
-        assert not valid.all() and not points[~valid].any()
+        (points,) = _inline_and_pooled(workers, run)
+        assert not frame.valid.all() and not points[~frame.valid].any()
 
     def test_fuse_with_every_reason_code(self, workers, ir_intr, blob_scene):
         # near points in the first and last rows end up behind the IR camera

@@ -206,6 +206,23 @@ class TestEstimateRotation:
         with pytest.raises(DegenerateGeometryError, match="collinear"):
             estimate_rotation(obs, [0.05, 0, 0], tof_intr, ir_intr)
 
+    @pytest.mark.parametrize("u, v", [(-1e-9, 25.0), (64.0 + 1e-9, 25.0), (30.0, 50.5),
+                                      (1e308, 25.0)])
+    def test_range_pixel_off_the_sensor_rejected_before_the_geometry(self, tof_intr, ir_intr,
+                                                                      u, v):
+        # the rest are collinear: the off-sensor pixel is named first
+        obs = [TargetObservation(10.0 + 5 * i, 25.0, 2.0, 40.0 + 10 * i, 60.0)
+               for i in range(4)]
+        obs[2] = TargetObservation(u, v, 2.0, 60.0, 60.0)
+        with pytest.raises(ValueError, match=r"observation 2: range pixel .* outside the 64x50"):
+            estimate_rotation(obs, [0.05, 0, 0], tof_intr, ir_intr)
+
+    def test_range_pixel_on_the_sensor_edge_accepted(self, tof_intr, ir_intr):
+        edges = [(0.0, 0.0), (64.0, 0.0), (0.0, 50.0), (64.0, 50.0)]
+        obs = [TargetObservation(u, v, 2.0, 80.0, 60.0) for u, v in edges]
+        result = estimate_rotation(obs, [0.05, 0, 0], tof_intr, ir_intr)
+        assert result.residuals.shape == (4,)
+
     def test_duplicate_observation_does_not_move_minimizer(self, tof_intr, ir_intr):
         r_true = rotation_about([0, 1, 0], 9.0)
         obs = _observation_set(tof_intr, ir_intr, r_true, [0.05, 0.0, 0.0], count=12)
@@ -281,8 +298,15 @@ class TestObservationIO:
     def test_nan_cell_in_file_rejected(self, tmp_path):
         path = tmp_path / "obs.txt"
         path.write_text("10 20 2 80 60\n30 40 3 nan 61\n")
-        with pytest.raises(ValueError, match="finite"):
+        # the message prints plain floats, not numpy scalar reprs
+        with pytest.raises(ValueError, match=r"finite, got \(30\.0, 40\.0, 3\.0, nan, 61\.0\)$"):
             load_observations(path)
+
+    def test_empty_file_gives_no_observations_and_no_warning(self, tmp_path):
+        # the suite turns warnings into errors, so numpy's "no data" warning fails here
+        path = tmp_path / "obs.txt"
+        path.write_text("")
+        assert load_observations(path) == []
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"

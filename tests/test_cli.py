@@ -977,3 +977,55 @@ class TestMalformedSettings:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(workspace / "sim.json"), "--seed", "1"])
         assert exc.value.code == 2
+
+
+class TestOneErrorLine:
+    """Settings the renderer cannot honour and observation files the solver
+    cannot use exit with their code and a single ``error:`` line on stderr:
+    no warning, no traceback, no numpy scalar repr, and no output directory.
+    Each case runs the console entry point in a child process whose address
+    space is capped (RLIMIT_AS), so a check that regresses fails the case
+    instead of allocating gigabytes."""
+
+    ADDRESS_SPACE = 2 * 1024**3
+    ROWS = ["10 10 2.0 40 30", "50 12 2.5 120 35", "30 40 3.0 80 90", "20 30 2.2 60 70"]
+
+    # simulate's cases change its config; calibrate's give the observation rows
+    @pytest.mark.parametrize("command, change, code, message", [
+        ("simulate", {"ir_blur_sigma": 1e308}, 2,
+         "blur_sigma 1e+308: a kernel radius of inf pixels is more than the 160x120 "
+         "image's larger side, 160"),
+        ("simulate", {"noise": {"scattering": {"enabled": True, "kernel_radius": 10000}}}, 2,
+         "kernel_radius 10000: a kernel radius of 10000 pixels is more than the "
+         "64x50 image's larger side, 64"),
+        ("calibrate", [], 3, "need at least 3 observations, got 0"),
+        ("calibrate", ROWS[:2] + ["30 40 nan 80 90"] + ROWS[3:], 2,
+         "observation values must be finite, got (30.0, 40.0, nan, 80.0, 90.0)"),
+        ("calibrate", ROWS[:1] + ["1e308 12 2.5 120 35"] + ROWS[2:], 2,
+         "observation 1: range pixel (1e+308, 12.0) is outside the 64x50 range image"),
+    ], ids=["blur-sigma", "scattering-radius", "no-observations", "nan-observation",
+            "observation-off-the-range-image"])
+    def test_exits_with_one_error_line(self, workspace, command, change, code, message):
+        out = workspace / "rejected"
+        if command == "simulate":
+            doc = {**json.loads((workspace / "sim.json").read_text()), **change}
+        else:
+            (workspace / "observations.txt").write_text("".join(r + "\n" for r in change))
+            doc = {"observations": "observations.txt", "tof_intrinsics": "tof.json",
+                   "ir_intrinsics": "ir.json", "translation": [0.05, 0.0, 0.0]}
+        _write_json(workspace / "bad.json", {**doc, "output": str(out)})
+        script = ("import resource\n"
+                  "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({self.ADDRESS_SPACE}, hard))\n"
+                  "from tofir.cli import entry\n"
+                  "entry()\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, "--config", str(workspace / "bad.json"),
+             "--quiet"],
+            env=TestDeterminism._env("1"), capture_output=True, text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert message in lines[0]
+        assert not out.exists()

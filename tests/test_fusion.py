@@ -18,7 +18,6 @@ from tofir import (
     fuse,
     render_ir,
     render_tof,
-    transform_points,
 )
 from tofir.fusion import (
     fuse_summary,
@@ -112,37 +111,38 @@ class TestExtrinsics:
 
 
 class TestTransformPoints:
+    """``Extrinsics.apply`` on the (height, width, 3) grid ``backproject`` returns."""
+
     def test_identity(self, tof_intr):
         frame = _full_frame(np.full((50, 64), 2.0))
-        cloud = backproject(frame, tof_intr)
-        moved = transform_points(cloud, Extrinsics.identity())
-        assert np.array_equal(moved.points, cloud.points)
-        assert np.array_equal(moved.valid, cloud.valid)
+        grid = backproject(frame, tof_intr)
+        moved = Extrinsics.identity().apply(grid)
+        assert moved.shape == grid.shape
+        assert np.array_equal(moved, grid)
 
     def test_pure_translation(self, tof_intr):
         frame = _full_frame(np.full((50, 64), 2.0))
-        cloud = backproject(frame, tof_intr)
+        grid = backproject(frame, tof_intr)
         ext = Extrinsics(np.eye(3), np.array([0.1, 0.0, 0.0]))
-        moved = transform_points(cloud, ext)
-        assert np.allclose(moved.points - cloud.points, [0.1, 0.0, 0.0], atol=1e-15)
+        moved = ext.apply(grid)
+        assert np.allclose(moved - grid, [0.1, 0.0, 0.0], atol=1e-15)
 
     def test_quarter_turn_about_z(self):
         ext = Extrinsics(rotation_about([0, 0, 1], 90.0), np.array([0.0, 0.0, 0.5]))
-        from tofir import PointCloud
-
-        cloud = PointCloud(np.array([[1.0, 0.0, 0.0]]), np.array([0]), np.array([True]), 1, 1)
-        moved = transform_points(cloud, ext)
-        assert moved.points[0] == pytest.approx([0.0, 1.0, 0.5], abs=1e-12)
+        moved = ext.apply(np.array([[[1.0, 0.0, 0.0]]]))
+        assert moved.shape == (1, 1, 3)
+        assert moved[0, 0] == pytest.approx([0.0, 1.0, 0.5], abs=1e-12)
 
     def test_isometry(self, tof_intr):
         rng = np.random.default_rng(3)
         frame = _full_frame(rng.uniform(1.0, 5.0, size=(50, 64)))
-        cloud = backproject(frame, tof_intr)
+        grid = backproject(frame, tof_intr)
         ext = Extrinsics(rotation_about(rng.normal(size=3), 35.0), rng.normal(size=3))
-        moved = transform_points(cloud, ext)
-        take = rng.choice(len(cloud), size=200)
-        d0 = np.linalg.norm(cloud.points[take] - cloud.points[take[::-1]], axis=1)
-        d1 = np.linalg.norm(moved.points[take] - moved.points[take[::-1]], axis=1)
+        points = grid.reshape(-1, 3)
+        moved = ext.apply(grid).reshape(-1, 3)
+        take = rng.choice(len(points), size=200)
+        d0 = np.linalg.norm(points[take] - points[take[::-1]], axis=1)
+        d1 = np.linalg.norm(moved[take] - moved[take[::-1]], axis=1)
         assert np.allclose(d0, d1, rtol=1e-9, atol=1e-12)
 
 

@@ -402,12 +402,12 @@ def test_backproject_matches_reference_including_signed_zeros():
     valid = rng.random((18, 24)) > 0.2
     valid[0, :4] = [True, False, False, False]
     frame = RangeFrame(distance, np.ones_like(distance), np.ones_like(distance), valid)
-    cloud = backproject(frame, intr)
-    expected = (distance[..., None] * ref_unit_rays(intr)).reshape(-1, 3)
-    expected[~valid.ravel()] = 0.0
-    assert_same_bytes(cloud.points, expected)
+    grid = backproject(frame, intr)
+    expected = distance[..., None] * ref_unit_rays(intr)
+    expected[~valid] = 0.0
+    assert_same_bytes(grid, expected)
     # the zeroed rows are +0.0, never the -0.0 a zero distance times a negative ray gives
-    assert not np.signbit(cloud.points[~cloud.valid]).any()
+    assert not np.signbit(grid[~valid]).any()
 
 
 def _fuse_inputs(tof_intr, ir_intr, scene):

@@ -13,6 +13,7 @@ from conftest import projection_error, rotation_about
 from tofir import (
     CalibrationTarget,
     Extrinsics,
+    IrIntrinsics,
     MultipathConfig,
     NoiseConfig,
     Plane,
@@ -517,6 +518,17 @@ class TestScattering:
         b, _ = render_tof(wall_scene, tof_intr, noise=noise)
         assert np.allclose(a.samples, b.samples, atol=1e-12)
 
+    def test_radius_is_bounded_by_the_larger_side(self, wall_scene, quiet_noise):
+        intr = TofIntrinsics(4e-3, 6, 8, 45e-6)
+        for radius, enabled in ((8, True), (9, False)):
+            noise = replace(quiet_noise, scattering=ScatteringConfig(enabled, radius, 0.1))
+            assert render_tof(wall_scene, intr, noise=noise)[0].samples.shape == (8, 6, 4)
+        noise = replace(quiet_noise, scattering=ScatteringConfig(True, 9, 0.1))
+        with pytest.raises(ValueError, match="kernel_radius 9: .* larger side, 8"):
+            render_tof(wall_scene, intr, noise=noise)
+        with pytest.raises(ValueError, match="kernel_radius 9"):
+            render_tof_sequence(wall_scene, intr, None, noise, 2)
+
     @pytest.mark.parametrize("radius", [2.5, 4.7, True, np.bool_(True), "4", None])
     def test_non_whole_radius_rejected_at_construction(self, radius):
         with pytest.raises(ValueError, match="kernel_radius"):
@@ -576,6 +588,15 @@ class TestRenderIr:
     def test_negative_blur_rejected(self, ir_intr, wall_scene):
         with pytest.raises(ValueError):
             render_ir(wall_scene, ir_intr, blur_sigma=-1.0)
+
+    def test_blur_radius_is_bounded_by_the_larger_side(self, wall_scene):
+        # radius 4 sigma + 0.5: 8.0 is the 8x6 image's larger side, then past
+        # it, then an overflow to inf, which is checked before any int()
+        intr = IrIntrinsics(focal_length=4e-3, width=8, height=6, pixel_pitch=45e-6)
+        assert render_ir(wall_scene, intr, blur_sigma=1.875).temperatures.shape == (6, 8)
+        for sigma in (1.876, np.float64(1e308)):
+            with pytest.raises(ValueError, match="larger side, 8"):
+                render_ir(wall_scene, intr, blur_sigma=sigma)
 
 
 class TestMakeCalibrationSet:

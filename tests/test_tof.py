@@ -309,8 +309,7 @@ class TestBackproject:
         intr = TofIntrinsics(4e-3, 3, 3, 45e-6)  # center pixel sits on the axis
         distance = np.full((3, 3), 3.0)
         frame = RangeFrame(distance, np.ones((3, 3)), np.ones((3, 3)), np.ones((3, 3), bool))
-        cloud = backproject(frame, intr)
-        center = cloud.points.reshape(3, 3, 3)[1, 1]
+        center = backproject(frame, intr)[1, 1]
         assert center == pytest.approx([0.0, 0.0, 3.0], abs=1e-15)
 
     def test_point_norm_equals_distance(self, tof_intr):
@@ -318,37 +317,27 @@ class TestBackproject:
         distance = rng.uniform(0.5, 6.0, size=(50, 64))
         frame = RangeFrame(distance, np.ones_like(distance), np.ones_like(distance),
                            np.ones_like(distance, dtype=bool))
-        cloud = backproject(frame, tof_intr)
-        norms = np.linalg.norm(cloud.points, axis=1)
-        assert np.allclose(norms, distance.ravel(), rtol=1e-9, atol=0)
+        norms = np.linalg.norm(backproject(frame, tof_intr), axis=-1)
+        assert np.allclose(norms, distance, rtol=1e-9, atol=0)
 
     def test_forty_five_degree_ray(self):
         # pixel whose metric u equals f: direction (1, 0, 1)/sqrt(2)
         intr = TofIntrinsics(4e-4, 11, 1, 1e-4, cx=0.5, cy=0.5)
         distance = np.full((1, 11), math.sqrt(2.0))
         frame = RangeFrame(distance, np.ones((1, 11)), np.ones((1, 11)), np.ones((1, 11), bool))
-        cloud = backproject(frame, intr)
+        grid = backproject(frame, intr)
         # column 4: u = (4 + 0.5 - 0.5) * 1e-4 = f
-        assert cloud.points[4] == pytest.approx([1.0, 0.0, 1.0], rel=1e-12)
+        assert grid[0, 4] == pytest.approx([1.0, 0.0, 1.0], rel=1e-12)
 
     def test_invalid_pixels_keep_grid_with_placeholder(self, tof_intr):
         distance = np.full((50, 64), 2.0)
         valid = np.ones((50, 64), bool)
         valid[10, 20] = False
         frame = RangeFrame(distance, np.ones_like(distance), np.ones_like(distance), valid)
-        cloud = backproject(frame, tof_intr)
-        assert len(cloud) == 64 * 50
-        assert np.array_equal(cloud.points[10 * 64 + 20], [0.0, 0.0, 0.0])
-        assert not cloud.valid[10 * 64 + 20]
-
-    def test_pixel_indices_are_one_read_only_grid(self, tof_intr):
-        frame = RangeFrame(np.ones((50, 64)), np.ones((50, 64)), np.ones((50, 64)),
-                           np.ones((50, 64), bool))
-        first = backproject(frame, tof_intr).pixel_indices
-        assert backproject(frame, tof_intr).pixel_indices is first
-        assert np.array_equal(first, np.arange(64 * 50)) and first.dtype == np.int64
-        with pytest.raises(ValueError):
-            first[0] = 1
+        grid = backproject(frame, tof_intr)
+        assert grid.shape == (50, 64, 3) and grid.dtype == np.float64
+        assert np.array_equal(grid[10, 20], [0.0, 0.0, 0.0])
+        assert np.all(np.linalg.norm(grid[valid], axis=-1) > 0)
 
     def test_dimension_mismatch(self, tof_intr):
         frame = RangeFrame(np.ones((5, 5)), np.ones((5, 5)), np.ones((5, 5)),

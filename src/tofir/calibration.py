@@ -101,14 +101,12 @@ def rotation_angle_between(r_a, r_b) -> float:
 
 # --- projection error -----------------------------------------------------------
 
-def _observation_arrays(observations: Sequence[TargetObservation], tof_intr: TofIntrinsics):
-    """Range-camera target points (no rotation moves them) and measured IR pixels."""
-    u = np.array([o.u for o in observations])
-    v = np.array([o.v for o in observations])
-    dist = np.array([o.distance for o in observations])
-    points = lift(tof_intr, u, v, dist)
-    measured = np.array([[o.ir_x, o.ir_y] for o in observations])
-    return points, measured
+def _table(observations: Sequence[TargetObservation]) -> np.ndarray:
+    """The observations as an (n, 5) float64 table, a row ``u v distance
+    ir_x ir_y`` each: its first three columns lift to the range-camera target
+    point (no rotation moves it), its last two are the measured IR pixel."""
+    return np.array([[o.u, o.v, o.distance, o.ir_x, o.ir_y] for o in observations],
+                    dtype=np.float64).reshape(-1, 5)
 
 
 def _residual_matrix(rotation, translation, points, measured, ir_intr):
@@ -126,10 +124,10 @@ def _residual_matrix(rotation, translation, points, measured, ir_intr):
 
 # --- rotation estimation --------------------------------------------------------
 
-def _check_on_sensor(observations, tof_intr: TofIntrinsics) -> None:
-    """Raise ``ValueError`` naming the first observation whose range pixel is
-    outside the range image, [0, width] x [0, height]."""
-    pixels = np.array([[o.u, o.v] for o in observations], dtype=np.float64).reshape(-1, 2)
+def _check_on_sensor(pixels: np.ndarray, tof_intr: TofIntrinsics) -> None:
+    """Raise ``ValueError`` naming the first observation whose range pixel, a
+    row of the (n, 2) ``pixels``, is outside the range image, [0, width] x
+    [0, height]."""
     outside = np.flatnonzero(~tof_intr.on_sensor(pixels))
     if outside.size:
         i = int(outside[0])
@@ -137,13 +135,11 @@ def _check_on_sensor(observations, tof_intr: TofIntrinsics) -> None:
                          f"is outside the {tof_intr.width}x{tof_intr.height} range image")
 
 
-def _check_geometry(observations):
-    if len(observations) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 observations, got {len(observations)}"
-        )
-    pix = np.array([[o.u, o.v] for o in observations], dtype=np.float64)
-    centered = pix - pix.mean(axis=0)
+def _check_geometry(pixels: np.ndarray) -> None:
+    """Raise unless the (n, 2) range pixels are at least 3 and not collinear."""
+    if len(pixels) < 3:
+        raise InsufficientDataError(f"need at least 3 observations, got {len(pixels)}")
+    centered = pixels - pixels.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[1] <= max(1e-9 * sv[0], 1e-12):
         raise DegenerateGeometryError(
@@ -175,9 +171,11 @@ def estimate_rotation(
     check("translation", translation.tolist())
     if initial_rotation is not None:
         check("initial_rotation", np.asarray(initial_rotation, dtype=np.float64).ravel().tolist())
-    _check_on_sensor(observations, tof_intr)
-    _check_geometry(observations)
-    points, measured = _observation_arrays(observations, tof_intr)
+    table = _table(observations)
+    _check_on_sensor(table[:, :2], tof_intr)
+    _check_geometry(table[:, :2])
+    points = lift(tof_intr, table[:, 0], table[:, 1], table[:, 2])
+    measured = table[:, 3:]
 
     rotation = np.eye(3) if initial_rotation is None else orthonormalize_rotation(initial_rotation)
 
@@ -284,9 +282,7 @@ def save_observations(path, observations: Sequence[TargetObservation]) -> None:
     """Write the observation table to ``path``, whole or not at all: a
     ``#`` header line, then ``u v distance ir_x ir_y`` per observation,
     each value as ``%.9g``."""
-    table = np.array(
-        [[o.u, o.v, o.distance, o.ir_x, o.ir_y] for o in observations], dtype=np.float64
-    ).reshape(-1, 5)
+    table = _table(observations)
     with replacing(path, text=True) as fh:
         fh.write("# u v distance ir_x ir_y\n")
         fh.write(format_rows(table))

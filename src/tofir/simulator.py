@@ -197,6 +197,11 @@ class NoiseConfig:
         object.__setattr__(self, "seed", document.count("seed", self.seed, 0))
         document.check("phase_noise_scale", self.phase_noise_scale, "non-negative")
         document.check("bucket_noise_sigma", self.bucket_noise_sigma, "non-negative")
+        # noise past full scale swamps every bucket, and near float max overflows them
+        if self.bucket_noise_sigma > SATURATION_LEVEL:
+            raise ValueError(f"bucket_noise_sigma must be at most SATURATION_LEVEL "
+                             f"({SATURATION_LEVEL:g}), the full-scale bucket value, "
+                             f"got {self.bucket_noise_sigma}")
         document.check("saturation_fraction", self.saturation_fraction, "in [0, 1]")
 
     @classmethod
@@ -585,9 +590,7 @@ def render_ir(
     document.check("blur_sigma", blur_sigma, "non-negative")
     _check_kernel_radius(f"blur_sigma {blur_sigma:g}", 4.0 * float(blur_sigma) + 0.5, intr)
     temps = _trace(scene, unit_rays(intr), pose or Extrinsics.identity())[2]
-    if blur_sigma > 0:
-        temps = _gaussian_blur(temps, blur_sigma)
-    return ThermalFrame(temps)
+    return ThermalFrame(_gaussian_blur(temps, blur_sigma))
 
 
 def _check_kernel_radius(what: str, radius: float, intr) -> None:
@@ -612,7 +615,7 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     w_j`` for j = r..1.
     """
     radius = int(4.0 * float(sigma) + 0.5)
-    if radius == 0:  # a single tap of weight 1
+    if radius == 0:  # a single tap of weight 1, sigma 0 included
         return image
     x = np.arange(-radius, radius + 1)
     weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
@@ -654,9 +657,6 @@ def make_calibration_set(
     document.check("pixel_noise_sigma", pixel_noise_sigma, "non-negative")
     rng = np.random.Generator(np.random.Philox(seed))
     positions = np.array([t.position for t in targets], dtype=np.float64).reshape(-1, 3)
-    if positions.shape[0] == 0:
-        return []
-
     distances = np.linalg.norm(positions, axis=1)
     tof_pix, tof_front = project_distorted(positions, tof_intr)
     ir_pix, ir_front = project_points(true_extrinsics.apply(positions), ir_intr)

@@ -82,8 +82,10 @@ def sample_temperature_grid(
     xc -= 0.5
     yc = np.where(in_field, ys, 0.5)
     yc -= 0.5
-    i0 = _lower_index(xc, width)
-    j0 = _lower_index(yc, height)
+    # the lower of the two pixel centers bracketing each coordinate; on a
+    # one-pixel axis every in-field coordinate is already 0
+    i0 = np.minimum(xc.astype(np.int64), max(width - 2, 0))
+    j0 = np.minimum(yc.astype(np.int64), max(height - 2, 0))
     fx = np.subtract(xc, i0, out=xc)
     fy = np.subtract(yc, j0, out=yc)
     # one flat index walks the four neighbours: (i0, j0), (i1, j0), (i1, j1), (i0, j1)
@@ -114,11 +116,3 @@ def sample_temperature_grid(
     values += term
     values[~in_field] = 0.0
     return values.reshape(shape), in_field.reshape(shape)
-
-
-def _lower_index(coord: np.ndarray, size: int) -> np.ndarray:
-    """Index of the lower of the two pixel centers bracketing ``coord``."""
-    if size == 1:
-        return np.zeros(coord.shape, dtype=np.int64)
-    index = coord.astype(np.int64)
-    return np.minimum(index, size - 2, out=index)

@@ -124,11 +124,14 @@ def unambiguous_range(f_mod: float) -> float:
     return SPEED_OF_LIGHT / (2.0 * f_mod)
 
 
-def _check_exposure_limits(a_min: float, a_max: float, b_max: float) -> None:
+def _exposure_bounds(a_min: float, a_max: float, b_max: float) -> tuple[float, float, float]:
+    """:func:`demodulate`'s closed bounds on amplitude and offset."""
     if not (a_min >= 0 and a_max >= 0 and b_max >= 0):  # NaN fails too
         raise ValueError("exposure thresholds must be non-negative")
     if not a_min < a_max:
         raise ValueError(f"a_min ({a_min}) must be below a_max ({a_max})")
+    return (max(a_min, 5e-324), min(a_max, sys.float_info.max),
+            min(b_max, sys.float_info.max))
 
 
 def demodulate(
@@ -147,32 +150,32 @@ def demodulate(
     the squares are subnormal and lose precision). Buckets read from a
     float32 container reach neither end.
 
-    Pixels with zero amplitude (A1 == A3 and A2 == A4) carry no phase
-    information and are marked invalid rather than raising, as are pixels
-    with a NaN or infinite bucket or a non-finite amplitude (without a
-    RuntimeWarning). The optional exposure thresholds also mark invalid
-    every under- or overexposed pixel: amplitude below ``a_min`` or above
-    ``a_max``, or offset above ``b_max``.
+    A pixel is valid when its amplitude lies in the closed bounds
+    ``[max(a_min, 5e-324), min(a_max, float max)]`` and its offset is at
+    most ``min(b_max, float max)``; every other pixel is marked invalid
+    rather than raising, without a RuntimeWarning. So zero amplitude (A1 ==
+    A3 and A2 == A4, no phase information), a NaN or infinite bucket and a
+    non-finite amplitude all mark a pixel invalid, and so do the optional
+    exposure thresholds ``a_min``, ``a_max`` and ``b_max``.
 
     The four planes are filled a block of rows at a time, the blocks spread
     over a thread per CPU (:mod:`tofir.blocks`); each pixel gets the same
     bytes at any thread count.
     """
     intr.check_frame("raw frame", raw)
-    _check_exposure_limits(a_min, a_max, b_max)
+    bounds = _exposure_bounds(a_min, a_max, b_max)
     shape = (raw.height, raw.width)
     frame = RangeFrame(np.empty(shape), np.empty(shape), np.empty(shape),
                        np.empty(shape, dtype=bool))
-    limits = (a_min, a_max, b_max)
     run_blocks(raw.height, lambda start, stop: _demodulate_rows(
-        raw, intr.f_mod, limits, frame, slice(start, stop)), raw.width)
+        raw, intr.f_mod, bounds, frame, slice(start, stop)), raw.width)
     return frame
 
 
 # two inf buckets of one pair make inf - inf NaN, and a bucket difference
 # past ~1e154 squares to inf: each such pixel is marked invalid, silently
 @np.errstate(over="ignore", invalid="ignore")
-def _demodulate_rows(raw: RawTofFrame, f_mod: float, limits, frame: RangeFrame,
+def _demodulate_rows(raw: RawTofFrame, f_mod: float, bounds, frame: RangeFrame,
                      rows: slice) -> None:
     """Demodulate the ``rows`` of ``raw`` into those of ``frame``."""
     samples = raw.samples[rows]
@@ -201,22 +204,13 @@ def _demodulate_rows(raw: RawTofFrame, f_mod: float, limits, frame: RangeFrame,
     offset /= 4.0
     distance = np.multiply(phase, SPEED_OF_LIGHT, out=phase)
     distance /= 4.0 * math.pi * f_mod
-    # valid: an amplitude in (0, float max], a finite offset (buckets are
-    # non-negative, so a NaN or inf bucket makes it non-finite) and no
-    # exposure flag: amplitude < a_min, amplitude > a_max or offset > b_max.
-    # A positive a_min implies the amplitude's lower end, a finite b_max the
-    # finite offset, and a_min or b_max at its default flags nothing more
-    a_min, a_max, b_max = limits
-    valid = frame.valid[rows]
-    if a_min > 0.0:
-        np.greater_equal(amplitude, a_min, out=valid)
-    else:
-        np.greater(amplitude, 0.0, out=valid)
-    valid &= amplitude <= min(a_max, sys.float_info.max)
-    if b_max < math.inf:
-        valid &= offset <= b_max
-    else:
-        valid &= np.isfinite(offset)
+    # valid: the amplitude and offset inside demodulate's closed bounds.
+    # Buckets are non-negative, so the offset is at most float max exactly
+    # when it is finite, and NaN fails every comparison
+    a_low, a_high, b_high = bounds
+    valid = np.greater_equal(amplitude, a_low, out=frame.valid[rows])
+    valid &= amplitude <= a_high
+    valid &= offset <= b_high
 
 
 def synthesize_buckets(phase, amplitude, offset) -> np.ndarray:

@@ -12,7 +12,8 @@ from tofir import (
     TofIntrinsics,
 )
 from tofir import simulator
-from tofir.calibration import _observation_arrays, _residual_matrix
+from tofir.calibration import _residual_matrix, _table
+from tofir.camera import lift
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +76,7 @@ def geodesic_degrees(r_a: np.ndarray, r_b: np.ndarray) -> float:
 def projection_error(obs, rotation, translation, tof_intr, ir_intr) -> float:
     """Pixel distance between one observation's measured and projected IR
     position, through the solver's residual function."""
-    points, measured = _observation_arrays([obs], tof_intr)
-    res = _residual_matrix(rotation, translation, points, measured, ir_intr)
+    table = _table([obs])
+    points = lift(tof_intr, table[:, 0], table[:, 1], table[:, 2])
+    res = _residual_matrix(rotation, translation, points, table[:, 3:], ir_intr)
     return float(np.hypot(res[0, 0], res[0, 1]))

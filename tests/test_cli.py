@@ -998,12 +998,15 @@ class TestOneErrorLine:
         ("simulate", {"noise": {"scattering": {"enabled": True, "kernel_radius": 10000}}}, 2,
          "kernel_radius 10000: a kernel radius of 10000 pixels is more than the "
          "64x50 image's larger side, 64"),
+        ("simulate", {"noise": {"bucket_noise_sigma": 1e308}}, 2,
+         "noise: bucket_noise_sigma must be at most SATURATION_LEVEL (4095), the "
+         "full-scale bucket value, got 1e+308"),
         ("calibrate", [], 3, "need at least 3 observations, got 0"),
         ("calibrate", ROWS[:2] + ["30 40 nan 80 90"] + ROWS[3:], 2,
          "observation values must be finite, got (30.0, 40.0, nan, 80.0, 90.0)"),
         ("calibrate", ROWS[:1] + ["1e308 12 2.5 120 35"] + ROWS[2:], 2,
          "observation 1: range pixel (1e+308, 12.0) is outside the 64x50 range image"),
-    ], ids=["blur-sigma", "scattering-radius", "no-observations", "nan-observation",
+    ], ids=["blur-sigma", "scattering-radius", "bucket-noise-sigma", "no-observations", "nan-observation",
             "observation-off-the-range-image"])
     def test_exits_with_one_error_line(self, workspace, command, change, code, message):
         out = workspace / "rejected"

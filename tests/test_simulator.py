@@ -628,6 +628,12 @@ class TestMakeCalibrationSet:
         targets = [CalibrationTarget((5.0, 0.0, 2.0))]
         assert make_calibration_set(targets, baseline_ext, tof_intr, ir_intr) == []
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_targets_give_no_observations(self, tof_intr, ir_intr, baseline_ext, caplog):
+        with caplog.at_level(logging.WARNING):
+            assert make_calibration_set([], baseline_ext, tof_intr, ir_intr, 0.5) == []
+        assert not caplog.records
+
     def test_noise_perturbs_ir_measurements_only_by_default(self, tof_intr, ir_intr,
                                                             baseline_ext):
         targets = [CalibrationTarget((0.1, 0.1, 2.0))]

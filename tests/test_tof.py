@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +31,11 @@ from tofir.tof import (
     raw_frames_to_container,
     unit_rays,
 )
+
+
+# the ends of demodulate's closed bounds: the least positive float and the
+# greatest finite one, which the defaults a_min=0 and b_max=inf clamp to
+EXTREME_LIMITS = [{"a_min": 5e-324}, {"b_max": sys.float_info.max}]
 
 
 def _uniform_raw(width, height, buckets):
@@ -70,12 +76,13 @@ class TestDemodulate:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("limits", [
         {}, {"a_min": 20.0}, {"a_max": 40.0}, {"b_max": 90.0}, {"a_min": 1e-300},
-        {"a_min": 20.0, "a_max": 40.0, "b_max": 90.0},
+        {"a_min": 20.0, "a_max": 40.0, "b_max": 90.0}, *EXTREME_LIMITS,
     ])
     def test_validity_is_the_exposure_rule_on_finite_pixels(self, tof_intr, limits):
         rng = np.random.default_rng(3)
         samples = rng.uniform(0.0, 150.0, (50, 64, 4))
         samples[0, :3, 1] = (math.nan, math.inf, 1e300)
+        samples[0, 3] = (1e308, 2.0, 1e308, 1.0)  # amplitude 0.5, offset overflows to inf
         samples[1, 0] = (7.0, 9.0, 7.0, 9.0)  # A1 == A3, A2 == A4: zero amplitude
         # on the limits: offset 90 (amplitude 30), amplitude 20, amplitude 40
         samples[2, :3] = ((120.0, 90.0, 60.0, 90.0), (100.0, 80.0, 60.0, 80.0),
@@ -86,7 +93,7 @@ class TestDemodulate:
         flagged = (a < full["a_min"]) | (a > full["a_max"]) | (b > full["b_max"])
         expected = (a > 0.0) & np.isfinite(a) & np.isfinite(b) & ~flagged
         assert frame.valid.tobytes() == expected.tobytes()
-        assert not frame.valid[0, :3].any() and not frame.valid[1, 0]
+        assert not frame.valid[0, :4].any() and not frame.valid[1, 0]
         assert frame.valid[2, :3].all() and not frame.valid.all()
 
     @pytest.mark.filterwarnings("error")
@@ -103,7 +110,8 @@ class TestDemodulate:
         assert near.all()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("limits", [{}, {"a_max": 1e305}, {"b_max": 1e305}])
+    @pytest.mark.parametrize("limits", [{}, {"a_max": 1e305}, {"b_max": 1e305},
+                                        *EXTREME_LIMITS])
     def test_overflowing_amplitude_marks_invalid_silently(self, tof_intr, limits):
         # a bucket difference of 1e300 squares past float max
         samples = np.tile([2.0, 1.0, 0.0, 1.0], (50, 64, 1))  # amplitude 1
@@ -165,6 +173,9 @@ class TestNonFiniteBuckets:
         frame = frames[0]
         assert not frame.valid[10, 20]
         assert np.count_nonzero(~frame.valid) == 1
+        for limits in EXTREME_LIMITS:
+            bounded = demodulate(RawTofFrame(buckets), tof_intr, **limits)
+            assert bounded.valid.tobytes() == frames[-1].valid.tobytes()
 
         thermal = render_ir(blob_scene, ir_intr, baseline_ext.inverse())
         tg = fuse(frame, thermal, tof_intr, ir_intr, baseline_ext)
